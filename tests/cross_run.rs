@@ -47,6 +47,9 @@ fn archive_round_trips_dedupes_and_garbage_collects_real_reports() {
     let rerun = run_report(|s| s); // differs only in wall_clock
     let truncated = run_report(|s| s.max_evals(10)); // deterministic perturbation
 
+    // Archive operations record `archive.*` counters; hold the recorder
+    // lock so they never land in another test's installed sink.
+    let _guard = lock();
     let a = archive.add(&first).expect("first add");
     assert!(!a.duplicate);
     let b = archive.add(&rerun).expect("rerun add");
