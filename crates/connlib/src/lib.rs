@@ -38,5 +38,5 @@ pub use arbiter::{Arbiter, ArbiterKind};
 pub use arch::{Channel, ChannelId, ConnArchError, ConnLink, ConnectivityArchitecture, LinkId};
 pub use component::{ConnComponent, ConnComponentKind, ConnParams};
 pub use library::ConnectivityLibrary;
-pub use reservation::{OpPattern, ReservationTable};
+pub use reservation::ReservationTable;
 pub use runtime::{LinkState, TransferTiming};

@@ -1,84 +1,18 @@
 //! Reservation tables for transfer timing.
 //!
 //! The paper estimates connectivity performance with Reservation Tables
-//! (refs [11, 14, 15]): an operation class declares which resources it
-//! occupies at which relative time steps, and a transfer can issue at the
-//! earliest time where none of its resource usages collides with an
-//! existing reservation. This captures latency, pipelining (the data phase
-//! of beat *n* overlaps the address phase of beat *n+1*) and resource
-//! conflicts (two transfers contending for the same bus) in one mechanism.
+//! (refs [11, 14, 15]): an operation declares which resource it occupies
+//! for how long, and it can issue at the earliest time where that usage
+//! does not collide with an existing reservation. This captures latency
+//! and resource conflicts (two transfers contending for the same bus) in
+//! one mechanism.
+//!
+//! Every operation the simulator schedules occupies a single resource for
+//! a number of cycles from issue — a bus for a transfer's occupancy, or
+//! one data-phase slot of a split-transaction bus — so the table's
+//! operations take that `(resource, cycles)` pair directly.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::fmt;
-
-/// An operation's resource-usage pattern: `(resource, start_offset, length)`
-/// entries relative to the operation's issue cycle.
-///
-/// ```
-/// use mce_connlib::OpPattern;
-/// // A 2-beat unpipelined bus transfer: the single bus resource is busy
-/// // for 4 cycles from issue.
-/// let op = OpPattern::new(vec![(0, 0, 4)]);
-/// assert_eq!(op.duration(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OpPattern {
-    usages: Vec<(usize, u32, u32)>,
-}
-
-impl OpPattern {
-    /// Creates a pattern from `(resource, start_offset, length)` triples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern is empty or any usage has zero length.
-    pub fn new(usages: Vec<(usize, u32, u32)>) -> Self {
-        assert!(!usages.is_empty(), "operation pattern must use a resource");
-        assert!(
-            usages.iter().all(|&(_, _, len)| len > 0),
-            "zero-length usage"
-        );
-        OpPattern { usages }
-    }
-
-    /// A pattern occupying a single resource for `cycles` from issue.
-    pub fn single(resource: usize, cycles: u32) -> Self {
-        Self::new(vec![(resource, 0, cycles)])
-    }
-
-    /// The usage triples.
-    pub fn usages(&self) -> &[(usize, u32, u32)] {
-        &self.usages
-    }
-
-    /// Total duration from issue to the last busy cycle.
-    pub fn duration(&self) -> u32 {
-        self.usages
-            .iter()
-            .map(|&(_, start, len)| start + len)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Highest resource index referenced.
-    pub fn max_resource(&self) -> usize {
-        self.usages.iter().map(|&(r, _, _)| r).max().unwrap_or(0)
-    }
-}
-
-impl fmt::Display for OpPattern {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "op[")?;
-        for (i, (r, s, l)) in self.usages.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "r{r}@{s}+{l}")?;
-        }
-        write!(f, "]")
-    }
-}
 
 /// A busy interval `[start, end)` on one resource.
 type Interval = (u64, u64);
@@ -89,6 +23,14 @@ type Interval = (u64, u64);
 /// simulator replays a time-ordered trace), which lets the table prune
 /// intervals that can no longer conflict. [`ReservationTable::earliest_start`]
 /// performs the classic forward scan for the first conflict-free issue slot.
+///
+/// ```
+/// use mce_connlib::ReservationTable;
+/// // A 2-beat unpipelined bus transfer holds the bus for 4 cycles.
+/// let mut table = ReservationTable::new(1);
+/// assert_eq!(table.schedule(0, 4, 0), 0);
+/// assert_eq!(table.schedule(0, 4, 1), 4, "the second transfer queues");
+/// ```
 #[derive(Debug, Clone)]
 pub struct ReservationTable {
     resources: Vec<VecDeque<Interval>>,
@@ -116,57 +58,60 @@ impl ReservationTable {
         self.resources.len()
     }
 
-    /// True if `op` issued at `t` collides with an existing reservation.
-    pub fn conflicts(&self, op: &OpPattern, t: u64) -> bool {
-        op.usages().iter().any(|&(r, start, len)| {
-            let s = t + start as u64;
-            let e = s + len as u64;
-            self.resources[r].iter().any(|&(bs, be)| s < be && bs < e)
-        })
-    }
-
-    /// Earliest `t >= ready` at which `op` can issue without conflicts.
+    /// The reservations on `resource`.
     ///
     /// # Panics
     ///
-    /// Panics if `op` references a resource outside the table.
-    pub fn earliest_start(&self, op: &OpPattern, ready: u64) -> u64 {
-        assert!(
-            op.max_resource() < self.resources.len(),
-            "operation references unknown resource"
-        );
+    /// Panics if `resource` is outside the table or `cycles` is zero.
+    fn intervals(&self, resource: usize, cycles: u32) -> &VecDeque<Interval> {
+        assert!(cycles > 0, "zero-length usage");
+        self.resources
+            .get(resource)
+            .expect("operation references unknown resource")
+    }
+
+    /// True if occupying `resource` for `cycles` from `t` collides with an
+    /// existing reservation.
+    pub fn conflicts(&self, resource: usize, cycles: u32, t: u64) -> bool {
+        let e = t + cycles as u64;
+        self.intervals(resource, cycles)
+            .iter()
+            .any(|&(bs, be)| t < be && bs < e)
+    }
+
+    /// Earliest `t >= ready` at which `resource` is free for `cycles`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `resource` is outside the table or `cycles` is zero.
+    pub fn earliest_start(&self, resource: usize, cycles: u32, ready: u64) -> u64 {
+        let intervals = self.intervals(resource, cycles);
         let mut t = ready;
-        // Jump-scan: on a conflict, hop to the end of the earliest blocking
+        // Jump-scan: on a conflict, hop to the end of the latest blocking
         // interval rather than stepping cycle by cycle.
         loop {
-            let mut blocked_until = None;
-            for &(r, start, len) in op.usages() {
-                let s = t + start as u64;
-                let e = s + len as u64;
-                for &(bs, be) in &self.resources[r] {
-                    if s < be && bs < e {
-                        let candidate = be.saturating_sub(start as u64);
-                        blocked_until = Some(match blocked_until {
-                            Some(prev) if prev >= candidate => prev,
-                            _ => candidate,
-                        });
-                    }
-                }
-            }
+            let e = t + cycles as u64;
+            let blocked_until = intervals
+                .iter()
+                .filter(|&&(bs, be)| t < be && bs < e)
+                .map(|&(_, be)| be)
+                .max();
             match blocked_until {
-                Some(next) if next > t => t = next,
-                Some(_) => t += 1, // defensive: guarantee progress
+                // A blocking interval ends after `t` by definition.
+                Some(next) => t = next,
                 None => return t,
             }
         }
     }
 
-    /// Records `op` issued at `t`.
-    pub fn reserve(&mut self, op: &OpPattern, t: u64) {
-        for &(r, start, len) in op.usages() {
-            let s = t + start as u64;
-            self.resources[r].push_back((s, s + len as u64));
-        }
+    /// Records `resource` busy for `cycles` from `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `resource` is outside the table or `cycles` is zero.
+    pub fn reserve(&mut self, resource: usize, cycles: u32, t: u64) {
+        self.intervals(resource, cycles);
+        self.resources[resource].push_back((t, t + cycles as u64));
     }
 
     /// Convenience: find the earliest start at or after `ready`, reserve it,
@@ -175,10 +120,10 @@ impl ReservationTable {
     /// Also advances the pruning horizon to `ready`: reservations that ended
     /// before `ready` can never conflict with this or any later call (ready
     /// times are nondecreasing) and are dropped.
-    pub fn schedule(&mut self, op: &OpPattern, ready: u64) -> u64 {
+    pub fn schedule(&mut self, resource: usize, cycles: u32, ready: u64) -> u64 {
         self.prune(ready);
-        let t = self.earliest_start(op, ready);
-        self.reserve(op, t);
+        let t = self.earliest_start(resource, cycles, ready);
+        self.reserve(resource, cycles, t);
         t
     }
 
@@ -228,112 +173,82 @@ mod tests {
     #[test]
     fn empty_table_issues_immediately() {
         let t = ReservationTable::new(1);
-        let op = OpPattern::single(0, 4);
-        assert_eq!(t.earliest_start(&op, 10), 10);
+        assert_eq!(t.earliest_start(0, 4, 10), 10);
     }
 
     #[test]
     fn sequential_transfers_serialize() {
         let mut t = ReservationTable::new(1);
-        let op = OpPattern::single(0, 4);
-        assert_eq!(t.schedule(&op, 0), 0);
-        assert_eq!(t.schedule(&op, 0), 4);
-        assert_eq!(t.schedule(&op, 0), 8);
+        assert_eq!(t.schedule(0, 4, 0), 0);
+        assert_eq!(t.schedule(0, 4, 0), 4);
+        assert_eq!(t.schedule(0, 4, 0), 8);
     }
 
     #[test]
     fn gap_is_found_between_reservations() {
         let mut t = ReservationTable::new(1);
-        let long = OpPattern::single(0, 4);
-        let short = OpPattern::single(0, 2);
-        t.reserve(&long, 0); // busy [0,4)
-        t.reserve(&long, 10); // busy [10,14)
-        assert_eq!(t.earliest_start(&short, 0), 4, "fits in the [4,10) gap");
-    }
-
-    #[test]
-    fn pipelined_pattern_overlaps_phases() {
-        // Two-resource pipeline: address phase (r0) 1 cycle, data phase (r1)
-        // 1 cycle offset by 1. Back-to-back ops issue every cycle.
-        let mut t = ReservationTable::new(2);
-        let op = OpPattern::new(vec![(0, 0, 1), (1, 1, 1)]);
-        assert_eq!(t.schedule(&op, 0), 0);
-        assert_eq!(t.schedule(&op, 0), 1);
-        assert_eq!(t.schedule(&op, 0), 2);
+        t.reserve(0, 4, 0); // busy [0,4)
+        t.reserve(0, 4, 10); // busy [10,14)
+        assert_eq!(t.earliest_start(0, 2, 0), 4, "fits in the [4,10) gap");
+        assert_eq!(t.earliest_start(0, 7, 0), 14, "too long for the gap");
     }
 
     #[test]
     fn unpipelined_pattern_serializes_fully() {
         // One resource held for both phases: ops issue every 2 cycles.
         let mut t = ReservationTable::new(1);
-        let op = OpPattern::single(0, 2);
-        assert_eq!(t.schedule(&op, 0), 0);
-        assert_eq!(t.schedule(&op, 0), 2);
+        assert_eq!(t.schedule(0, 2, 0), 0);
+        assert_eq!(t.schedule(0, 2, 0), 2);
     }
 
     #[test]
     fn conflicts_detects_overlap() {
         let mut t = ReservationTable::new(1);
-        let op = OpPattern::single(0, 3);
-        t.reserve(&op, 5);
-        assert!(t.conflicts(&op, 4));
-        assert!(t.conflicts(&op, 7));
-        assert!(!t.conflicts(&op, 8));
-        assert!(!t.conflicts(&op, 2));
+        t.reserve(0, 3, 5);
+        assert!(t.conflicts(0, 3, 4));
+        assert!(t.conflicts(0, 3, 7));
+        assert!(!t.conflicts(0, 3, 8));
+        assert!(!t.conflicts(0, 3, 2));
     }
 
     #[test]
-    fn multi_resource_conflict_on_any() {
+    fn resources_are_independent() {
         let mut t = ReservationTable::new(2);
-        t.reserve(&OpPattern::single(1, 4), 0);
-        let op = OpPattern::new(vec![(0, 0, 1), (1, 0, 1)]);
-        assert_eq!(t.earliest_start(&op, 0), 4, "r1 busy blocks the op");
+        t.reserve(1, 4, 0);
+        assert_eq!(t.earliest_start(0, 1, 0), 0, "r1 busy leaves r0 free");
+        assert_eq!(t.earliest_start(1, 1, 0), 4, "r1 busy blocks r1");
     }
 
     #[test]
     fn pruning_keeps_behavior() {
         let mut t = ReservationTable::new(1);
-        let op = OpPattern::single(0, 2);
         for i in 0..1000 {
-            t.schedule(&op, i * 2);
+            t.schedule(0, 2, i * 2);
         }
         // Old intervals pruned, future scheduling still correct.
         assert!(t.busy_cycles() < 100);
-        assert_eq!(t.schedule(&op, 2000), 2000);
+        assert_eq!(t.schedule(0, 2, 2000), 2000);
     }
 
     #[test]
     fn clear_resets() {
         let mut t = ReservationTable::new(1);
-        t.schedule(&OpPattern::single(0, 10), 0);
+        t.schedule(0, 10, 0);
         t.clear();
-        assert_eq!(t.earliest_start(&OpPattern::single(0, 1), 0), 0);
-    }
-
-    #[test]
-    fn duration_and_max_resource() {
-        let op = OpPattern::new(vec![(0, 0, 2), (3, 1, 4)]);
-        assert_eq!(op.duration(), 5);
-        assert_eq!(op.max_resource(), 3);
+        assert_eq!(t.earliest_start(0, 1, 0), 0);
     }
 
     #[test]
     #[should_panic(expected = "unknown resource")]
     fn out_of_range_resource_panics() {
         let t = ReservationTable::new(1);
-        let op = OpPattern::single(5, 1);
-        let _ = t.earliest_start(&op, 0);
+        let _ = t.earliest_start(5, 1, 0);
     }
 
     #[test]
     #[should_panic(expected = "zero-length")]
     fn zero_length_usage_rejected() {
-        let _ = OpPattern::new(vec![(0, 0, 0)]);
-    }
-
-    #[test]
-    fn display_pattern() {
-        let op = OpPattern::new(vec![(0, 0, 2), (1, 2, 1)]);
-        assert_eq!(op.to_string(), "op[r0@0+2, r1@2+1]");
+        let mut t = ReservationTable::new(1);
+        t.reserve(0, 0, 0);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::arbiter::Arbiter;
 use crate::component::ConnComponent;
-use crate::reservation::{OpPattern, ReservationTable};
+use crate::reservation::ReservationTable;
 use std::fmt;
 
 /// When a scheduled transfer occupies the link and when its data arrives.
@@ -43,7 +43,6 @@ pub struct LinkState {
     transfers: u64,
     bytes: u64,
     busy_cycles: u64,
-    last_completion: u64,
 }
 
 impl LinkState {
@@ -68,7 +67,6 @@ impl LinkState {
             transfers: 0,
             bytes: 0,
             busy_cycles: 0,
-            last_completion: 0,
         }
     }
 
@@ -95,15 +93,6 @@ impl LinkState {
     /// Cycles the link has been occupied so far.
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles
-    }
-
-    /// Completion cycle of the latest-finishing transfer scheduled so far.
-    ///
-    /// The gap between this and the current ready time is the link's
-    /// backlog; requesters with finite buffering stall (backpressure) when
-    /// it grows too large.
-    pub fn last_completion(&self) -> u64 {
-        self.last_completion
     }
 
     /// Energy consumed so far, nJ.
@@ -136,28 +125,24 @@ impl LinkState {
         } else {
             beats * p.cycles_per_beat
         };
+        let cycles = occupancy.max(1);
         // Split-transaction components may start a transfer on any free
-        // slot; the pattern targets resource 0 and earliest_start across
-        // slots is emulated by trying each slot.
-        let op = OpPattern::single(0, occupancy.max(1));
+        // data-phase slot: take the earliest (lowest slot on ties).
         let start = if self.table.num_resources() > 1 {
             self.table.advance_horizon(ready);
             let mut best = u64::MAX;
             let mut best_slot = 0;
             for slot in 0..self.table.num_resources() {
-                let candidate = self
-                    .table
-                    .earliest_start(&OpPattern::single(slot, occupancy.max(1)), ready + wait);
+                let candidate = self.table.earliest_start(slot, cycles, ready + wait);
                 if candidate < best {
                     best = candidate;
                     best_slot = slot;
                 }
             }
-            let op = OpPattern::single(best_slot, occupancy.max(1));
-            self.table.reserve(&op, best);
+            self.table.reserve(best_slot, cycles, best);
             best
         } else {
-            self.table.schedule(&op, ready + wait)
+            self.table.schedule(0, cycles, ready + wait)
         };
         // Completion adds the un-arbitrated transfer latency (arbitration
         // was already paid via the arbiter model).
@@ -165,7 +150,6 @@ impl LinkState {
         self.transfers += 1;
         self.bytes += bytes;
         self.busy_cycles += occupancy as u64;
-        self.last_completion = self.last_completion.max(complete);
         TransferTiming { start, complete }
     }
 
@@ -175,7 +159,6 @@ impl LinkState {
         self.transfers = 0;
         self.bytes = 0;
         self.busy_cycles = 0;
-        self.last_completion = 0;
     }
 }
 

@@ -12,10 +12,10 @@
 
 use crate::stats::{ChannelStats, DsLatencyStats, ModuleStats, SimStats};
 use crate::system::SystemConfig;
-use mce_appmodel::{MemAccess, Workload};
-use mce_connlib::{ChannelId, LinkState};
+use mce_appmodel::{DsId, MemAccess, Workload};
+use mce_connlib::{ChannelId, LinkId, LinkState};
 use mce_memlib::energy::{dram_transaction_nj, module_access_nj, CPU_INTERFACE_NJ};
-use mce_memlib::{DramState, ModuleModel};
+use mce_memlib::{DramState, ModuleId, ModuleModel};
 use mce_obs as obs;
 
 /// Backpressure bound: posted (non-blocking) traffic may run at most this
@@ -27,9 +27,34 @@ use mce_obs as obs;
 /// in linear time instead of degenerating.
 pub const BACKPRESSURE_CYCLES: u64 = 256;
 
+/// Where a channel's transfers go: the link carrying it and the channel's
+/// master index on that link (for arbitration).
+#[derive(Debug, Clone, Copy)]
+struct ChannelPlan {
+    link: usize,
+    master: usize,
+}
+
+/// A module's routes and per-access energy, resolved once per candidate.
+#[derive(Debug, Clone, Copy)]
+struct ModulePlan {
+    /// CPU↔module channel (None for modules that serve no data structure
+    /// and for the DRAM).
+    cpu_channel: Option<ChannelId>,
+    /// Module↔backing or module↔DRAM channel (None for scratchpads).
+    downstream: Option<ChannelId>,
+    /// Next-level cache, for backed modules.
+    backing: Option<ModuleId>,
+    access_nj: f64,
+}
+
 /// Mutable state of one simulation run. Create with [`Simulator::new`],
 /// feed accesses in trace order with [`Simulator::step`], and read the
 /// result from [`Simulator::finish`].
+///
+/// `new` compiles the system into flat per-channel, per-module and
+/// per-data-structure tables, so `step` does no endpoint search and no
+/// per-link scan.
 #[derive(Debug)]
 pub struct Simulator<'a> {
     sys: &'a SystemConfig,
@@ -39,11 +64,19 @@ pub struct Simulator<'a> {
     modules: Vec<Option<Box<dyn ModuleModel>>>,
     links: Vec<LinkState>,
     dram: DramState,
-    /// Master index of each channel within its link (for arbitration).
-    channel_master: Vec<usize>,
+    channels: Vec<ChannelPlan>,
+    module_plans: Vec<ModulePlan>,
+    /// Serving module of each data structure.
+    ds_module: Vec<ModuleId>,
+    ds_element_bytes: Vec<u64>,
+    dram_id: ModuleId,
+    cpu_dram_channel: Option<ChannelId>,
     /// Per-link monotonic ready floor, keeping reservation-table calls in
     /// nondecreasing order even when posted writes reorder ready times.
     link_floor: Vec<u64>,
+    /// Completion cycle of the latest-finishing transfer on any link: the
+    /// horizon posted traffic has reached, for backpressure.
+    posted_horizon: u64,
     now: u64,
     prev_tick: u64,
     module_accesses: Vec<u64>,
@@ -84,18 +117,33 @@ impl<'a> Simulator<'a> {
             .links()
             .iter()
             .enumerate()
-            .map(|(j, l)| LinkState::new(*l.component(), conn.ports(mce_connlib::LinkId::new(j))))
+            .map(|(j, l)| LinkState::new(*l.component(), conn.ports(LinkId::new(j))))
             .collect();
         // Master index = position of the channel among its link's channels.
         let mut seen_per_link = vec![0usize; links.len()];
-        let channel_master = (0..conn.channels().len())
+        let channels = (0..conn.channels().len())
             .map(|i| {
                 let link = conn
                     .link_of(ChannelId::new(i))
-                    .expect("validated system has full assignment");
-                let m = seen_per_link[link.index()];
-                seen_per_link[link.index()] += 1;
-                m
+                    .expect("validated system has full assignment")
+                    .index();
+                let master = seen_per_link[link];
+                seen_per_link[link] += 1;
+                ChannelPlan { link, master }
+            })
+            .collect();
+        let module_plans = mem
+            .modules()
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let id = ModuleId::new(i);
+                ModulePlan {
+                    cpu_channel: sys.cpu_channel(id),
+                    downstream: sys.downstream_channel(id),
+                    backing: mem.backing_of(id),
+                    access_nj: module_access_nj(m.kind()),
+                }
             })
             .collect();
         let n_links = links.len();
@@ -106,8 +154,20 @@ impl<'a> Simulator<'a> {
             modules,
             links,
             dram: DramState::new(mem.dram_config()),
-            channel_master,
+            channels,
+            module_plans,
+            ds_module: (0..workload.len())
+                .map(|i| mem.serving_module(DsId::new(i)))
+                .collect(),
+            ds_element_bytes: workload
+                .data_structures()
+                .iter()
+                .map(|ds| ds.element_size())
+                .collect(),
+            dram_id,
+            cpu_dram_channel: sys.cpu_dram_channel(),
             link_floor: vec![0; n_links],
+            posted_horizon: 0,
             now: 0,
             prev_tick: 0,
             module_accesses: vec![0; n_modules],
@@ -133,18 +193,16 @@ impl<'a> Simulator<'a> {
     /// Schedules `bytes` on the link carrying `channel`, at the earliest
     /// nondecreasing time ≥ `ready`. Returns the completion cycle.
     fn link_transfer(&mut self, channel: ChannelId, ready: u64, bytes: u64) -> u64 {
-        let link = self
-            .sys
-            .conn()
-            .link_of(channel)
-            .expect("validated system has full assignment");
-        let floor = &mut self.link_floor[link.index()];
+        let ChannelPlan { link, master } = self.channels[channel.index()];
+        let floor = &mut self.link_floor[link];
         let ready = ready.max(*floor);
         *floor = ready;
-        let master = self.channel_master[channel.index()];
-        self.links[link.index()]
-            .transfer(ready, bytes, master)
-            .complete
+        let complete = self.links[link].transfer(ready, bytes, master).complete;
+        // A zero-byte transfer occupies nothing and moves no horizon.
+        if bytes > 0 && complete > self.posted_horizon {
+            self.posted_horizon = complete;
+        }
+        complete
     }
 
     /// Performs one DRAM transaction and accounts its energy. Returns the
@@ -163,23 +221,23 @@ impl<'a> Simulator<'a> {
     /// backing chain on nested misses. Returns the completion cycle.
     fn fetch_downstream(
         &mut self,
-        module: mce_memlib::ModuleId,
+        module: ModuleId,
         addr: mce_appmodel::Addr,
         bytes: u64,
         ready: u64,
     ) -> u64 {
-        let ch = self
-            .sys
-            .downstream_channel(module)
+        let plan = self.module_plans[module.index()];
+        let ch = plan
+            .downstream
             .expect("a missing module always has a downstream channel");
-        match self.sys.mem().backing_of(module) {
+        match plan.backing {
             None => {
                 let dram_cycles = self.dram_transaction(addr, bytes);
                 let bus_done = self.link_transfer(ch, ready, bytes);
                 bus_done + dram_cycles as u64
             }
             Some(l2) => {
-                self.energy_nj += module_access_nj(self.sys.mem().module(l2).kind());
+                self.energy_nj += self.module_plans[l2.index()].access_nj;
                 let resp = self.modules[l2.index()]
                     .as_mut()
                     .expect("backing module has a behavioural model")
@@ -202,10 +260,11 @@ impl<'a> Simulator<'a> {
     /// transaction (energy included); over a module↔module channel the
     /// next-level cache absorbs it (its own evictions surface when it is
     /// accessed).
-    fn background_downstream(&mut self, module: mce_memlib::ModuleId, bytes: u64, ready: u64) {
-        if let Some(ch) = self.sys.downstream_channel(module) {
+    fn background_downstream(&mut self, module: ModuleId, bytes: u64, ready: u64) {
+        let plan = self.module_plans[module.index()];
+        if let Some(ch) = plan.downstream {
             let _ = self.link_transfer(ch, ready, bytes);
-            if self.sys.mem().backing_of(module).is_none() {
+            if plan.backing.is_none() {
                 self.energy_nj += dram_transaction_nj(bytes, false);
             }
         }
@@ -214,6 +273,10 @@ impl<'a> Simulator<'a> {
     /// Advances CPU time to the access's issue point (compute gap since the
     /// previous trace entry), without performing an access. Used by the
     /// time-sampling estimator for "off" periods.
+    ///
+    /// With nondecreasing ticks the gaps telescope, so skipping straight
+    /// to the last access of a run of skipped accesses is the same as
+    /// skipping each one in turn.
     pub fn skip(&mut self, acc: &MemAccess) {
         self.now += acc.tick.saturating_sub(self.prev_tick);
         self.prev_tick = acc.tick;
@@ -225,33 +288,28 @@ impl<'a> Simulator<'a> {
         self.prev_tick = acc.tick;
         let issue = self.now;
 
-        let mem = self.sys.mem();
-        let serving = mem.serving_module(acc.ds);
-        let elem = self.workload.data_structure(acc.ds).element_size();
+        let serving = self.ds_module[acc.ds.index()];
+        let elem = self.ds_element_bytes[acc.ds.index()];
         self.energy_nj += CPU_INTERFACE_NJ;
 
-        let (done, on_chip) = if serving == mem.dram_id() {
+        let (done, on_chip) = if serving == self.dram_id {
             // Direct CPU<->DRAM traffic over the off-chip bus.
             let ch = self
-                .sys
-                .cpu_dram_channel()
+                .cpu_dram_channel
                 .expect("direct mapping implies a CPU<->DRAM channel");
             let bus_done = self.link_transfer(ch, issue, elem);
             let dram_cycles = self.dram_transaction(acc.addr, elem);
             (bus_done + dram_cycles as u64, false)
         } else {
-            let module = mem.module(serving);
-            self.energy_nj += module_access_nj(module.kind());
+            let plan = self.module_plans[serving.index()];
+            self.energy_nj += plan.access_nj;
             let resp = self.modules[serving.index()]
                 .as_mut()
                 .expect("on-chip module has a behavioural model")
                 .access(acc.addr, acc.kind, issue);
 
             // CPU <-> module element transfer.
-            let cpu_ch = self
-                .sys
-                .cpu_channel(serving)
-                .expect("on-chip module has a CPU channel");
+            let cpu_ch = plan.cpu_channel.expect("on-chip module has a CPU channel");
             let cpu_done = self.link_transfer(cpu_ch, issue, elem);
             let served = cpu_done + resp.service_cycles as u64;
 
@@ -280,12 +338,7 @@ impl<'a> Simulator<'a> {
         } else {
             // Writes are posted, but finite buffering applies backpressure:
             // the CPU stalls once any link's backlog exceeds the bound.
-            let horizon: u64 = self
-                .links
-                .iter()
-                .map(LinkState::last_completion)
-                .max()
-                .unwrap_or(0);
+            let horizon = self.posted_horizon;
             let backlog = horizon.saturating_sub(self.now);
             if backlog > self.backlog_highwater {
                 self.backlog_highwater = backlog;

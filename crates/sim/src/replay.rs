@@ -116,6 +116,9 @@ pub fn simulate_sampled_blocks_cancellable(
 ) -> Option<SimStats> {
     let _t = obs::time_scope("sim.replay_sampled_us");
     let mut sim = Simulator::new(sys, workload);
+    // An off window skips at least the access that closed the on window,
+    // as the per-access loop in `simulate_sampled` does.
+    let off = config.off_accesses().max(1);
     let mut in_window = 0u64;
     let mut skipping = false;
     let mut skipped = 0u64;
@@ -123,17 +126,23 @@ pub fn simulate_sampled_blocks_cancellable(
         if cancelled() {
             return None;
         }
-        for i in batch {
-            let acc = blocks.get(i);
+        let mut i = batch.start;
+        while i < batch.end {
             if skipping {
-                sim.skip(&acc);
-                skipped += 1;
-                if skipped >= config.off_accesses() {
+                // Compiled ticks never decrease, so one skip to the last
+                // access of the window's part in this batch advances time
+                // exactly as skipping each access would.
+                let n = (off - skipped).min((batch.end - i) as u64);
+                i += n as usize;
+                sim.skip(&blocks.get(i - 1));
+                skipped += n;
+                if skipped >= off {
                     skipping = false;
                     in_window = 0;
                 }
             } else {
-                sim.step(&acc);
+                sim.step(&blocks.get(i));
+                i += 1;
                 in_window += 1;
                 if in_window >= config.on_accesses as u64 && config.off_ratio > 0 {
                     skipping = true;
@@ -150,7 +159,7 @@ mod tests {
     use super::*;
     use crate::engine::simulate;
     use crate::sampling::simulate_sampled;
-    use mce_appmodel::benchmarks;
+    use mce_appmodel::{benchmarks, BLOCK_LEN};
     use mce_memlib::{CacheConfig, MemoryArchitecture};
 
     const N: usize = 20_000;
@@ -176,14 +185,39 @@ mod tests {
 
     #[test]
     fn sampled_replay_is_bit_identical() {
+        let sampling = |on_accesses, off_ratio| SamplingConfig {
+            on_accesses,
+            off_ratio,
+        };
+        let cases = [
+            // The paper's 1:9 windows.
+            (SamplingConfig::paper(), N),
+            // Off windows (2,100 accesses) straddle BLOCK_LEN boundaries.
+            (sampling(700, 3), N),
+            // The trace ends mid-off-window, partway through a block.
+            (sampling(700, 3), 3 * BLOCK_LEN + 900),
+            // Windows shorter than a block, several per batch.
+            (sampling(37, 2), N),
+            // No off windows: sampling degenerates to full replay.
+            (sampling(500, 0), N),
+            // Empty on windows: each off window skips one access.
+            (sampling(0, 4), 5_000),
+        ];
         for w in [benchmarks::compress(), benchmarks::vocoder()] {
             let sys = system(&w, 4);
             let blocks = TraceBlocks::compile(&w, N);
-            let cfg = SamplingConfig::paper();
+            for (cfg, len) in cases {
+                assert_eq!(
+                    simulate_sampled(&sys, &w, len, cfg),
+                    simulate_sampled_blocks(&sys, &w, &blocks, len, cfg),
+                    "{} {cfg:?} over {len}",
+                    w.name()
+                );
+            }
             assert_eq!(
-                simulate_sampled(&sys, &w, N, cfg),
-                simulate_sampled_blocks(&sys, &w, &blocks, N, cfg),
-                "{}",
+                simulate(&sys, &w, N),
+                simulate_sampled_blocks(&sys, &w, &blocks, N, sampling(500, 0)),
+                "{}: off_ratio 0 is full replay",
                 w.name()
             );
         }

@@ -4,9 +4,7 @@
 
 use memory_conex::appmodel::{AccessPattern, DataStructure, WorkloadBuilder};
 use memory_conex::conex::{Axis, CoverageReport, Metrics, ParetoFront};
-use memory_conex::connlib::{
-    Arbiter, ConnComponent, ConnComponentKind, OpPattern, ReservationTable,
-};
+use memory_conex::connlib::{Arbiter, ConnComponent, ConnComponentKind, ReservationTable};
 use memory_conex::memlib::{
     CacheConfig, CacheState, FifoState, ModuleModel, SelfIndirectDmaState, StreamBufferState,
 };
@@ -120,8 +118,7 @@ proptest! {
         let mut scheduled: Vec<(u64, u64)> = Vec::new();
         for (d, g) in durations.iter().zip(&gaps) {
             ready += g;
-            let op = OpPattern::single(0, *d);
-            let t = table.schedule(&op, ready);
+            let t = table.schedule(0, *d, ready);
             prop_assert!(t >= ready);
             scheduled.push((t, t + *d as u64));
         }
