@@ -58,23 +58,25 @@ impl ReservationTable {
         self.resources.len()
     }
 
-    /// The reservations on `resource`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resource` is outside the table or `cycles` is zero.
-    fn intervals(&self, resource: usize, cycles: u32) -> &VecDeque<Interval> {
+    /// Panics unless `resource` is in the table and `cycles` is non-zero.
+    fn check(&self, resource: usize, cycles: u32) {
         assert!(cycles > 0, "zero-length usage");
-        self.resources
-            .get(resource)
-            .expect("operation references unknown resource")
+        assert!(
+            resource < self.resources.len(),
+            "operation references unknown resource"
+        );
     }
 
     /// True if occupying `resource` for `cycles` from `t` collides with an
     /// existing reservation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `resource` is outside the table or `cycles` is zero.
     pub fn conflicts(&self, resource: usize, cycles: u32, t: u64) -> bool {
+        self.check(resource, cycles);
         let e = t + cycles as u64;
-        self.intervals(resource, cycles)
+        self.resources[resource]
             .iter()
             .any(|&(bs, be)| t < be && bs < e)
     }
@@ -85,7 +87,8 @@ impl ReservationTable {
     ///
     /// Panics if `resource` is outside the table or `cycles` is zero.
     pub fn earliest_start(&self, resource: usize, cycles: u32, ready: u64) -> u64 {
-        let intervals = self.intervals(resource, cycles);
+        self.check(resource, cycles);
+        let intervals = &self.resources[resource];
         let mut t = ready;
         // Jump-scan: on a conflict, hop to the end of the latest blocking
         // interval rather than stepping cycle by cycle.
@@ -110,7 +113,7 @@ impl ReservationTable {
     ///
     /// Panics if `resource` is outside the table or `cycles` is zero.
     pub fn reserve(&mut self, resource: usize, cycles: u32, t: u64) {
-        self.intervals(resource, cycles);
+        self.check(resource, cycles);
         self.resources[resource].push_back((t, t + cycles as u64));
     }
 

@@ -435,7 +435,7 @@ pub fn simulate(sys: &SystemConfig, workload: &Workload, trace_len: usize) -> Si
 /// loaded with [`mce_appmodel::trace_io::read_trace`] — through `sys`.
 ///
 /// `workload` supplies the data-structure metadata (element sizes, the
-/// DS→module mapping domain); the stream's [`DsId`](mce_appmodel::DsId)s
+/// DS→module mapping domain); the stream's [`DsId`]s
 /// must refer to it, and ticks must be nondecreasing.
 pub fn simulate_trace<I>(sys: &SystemConfig, workload: &Workload, trace: I) -> SimStats
 where

@@ -387,18 +387,6 @@ fn golden_sim_stats_are_pinned() {
 }
 
 #[test]
-fn golden_fixtures_are_the_committed_traces() {
-    for (name, len) in [("compress", 3_000), ("li", 3_000), ("vocoder", 3_000)] {
-        let trace = fixture(name);
-        assert_eq!(trace.len(), len, "{name}");
-        assert!(
-            trace.windows(2).all(|p| p[0].tick < p[1].tick),
-            "{name}: fixture ticks strictly increase"
-        );
-    }
-}
-
-#[test]
 fn golden_systems_cover_every_module_link_and_arbiter_kind() {
     let _guard = lock();
     obs::install(Arc::new(obs::NullSink::new()));
