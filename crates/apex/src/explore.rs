@@ -40,18 +40,6 @@ impl ApexConfig {
             },
         }
     }
-
-    /// Small and quick, for tests.
-    #[deprecated(note = "use `ApexConfig::preset(Preset::Fast)`")]
-    pub fn fast() -> Self {
-        Self::preset(Preset::Fast)
-    }
-
-    /// The configuration used by the experiments.
-    #[deprecated(note = "use `ApexConfig::preset(Preset::Paper)`")]
-    pub fn paper() -> Self {
-        Self::preset(Preset::Paper)
-    }
 }
 
 /// One evaluated memory architecture.

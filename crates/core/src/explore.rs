@@ -123,18 +123,6 @@ impl ConexConfig {
         }
     }
 
-    /// Small and quick, for tests.
-    #[deprecated(note = "use `ConexConfig::preset(Preset::Fast)`")]
-    pub fn fast() -> Self {
-        Self::preset(Preset::Fast)
-    }
-
-    /// The configuration used by the experiments.
-    #[deprecated(note = "use `ConexConfig::preset(Preset::Paper)`")]
-    pub fn paper() -> Self {
-        Self::preset(Preset::Paper)
-    }
-
     /// Returns the same configuration with a different strategy.
     pub fn with_strategy(mut self, strategy: ExplorationStrategy) -> Self {
         self.strategy = strategy;
@@ -239,79 +227,6 @@ pub struct Phase1State {
     /// explorer runs with [`ConexExplorer::with_explain`]).
     #[serde(default)]
     pub provenance: Vec<ArchProvenance>,
-}
-
-/// One Phase-I memory architecture's contribution to the exploration: its
-/// estimate cloud and the locally selected shortlist, tagged with the
-/// architecture's global index. This is the shard hand-off unit of a
-/// multi-process (swarm) run — local selection is purely per-architecture,
-/// so a worker can compute its slices in isolation and
-/// [`merge_arch_slices`] reassembles the exact serial [`Phase1State`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArchSlice {
-    /// Global Phase-I architecture index (exploration order).
-    pub arch: usize,
-    /// The architecture's estimate cloud, in exploration order.
-    pub estimated: Vec<DesignPoint>,
-    /// The locally selected (pruned) shortlist of that cloud.
-    pub shortlist: Vec<DesignPoint>,
-}
-
-/// Reassembles the serial [`Phase1State`] from per-architecture slices
-/// (in any order): clouds and shortlists concatenate in global index
-/// order, and the frontier-evolution snapshots are recomputed over the
-/// growing merged cloud exactly as a single-process run samples them.
-/// Pure — never touches the observability registries; a caller restoring
-/// a merged run derives `conex.frontier_size_max` from the returned
-/// snapshots' `frontier_size` maximum.
-///
-/// # Errors
-///
-/// Returns [`MceError::Checkpoint`] when the slices do not cover
-/// `0..total_archs` exactly once (missing, duplicate or out-of-range
-/// indices) — a partial merge would silently mis-rank every later point.
-pub fn merge_arch_slices(
-    slices: &[ArchSlice],
-    total_archs: usize,
-    sample_every: usize,
-) -> Result<Phase1State, MceError> {
-    let mut by_arch: Vec<Option<&ArchSlice>> = vec![None; total_archs];
-    for s in slices {
-        let slot = by_arch.get_mut(s.arch).ok_or_else(|| {
-            MceError::checkpoint(format!(
-                "architecture slice {} is out of range (the run has {total_archs})",
-                s.arch
-            ))
-        })?;
-        if slot.is_some() {
-            return Err(MceError::checkpoint(format!(
-                "duplicate architecture slice {}",
-                s.arch
-            )));
-        }
-        *slot = Some(s);
-    }
-    let mut state = Phase1State::default();
-    for (k, slot) in by_arch.iter().enumerate() {
-        let s = slot.ok_or_else(|| {
-            MceError::checkpoint(format!("missing architecture slice {k} in the merge"))
-        })?;
-        state.shortlist.extend(s.shortlist.iter().cloned());
-        state.estimated.extend(s.estimated.iter().cloned());
-        if sample_every > 0 && ((k + 1).is_multiple_of(sample_every) || k + 1 == total_archs) {
-            let metrics: Vec<Metrics> = state.estimated.iter().map(|p| p.metrics).collect();
-            let axes = [Axis::Cost, Axis::Latency];
-            let front = ParetoFront::of(&metrics, &axes);
-            state.frontier_evolution.push(FrontierSnapshot {
-                archs_explored: k + 1,
-                estimated: state.estimated.len(),
-                frontier_size: front.len(),
-                hypervolume: hypervolume_proxy(&metrics, axes),
-            });
-        }
-        state.archs_done = k + 1;
-    }
-    Ok(state)
 }
 
 /// A candidate whose simulation hit the per-candidate watchdog timeout
@@ -867,10 +782,9 @@ impl ConexExplorer {
     /// [`ConexExplorer::phase1_partial`] with an observer run on the
     /// accumulated state after each replayed architecture — the same
     /// boundary `explore_with_engine_resumable` hands to its checkpoint
-    /// hook. A resuming swarm worker uses this to rebuild its
-    /// per-architecture [`ArchSlice`]s for the already-checkpointed
-    /// prefix; like the plain replay it never emits logical time-series
-    /// marks. An error from the observer aborts the replay.
+    /// hook. A caller timing or inspecting the replay per architecture
+    /// hooks in here; like the plain replay it never emits logical
+    /// time-series marks. An error from the observer aborts the replay.
     ///
     /// # Errors
     ///
@@ -1477,64 +1391,6 @@ mod tests {
         // At least one point was pruned by domination in a Fast run.
         let total_pruned: usize = prov.iter().map(|a| a.pruned).sum();
         assert!(total_pruned >= 1);
-    }
-
-    #[test]
-    fn merged_slices_reproduce_the_serial_state() {
-        let w = benchmarks::vocoder();
-        let archs = vec![
-            MemoryArchitecture::cache_only(&w, CacheConfig::kilobytes(4)),
-            MemoryArchitecture::cache_only(&w, CacheConfig::kilobytes(8)),
-            MemoryArchitecture::cache_only(&w, CacheConfig::kilobytes(16)),
-        ];
-        let explorer = ConexExplorer::new(ConexConfig::preset(Preset::Fast));
-        let engine = EvalEngine::new(&w, explorer.config().trace_len);
-        // The serial reference state, and per-architecture slices carved
-        // from the boundary deltas — as a worker covering arch k would.
-        let mut slices: Vec<ArchSlice> = Vec::new();
-        let mut prev = (0usize, 0usize);
-        let mut serial: Option<Phase1State> = None;
-        explorer
-            .explore_with_engine_resumable(
-                &engine,
-                archs.clone(),
-                Phase1State::default(),
-                &mut |s| {
-                    slices.push(ArchSlice {
-                        arch: s.archs_done - 1,
-                        estimated: s.estimated[prev.0..].to_vec(),
-                        shortlist: s.shortlist[prev.1..].to_vec(),
-                    });
-                    prev = (s.estimated.len(), s.shortlist.len());
-                    if s.archs_done == archs.len() {
-                        serial = Some(s.clone());
-                    }
-                    Ok(())
-                },
-            )
-            .unwrap();
-        let serial = serial.unwrap();
-        // Merge in shuffled order: the global order is restored by index.
-        slices.rotate_left(1);
-        let sample_every = explorer.config().frontier_sample_every;
-        let merged = merge_arch_slices(&slices, archs.len(), sample_every).unwrap();
-        assert_eq!(merged, serial);
-        // The frontier gauge is derivable from the merged snapshots.
-        assert!(merged
-            .frontier_evolution
-            .iter()
-            .map(|s| s.frontier_size)
-            .max()
-            .is_some());
-        // Coverage violations are rejected, never silently merged.
-        let short = &slices[..slices.len() - 1];
-        assert!(merge_arch_slices(short, archs.len(), sample_every).is_err());
-        let mut dup = slices.clone();
-        dup[0].arch = dup[1].arch;
-        assert!(merge_arch_slices(&dup, archs.len(), sample_every).is_err());
-        let mut oob = slices.clone();
-        oob[0].arch = archs.len();
-        assert!(merge_arch_slices(&oob, archs.len(), sample_every).is_err());
     }
 
     #[test]

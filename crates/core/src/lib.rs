@@ -70,8 +70,8 @@ pub use design_point::{CanonKey, DesignPoint, EvalMode, Metrics};
 pub use engine::{BatchStatus, BoundedBatch, EvalEngine};
 pub use eval_cache::{CacheStats, EvalCache};
 pub use explore::{
-    merge_arch_slices, ArchProvenance, ArchSlice, ConexConfig, ConexExplorer, ConexResult,
-    DegradedEval, ExplorationStrategy, FrontierSnapshot, Phase1State, PointProvenance,
+    ArchProvenance, ConexConfig, ConexExplorer, ConexResult, DegradedEval, ExplorationStrategy,
+    FrontierSnapshot, Phase1State, PointProvenance,
 };
 pub use memorex::{MemorEx, MemorExResult};
 pub use pareto::{hypervolume_proxy, Axis, CoverageReport, ParetoFront};

@@ -44,18 +44,6 @@ impl MemorEx {
         Self::new(ApexConfig::preset(preset), ConexConfig::preset(preset))
     }
 
-    /// Quick preset for tests and examples.
-    #[deprecated(note = "use `MemorEx::preset(Preset::Fast)`")]
-    pub fn fast() -> Self {
-        Self::preset(Preset::Fast)
-    }
-
-    /// The experiment preset.
-    #[deprecated(note = "use `MemorEx::preset(Preset::Paper)`")]
-    pub fn paper() -> Self {
-        Self::preset(Preset::Paper)
-    }
-
     /// Enables frontier-provenance capture on the ConEx stage — see
     /// [`ConexExplorer::with_explain`]. Results are bit-identical with
     /// it on or off; only [`ConexResult::provenance`] gains content.

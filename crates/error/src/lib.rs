@@ -238,12 +238,12 @@ static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new
 /// destination's directory, keeping the rename on one filesystem.
 ///
 /// The temp name embeds the writer's pid and a process-wide sequence
-/// number, so two processes (or threads) rewriting the same path — swarm
-/// heartbeats, shared status files — never clobber each other's
-/// in-flight temp file. A writer SIGKILLed between write and rename
-/// leaks its uniquely-named temp; [`sweep_stale_tmps`] reclaims those at
-/// the next writer's startup by checking whether the embedded pid is
-/// still alive.
+/// number, so two processes (or threads) rewriting the same path — a
+/// live-status file, the serve daemon's status file — never clobber
+/// each other's in-flight temp file. A writer SIGKILLed between write
+/// and rename leaks its uniquely-named temp; [`sweep_stale_tmps`]
+/// reclaims those at the next writer's startup by checking whether the
+/// embedded pid is still alive.
 ///
 /// # Errors
 ///

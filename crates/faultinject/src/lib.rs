@@ -18,10 +18,6 @@
 //! * [`on_write`] — called by `mce_error::atomic_write` before touching
 //!   the filesystem. Armed with [`Fault::FailWrite`] the Kth write
 //!   returns an injected [`io::Error`].
-//! * [`on_heartbeat`] — called by swarm workers before each heartbeat
-//!   write. Armed with [`Fault::StallHeartbeat`] it suppresses every
-//!   beat from the Nth on, freezing the heartbeat file while the worker
-//!   keeps running — the scenario a staleness detector exists for.
 //! * [`on_job`] — called by the `mce serve` job executor at each job
 //!   pickup. Armed with [`Fault::DieAtJob`] it `SIGKILL`s the daemon at
 //!   the Nth pickup (the journal-durability crash test); armed with
@@ -34,7 +30,7 @@
 //! (kill-and-resume) set the `MCE_FAULT` environment variable — a
 //! comma-separated list of specs such as `panic_at_eval:40`,
 //! `panic_at_eval:40+` (sticky), `abort_at_eval:40`, `fail_write:2`,
-//! `sigkill_at_eval:40`, `stall_heartbeat:3`, `die_at_job:1` or
+//! `sigkill_at_eval:40`, `die_at_job:1` or
 //! `stall_job:1` — and the `mce` binary arms it at startup via
 //! [`arm_from_env`].
 //!
@@ -84,19 +80,10 @@ pub enum Fault {
     /// Deliver a real `SIGKILL` to the current process at the `nth`
     /// candidate evaluation — unlike [`Fault::AbortAtEval`] (a libc
     /// `abort`, which still raises a catchable-in-principle signal and
-    /// runs no atexit), this is the genuine uncatchable kill a swarm
-    /// supervisor must detect and recover from.
+    /// runs no atexit), this is the genuine uncatchable kill a resumed
+    /// run must recover from.
     SigkillAtEval {
         /// 1-based evaluation index that kills the process.
-        nth: u64,
-    },
-    /// Stop the process's heartbeat from the `nth` beat on: every
-    /// [`on_heartbeat`] call from then out reports "suppress this beat",
-    /// so the heartbeat file freezes while the process keeps computing —
-    /// the stale-but-alive worker a supervisor's staleness detector must
-    /// reap.
-    StallHeartbeat {
-        /// 1-based heartbeat index from which beats are suppressed.
         nth: u64,
     },
     /// Deliver a real `SIGKILL` to the current process at the `nth` job
@@ -123,7 +110,6 @@ struct State {
     faults: Mutex<Vec<Fault>>,
     evals: AtomicU64,
     writes: AtomicU64,
-    beats: AtomicU64,
     jobs: AtomicU64,
 }
 
@@ -134,7 +120,6 @@ fn state() -> &'static State {
         faults: Mutex::new(Vec::new()),
         evals: AtomicU64::new(0),
         writes: AtomicU64::new(0),
-        beats: AtomicU64::new(0),
         jobs: AtomicU64::new(0),
     })
 }
@@ -146,7 +131,6 @@ pub fn arm(faults: Vec<Fault>) {
     *s.faults.lock().unwrap_or_else(PoisonError::into_inner) = faults;
     s.evals.store(0, Ordering::SeqCst);
     s.writes.store(0, Ordering::SeqCst);
-    s.beats.store(0, Ordering::SeqCst);
     s.jobs.store(0, Ordering::SeqCst);
     s.enabled.store(true, Ordering::SeqCst);
 }
@@ -162,7 +146,6 @@ pub fn disarm() {
         .clear();
     s.evals.store(0, Ordering::SeqCst);
     s.writes.store(0, Ordering::SeqCst);
-    s.beats.store(0, Ordering::SeqCst);
     s.jobs.store(0, Ordering::SeqCst);
 }
 
@@ -192,7 +175,6 @@ pub fn parse_spec(spec: &str) -> Result<Fault, String> {
         "fail_write" if !sticky => Ok(Fault::FailWrite { nth }),
         "hang_at_eval" if !sticky => Ok(Fault::HangAtEval { nth }),
         "sigkill_at_eval" if !sticky => Ok(Fault::SigkillAtEval { nth }),
-        "stall_heartbeat" if !sticky => Ok(Fault::StallHeartbeat { nth }),
         "die_at_job" if !sticky => Ok(Fault::DieAtJob { nth }),
         "stall_job" if !sticky => Ok(Fault::StallJob { nth }),
         _ => Err(format!("unknown fault spec `{spec}`")),
@@ -281,33 +263,6 @@ pub fn on_eval_blocking(cancelled: &(dyn Fn() -> bool + Sync)) -> bool {
         }
     }
     hung
-}
-
-/// The heartbeat hook: counts one heartbeat and reports whether an armed
-/// [`Fault::StallHeartbeat`] wants it (and every later one) suppressed —
-/// `true` means "do not write this beat". No-op (one relaxed load,
-/// always `false`) when disarmed.
-pub fn on_heartbeat() -> bool {
-    let s = state();
-    if !s.enabled.load(Ordering::Relaxed) {
-        return false;
-    }
-    let n = s.beats.fetch_add(1, Ordering::SeqCst) + 1;
-    let faults = s
-        .faults
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    faults.iter().any(|fault| {
-        if let Fault::StallHeartbeat { nth } = fault {
-            if n == *nth {
-                eprintln!("mce-faultinject: stalling heartbeat from beat {n}");
-            }
-            n >= *nth
-        } else {
-            false
-        }
-    })
 }
 
 /// The job hook: counts one job pickup and fires any armed
@@ -446,10 +401,6 @@ mod tests {
             parse_spec("sigkill_at_eval:9"),
             Ok(Fault::SigkillAtEval { nth: 9 })
         );
-        assert_eq!(
-            parse_spec("stall_heartbeat:3"),
-            Ok(Fault::StallHeartbeat { nth: 3 })
-        );
         assert_eq!(parse_spec("die_at_job:1"), Ok(Fault::DieAtJob { nth: 1 }));
         assert_eq!(parse_spec("stall_job:2"), Ok(Fault::StallJob { nth: 2 }));
         for bad in [
@@ -461,6 +412,7 @@ mod tests {
             "hang_at_eval:3+",
             "sigkill_at_eval:2+",
             "stall_heartbeat:0",
+            "stall_heartbeat:3",
             "die_at_job:1+",
             "stall_job:0",
         ] {
@@ -477,18 +429,6 @@ mod tests {
         assert!(!on_job(), "one-shot: the retry runs clean");
         disarm();
         assert!(!on_job(), "disarmed: jobs always run");
-    }
-
-    #[test]
-    fn stalled_heartbeat_suppresses_from_the_nth_beat_on() {
-        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        arm(vec![Fault::StallHeartbeat { nth: 3 }]);
-        assert!(!on_heartbeat());
-        assert!(!on_heartbeat());
-        assert!(on_heartbeat(), "third beat is suppressed");
-        assert!(on_heartbeat(), "and the stall is sticky by nature");
-        disarm();
-        assert!(!on_heartbeat(), "disarmed: beats flow again");
     }
 
     #[test]

@@ -14,13 +14,6 @@
 //!              [--live-status FILE] [--live-every MS] [--metrics-out FILE]
 //!              [--out-dir DIR] [--progress]
 //!                                              full APEX + ConEx exploration
-//! mce swarm    <workload> [-j N] [--preset fast|paper] [--dir DIR]
-//!              [--leases N] [--threads N] [--heartbeat-timeout MS]
-//!              [--restart-budget N] [--report-out FILE] [--progress]
-//!                                              supervised multi-process
-//!                                              exploration: leases, worker
-//!                                              heartbeats, crash restarts
-//!                                              with backoff, work stealing
 //! mce serve    [--dir DIR] [--addr HOST:PORT] [--archive DIR]
 //!                                              crash-tolerant exploration
 //!                                              job daemon: durable queue,
@@ -31,9 +24,9 @@
 //!                                              submit a job to the daemon
 //! mce jobs     list | show ID | cancel ID | result ID | wait ID
 //!              [--dir DIR]                     inspect and manage jobs
-//! mce top      <status.json | swarm-dir | serve-dir> [--interval MS] [--once]
+//! mce top      <status.json | serve-dir> [--interval MS] [--once]
 //!                                              watch a --live-status file
-//!                                              (or a whole swarm or serve
+//!                                              (or a whole serve
 //!                                              directory) as a dashboard
 //! mce report   <report.json>... [--out FILE] [--html]
 //!                                              render run reports as
@@ -118,19 +111,6 @@
 //! written atomically — a sibling temporary plus rename — so a crash
 //! mid-write never leaves a torn file behind.
 //!
-//! `mce swarm -j N` runs the same exploration as `mce explore`, but
-//! supervised across N worker subprocesses: the Phase-I architecture
-//! space is partitioned into leases, each worker explores its lease with
-//! a per-lease checkpoint and heartbeat, and the supervisor detects
-//! crashed or stalled workers, restarts them with exponential backoff
-//! (up to `--restart-budget`), reassigns a dead worker's lease to a
-//! survivor — which resumes through the lease checkpoint — and finally
-//! merges the shards into one run report byte-identical (up to
-//! `wall_clock` and the effort metrics `mce diff` masks) to a serial
-//! run's. If every worker slot retires, the supervisor finishes the
-//! remaining leases inline; the run still completes. See the module docs
-//! on `memory_conex::swarm` for the full protocol.
-//!
 //! `mce serve` runs the exploration *job service*: a daemon with a
 //! durable write-ahead job queue (`jobs.jsonl`), per-job checkpoints,
 //! deterministic retries with exponential backoff, and a graceful drain
@@ -152,7 +132,6 @@ use memory_conex::memlib::{CacheConfig, MemoryArchitecture};
 use memory_conex::obs;
 use memory_conex::report;
 use memory_conex::sim::{simulate, Preset, SystemConfig};
-use memory_conex::swarm;
 use memory_conex::ExplorationSession;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -170,7 +149,7 @@ fn main() -> ExitCode {
             "MCE_FAULT",
             reason,
             "MCE_FAULT=<kind>:<N>[+][,...] (e.g. abort_at_eval:7, sigkill_at_eval:40, \
-             stall_heartbeat:3, panic_at_eval:40+)",
+             panic_at_eval:40+)",
         );
         eprintln!("error: {e}");
         eprintln!();
@@ -204,10 +183,6 @@ const USAGE: &str = "usage:
                [--deadline SECS] [--candidate-timeout MS]
                [--live-status FILE] [--live-every MS] [--metrics-out FILE]
                [--out-dir DIR] [--progress]
-  mce swarm    <workload> [-j N] [--preset fast|paper] [--dir DIR]
-               [--leases N] [--threads N] [--heartbeat-timeout MS]
-               [--restart-budget N] [--fault-worker K]
-               [--report-out FILE] [--trace-out FILE] [--progress]
   mce serve    [--dir DIR] [--addr HOST:PORT] [--archive DIR]
                [--backoff-base MS] [--backoff-cap MS]
   mce submit   <workload> [--preset fast|paper] [--threads N]
@@ -215,7 +190,7 @@ const USAGE: &str = "usage:
                [--retries N] [--dir DIR] [--wait]
   mce jobs     list | show <id> | cancel <id> | result <id> [--out FILE]
                | wait <id>  [--dir DIR]
-  mce top      <status.json | swarm-dir | serve-dir> [--interval MS] [--once]
+  mce top      <status.json | serve-dir> [--interval MS] [--once]
   mce report   <report.json>... [--out FILE] [--html]
   mce export-metrics <status-or-report.json> [--out FILE]
   mce cache-check <spill.json> [--capacity N] [--repair]
@@ -269,28 +244,6 @@ explore options:
   --progress       print live progress lines to stderr (MCE_LOG=debug
                    for more detail)
 
-swarm options:
-  -j, --workers N  worker subprocesses to supervise (default 2, N >= 1)
-  --preset P       exploration scale: fast or paper (--scale is an alias)
-  --dir DIR        swarm directory for the lease manifest, shards,
-                   heartbeats, per-worker live status and swarm.log
-                   (default target/swarm; watch it with `mce top DIR`)
-  --leases N       lease count (default 2 per worker, clamped to the
-                   architecture count); more leases = finer stealing
-  --threads N      threads per worker process (default 1)
-  --heartbeat-timeout MS kill a worker whose heartbeat has not advanced
-                   for MS milliseconds and reassign its lease
-                   (default 3000, MS >= 100)
-  --restart-budget N restarts allowed per worker slot before it is
-                   retired (default 3; 0 = never restart); when every
-                   slot retires the supervisor finishes the remaining
-                   leases inline
-  --fault-worker K deliver the MCE_FAULT spec to worker slot K's first
-                   spawn only (fault-injection builds; default 0)
-  --report-out FILE write the merged run-report JSON — byte-identical
-                   (up to wall_clock and effort metrics) to a serial
-                   `mce explore` report of the same workload and preset
-
 serve options (the job daemon; clients are `mce submit` / `mce jobs`):
   --dir DIR        serve directory: job journal (jobs.jsonl), pidfile,
                    bound-address file, per-job checkpoints/reports and
@@ -300,7 +253,7 @@ serve options (the job daemon; clients are `mce submit` / `mce jobs`):
   --archive DIR    run archive completed job reports are added to
                    (default target/mce-runs)
   --backoff-base MS first-retry delay, doubling per charged attempt
-                   (default 250; the swarm's schedule)
+                   (default 250)
   --backoff-cap MS backoff saturation cap (default 5000)
   SIGTERM/SIGINT drain the daemon: admissions stop, the running job
   checkpoints at its next safe point and requeues uncharged, and the
@@ -330,8 +283,8 @@ top options:
   --interval MS    dashboard refresh interval (default 500, MS >= 50)
   --once           print one plain-text snapshot and exit (also the
                    default when stdout is not a terminal)
-                   (a swarm directory renders the supervisor summary
-                   plus one line per worker)
+                   (a serve directory renders the daemon summary
+                   plus one line per job)
 
 report options:
   --out FILE       write the summary to FILE instead of stdout
@@ -384,8 +337,8 @@ diff options:
 type CliError = Box<dyn std::error::Error>;
 
 /// Runs one command; `Ok` carries the process exit code (0 for every
-/// command except `cache-check` and `swarm`, which exit 2 to tell
-/// "clean" from "repaired"/"completed degraded", and `serve`/`jobs`,
+/// command except `cache-check`, which exits 2 to tell "clean" from
+/// "repaired", and `serve`/`jobs`,
 /// whose codes mirror the service contract).
 fn run(args: &[String]) -> Result<u8, CliError> {
     let cmd = args.first().ok_or("missing command")?;
@@ -395,10 +348,6 @@ fn run(args: &[String]) -> Result<u8, CliError> {
         "classify" => cmd_classify(&args[1..]).map(|()| 0),
         "simulate" => cmd_simulate(&args[1..]).map(|()| 0),
         "explore" => cmd_explore(&args[1..]).map(|()| 0),
-        "swarm" => cmd_swarm(&args[1..]),
-        // Internal: what `mce swarm` spawns per lease. Hidden from USAGE
-        // on purpose — its flags are an implementation detail.
-        "swarm-worker" => cmd_swarm_worker(&args[1..]).map(|()| 0),
         "serve" => cmd_serve(&args[1..]).map(|()| 0),
         "submit" => cmd_submit(&args[1..]),
         "jobs" => cmd_jobs(&args[1..]),
@@ -850,211 +799,6 @@ fn write_experiment_log(out_dir: &str, w: &Workload, scale: Preset, summary: &st
     }
 }
 
-/// `mce swarm`: supervised multi-process exploration. Partitions the
-/// Phase-I space into leases, spawns `-j` worker subprocesses (each a
-/// hidden `mce swarm-worker` invocation), supervises them — heartbeat
-/// staleness, crash restarts with exponential backoff, lease stealing,
-/// inline fallback — and merges their shards into one run report.
-///
-/// Exit-code contract: 0 = completed with every lease run by a worker
-/// (or drained cleanly by SIGINT/SIGTERM with resumable state on
-/// disk); 2 = completed, but only by falling back to inline execution
-/// after every worker slot retired (the report is still exact — the
-/// degradation is operational); 1 = failed.
-fn cmd_swarm(args: &[String]) -> Result<u8, CliError> {
-    let w = load_workload(args)?;
-    let workload_arg = args.first().expect("load_workload checked").clone();
-    let scale: Preset = flag_value(args, "--preset")
-        .or_else(|| flag_value(args, "--scale"))
-        .unwrap_or("fast")
-        .parse()?;
-    let dir = flag_value(args, "--dir").unwrap_or("target/swarm");
-    let mut cfg = swarm::SwarmConfig::new(w.clone(), workload_arg, dir);
-    cfg.preset = scale;
-    cfg.worker_exe = std::env::current_exe()
-        .map_err(|e| format!("cannot locate the mce binary to spawn workers: {e}"))?;
-    let workers_hint = "-j N / --workers N (worker subprocesses, N >= 1)";
-    if let Some(n) = numeric_flag::<usize>(args, "-j", 1, workers_hint)?.or(numeric_flag::<usize>(
-        args,
-        "--workers",
-        1,
-        workers_hint,
-    )?) {
-        cfg.workers = n;
-    }
-    if let Some(n) = numeric_flag::<usize>(args, "--threads", 1, "--threads N (N >= 1)")? {
-        cfg.worker_threads = n;
-    }
-    if let Some(n) = numeric_flag::<usize>(args, "--leases", 1, "--leases N (N >= 1)")? {
-        cfg.lease_count = Some(n);
-    }
-    if let Some(ms) = numeric_flag::<u64>(
-        args,
-        "--heartbeat-timeout",
-        100,
-        "--heartbeat-timeout MS (milliseconds, MS >= 100)",
-    )? {
-        cfg.heartbeat_timeout = Duration::from_millis(ms);
-    }
-    if let Some(n) = numeric_flag::<u32>(
-        args,
-        "--restart-budget",
-        0,
-        "--restart-budget N (restarts per worker slot, N >= 0)",
-    )? {
-        cfg.restart_budget = n;
-    }
-    // Fault delivery is the supervisor's to orchestrate: the spec from
-    // the environment goes to exactly one worker's first spawn (slot
-    // `--fault-worker`, default 0), and the supervisor itself disarms —
-    // its own merge-phase evaluations must not trip an eval fault meant
-    // for a worker.
-    let fault_slot = numeric_flag::<usize>(
-        args,
-        "--fault-worker",
-        0,
-        "--fault-worker K (worker slot index, K >= 0)",
-    )?
-    .unwrap_or(0);
-    if let Ok(spec) = std::env::var("MCE_FAULT") {
-        if fault_slot >= cfg.workers {
-            return Err(MceError::invalid_arg(
-                "--fault-worker",
-                format!(
-                    "slot {fault_slot} does not exist with {} workers",
-                    cfg.workers
-                ),
-                "--fault-worker K (worker slot index, K < -j N)",
-            )
-            .into());
-        }
-        cfg.fault_worker = Some((fault_slot, spec));
-    }
-    #[cfg(feature = "fault-injection")]
-    mce_faultinject::disarm();
-    let report_out = flag_value(args, "--report-out");
-    let obs_session = ObsSession::start(
-        flag_value(args, "--trace-out"),
-        args.iter().any(|a| a == "--progress"),
-        true,
-    );
-    eprintln!(
-        "swarming `{}` at {scale} scale: {} workers under {} (watch with `mce top {}`)",
-        w.name(),
-        cfg.workers,
-        cfg.dir.display(),
-        cfg.dir.display()
-    );
-    // SIGINT/SIGTERM drain the swarm instead of killing it: the
-    // supervisor observes the flag at its next poll, stops the workers,
-    // requeues their leases (checkpoints kept) and exits 0.
-    memory_conex::budget::install_termination_handlers();
-    let outcome = match swarm::supervise(&cfg)? {
-        swarm::SwarmRun::Completed(outcome) => outcome,
-        swarm::SwarmRun::Interrupted { done, total } => {
-            obs_session.finish()?;
-            eprintln!(
-                "swarm interrupted ({done}/{total} leases done): state saved under {}; \
-                 rerun the same command to resume",
-                cfg.dir.display()
-            );
-            return Ok(0);
-        }
-    };
-    obs_session.finish()?;
-    let conex = &outcome.conex;
-    eprintln!(
-        "swarm: {} restart(s), {} lease(s) stolen, {} ms backoff, \
-         {} slot(s) retired, {} lease(s) run inline",
-        outcome.restarts,
-        outcome.leases_stolen,
-        outcome.backoff_ms,
-        outcome.retired_slots,
-        outcome.inline_leases
-    );
-    println!(
-        "estimated {} candidates, fully simulated {} ({:.1}s)\n",
-        conex.estimated().len(),
-        conex.simulated().len(),
-        conex.elapsed().as_secs_f64()
-    );
-    println!("cost/performance pareto:");
-    for p in conex.pareto_cost_latency() {
-        println!(
-            "  {:>8} gates  {:>7.2} cyc  {:>6.2} nJ  {}",
-            p.metrics.cost_gates,
-            p.metrics.latency_cycles,
-            p.metrics.energy_nj,
-            p.describe()
-        );
-    }
-    if let Some(path) = report_out {
-        atomic_write(path, outcome.report.to_json().as_bytes())
-            .map_err(|e| format!("cannot write report file `{path}`: {e}"))?;
-        eprintln!("wrote report {path}");
-    }
-    if outcome.inline_leases > 0 {
-        eprintln!(
-            "swarm completed degraded: {} lease(s) fell back to inline execution",
-            outcome.inline_leases
-        );
-        return Ok(2);
-    }
-    Ok(0)
-}
-
-/// `mce swarm-worker` (internal): one lease of a swarm run. Spawned by
-/// `cmd_swarm`; explores `--range LO:HI` with a per-lease checkpoint,
-/// cache spill, heartbeat and live status, and writes the lease shard
-/// the supervisor merges. Exit 0 plus a digest-valid shard is the only
-/// thing the supervisor trusts.
-fn cmd_swarm_worker(args: &[String]) -> Result<(), CliError> {
-    let w = load_workload(args)?;
-    let scale: Preset = flag_value(args, "--preset").unwrap_or("fast").parse()?;
-    let range = flag_value(args, "--range").ok_or("swarm-worker needs --range LO:HI")?;
-    let (lo, hi) = range
-        .split_once(':')
-        .ok_or_else(|| format!("--range `{range}` is not LO:HI"))?;
-    let start: usize = lo
-        .parse()
-        .map_err(|e| format!("--range start `{lo}` is not a number: {e}"))?;
-    let end: usize = hi
-        .parse()
-        .map_err(|e| format!("--range end `{hi}` is not a number: {e}"))?;
-    let lease = numeric_flag::<usize>(args, "--lease", 0, "--lease N (lease id, N >= 0)")?
-        .ok_or("swarm-worker needs --lease N")?;
-    let slot = numeric_flag::<usize>(args, "--slot", 0, "--slot K (worker slot, K >= 0)")?
-        .ok_or("swarm-worker needs --slot K")?;
-    let threads = numeric_flag::<usize>(args, "--threads", 1, "--threads N (N >= 1)")?.unwrap_or(1);
-    let heartbeat_ms = numeric_flag::<u64>(
-        args,
-        "--heartbeat-every",
-        10,
-        "--heartbeat-every MS (MS >= 10)",
-    )?
-    .unwrap_or(200);
-    let dir = flag_value(args, "--dir").ok_or("swarm-worker needs --dir DIR")?;
-    // Registries must collect even without any sink: the shard carries
-    // this lease's counters and gauges back to the supervisor.
-    let obs_session = ObsSession::start(None, false, true);
-    let outcome = swarm::run_lease(
-        &w,
-        scale,
-        threads,
-        std::path::Path::new(dir),
-        &swarm::LeaseRun {
-            lease,
-            start,
-            end,
-            slot: Some(slot),
-            heartbeat_every: Duration::from_millis(heartbeat_ms),
-        },
-    );
-    obs_session.finish()?;
-    outcome?;
-    Ok(())
-}
-
 /// `mce serve`: runs the crash-tolerant exploration job daemon until a
 /// termination signal drains it. See `memory_conex::serve` for the
 /// durability contract the daemon implements.
@@ -1276,61 +1020,6 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Loads a swarm directory's supervisor status plus every worker
-/// live-status file that currently parses (a worker killed mid-write or
-/// not yet started simply has no row — the supervisor summary still
-/// renders).
-fn load_swarm_dir(
-    dir: &str,
-) -> Result<(obs::json::Value, Vec<(String, obs::json::Value)>), CliError> {
-    let status = swarm::status_path(std::path::Path::new(dir));
-    let body = std::fs::read_to_string(&status)
-        .map_err(|e| format!("cannot read swarm status `{}`: {e}", status.display()))?;
-    let doc = obs::json::parse(&body)
-        .map_err(|e| format!("swarm status `{}` is not valid JSON: {e}", status.display()))?;
-    match doc.get("swarm_schema").and_then(obs::json::Value::as_u64) {
-        Some(swarm::SWARM_STATUS_SCHEMA) => {}
-        found => {
-            return Err(format!(
-                "swarm status `{}` has unsupported swarm_schema {found:?} (expected {})",
-                status.display(),
-                swarm::SWARM_STATUS_SCHEMA
-            )
-            .into())
-        }
-    }
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read swarm directory `{dir}`: {e}"))?
-        .filter_map(|entry| entry.ok())
-        .filter_map(|entry| entry.file_name().into_string().ok())
-        .filter(|name| name.starts_with("worker-") && name.ends_with(".status.json"))
-        .collect();
-    names.sort();
-    let mut workers = Vec::new();
-    for name in names {
-        let path = format!("{dir}/{name}");
-        if let Ok(doc) = load_live_status(&path) {
-            workers.push((name, doc));
-        }
-    }
-    Ok((doc, workers))
-}
-
-/// Renders one `mce top` frame for a swarm directory — the supervisor
-/// summary plus one line per worker — and reports whether the swarm is
-/// still active (running or merging).
-fn render_swarm_frame(dir: &str, width: usize) -> Result<(String, bool), CliError> {
-    let (doc, workers) = load_swarm_dir(dir)?;
-    let active = matches!(
-        doc.get("status").and_then(obs::json::Value::as_str),
-        Some("running" | "merging")
-    );
-    Ok((
-        live::render_swarm_overview(dir, &doc, &workers, width),
-        active,
-    ))
-}
-
 /// Renders one `mce top` frame for a serve directory — the daemon
 /// summary plus one line per job with a live-status file — and reports
 /// whether the daemon is still admitting (not draining).
@@ -1428,20 +1117,16 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
-        .ok_or("top needs a live-status file or swarm directory argument")?;
+        .ok_or("top needs a live-status file or serve directory argument")?;
     let interval =
         numeric_flag::<u64>(args, "--interval", 50, "--interval MS (MS >= 50)")?.unwrap_or(500);
     let once = args.iter().any(|a| a == "--once");
-    // A directory is a swarm or a serve daemon: aggregate the
-    // supervisor's swarm.json (or the daemon's serve.json) with the
-    // per-worker/per-job live-status files instead of one dashboard.
-    let is_dir = std::path::Path::new(path).is_dir();
-    let is_serve = is_dir && memory_conex::serve::status_path(std::path::Path::new(path)).exists();
+    // A directory is a serve daemon's: aggregate its serve.json with the
+    // per-job live-status files instead of one dashboard.
+    let is_serve = std::path::Path::new(path).is_dir();
     let render = |width: usize| -> Result<(String, bool), CliError> {
         if is_serve {
             render_serve_frame(path)
-        } else if is_dir {
-            render_swarm_frame(path, width)
         } else {
             let doc = load_live_status(path)?;
             let active = doc.get("status").and_then(obs::json::Value::as_str) == Some("running");
@@ -1453,11 +1138,9 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
     // What "the writer hasn't started yet" looks like: the status file
-    // itself, or for a swarm/serve directory its summary JSON.
+    // itself, or for a serve directory its summary JSON.
     let watched = if is_serve {
         memory_conex::serve::status_path(std::path::Path::new(path))
-    } else if is_dir {
-        swarm::status_path(std::path::Path::new(path))
     } else {
         std::path::PathBuf::from(path)
     };
@@ -1960,22 +1643,6 @@ mod tests {
                 ],
                 "--live-every",
             ),
-            (&["swarm", "vocoder", "-j", "0"], "-j"),
-            (&["swarm", "vocoder", "--workers", "abc"], "--workers"),
-            (&["swarm", "vocoder", "--threads", "0"], "--threads"),
-            (&["swarm", "vocoder", "--leases", "0"], "--leases"),
-            (
-                &["swarm", "vocoder", "--heartbeat-timeout", "50"],
-                "--heartbeat-timeout",
-            ),
-            (
-                &["swarm", "vocoder", "--restart-budget", "-1"],
-                "--restart-budget",
-            ),
-            (
-                &["swarm", "vocoder", "--fault-worker", "first"],
-                "--fault-worker",
-            ),
             (&["top", "s.json", "--interval", "0"], "--interval"),
             (&["top", "s.json", "--interval", "abc"], "--interval"),
             (&["classify", "vocoder", "--trace", "0"], "--trace"),
@@ -2049,28 +1716,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("--checkpoint-every"), "{err}");
-    }
-
-    #[test]
-    fn swarm_worker_rejects_bad_lease_arguments() {
-        // The hidden worker command validates as strictly as the public
-        // ones: a supervisor bug must surface as a typed error, not a
-        // worker exploring the wrong range.
-        let err = cmd_swarm_worker(&s(&["vocoder"])).unwrap_err();
-        assert!(err.to_string().contains("--range"), "{err}");
-        let err = cmd_swarm_worker(&s(&["vocoder", "--range", "5"])).unwrap_err();
-        assert!(err.to_string().contains("LO:HI"), "{err}");
-        let err = cmd_swarm_worker(&s(&["vocoder", "--range", "a:3"])).unwrap_err();
-        assert!(err.to_string().contains("not a number"), "{err}");
-        let err = cmd_swarm_worker(&s(&["vocoder", "--range", "0:2"])).unwrap_err();
-        assert!(err.to_string().contains("--lease"), "{err}");
-        let err = cmd_swarm_worker(&s(&["vocoder", "--range", "0:2", "--lease", "0"])).unwrap_err();
-        assert!(err.to_string().contains("--slot"), "{err}");
-        let err = cmd_swarm_worker(&s(&[
-            "vocoder", "--range", "0:2", "--lease", "0", "--slot", "0",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("--dir"), "{err}");
     }
 
     #[test]

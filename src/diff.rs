@@ -107,7 +107,6 @@ pub const EFFORT_PREFIXES: &[&str] = &[
     "conex.estimate_jobs",
     "conex.simulate_jobs",
     "sim.",
-    "swarm.",
 ];
 
 /// Whether a serialized-report line carries an effort-prefixed key (the

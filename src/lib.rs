@@ -61,7 +61,6 @@ pub mod live;
 pub mod report;
 pub mod serve;
 pub mod session;
-pub mod swarm;
 
 pub use archive::{AddOutcome, ArchiveEntry, GcStats, RunArchive, ARCHIVE_SCHEMA};
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
@@ -79,10 +78,6 @@ pub use mce_sim as sim;
 pub use report::{RunReport, REPORT_SCHEMA};
 pub use serve::{Client, JobEvent, JobJournal, JobRecord, JobSpec, JobState, ServeConfig};
 pub use session::{ExplorationSession, SessionResult};
-pub use swarm::{
-    Lease, LeaseManifest, LeaseState, SwarmConfig, SwarmOutcome, SwarmRun, WorkerShard,
-    MANIFEST_SCHEMA, SHARD_SCHEMA,
-};
 
 /// Commonly used items for writing explorations end to end.
 pub mod prelude {

@@ -755,72 +755,6 @@ pub fn render_dashboard_with_width(source: &str, doc: &Value, width: usize) -> S
     out
 }
 
-/// Renders the `mce top <swarm-dir>` overview: the supervisor's
-/// `swarm.json` summary — lease progress, restart/steal/backoff totals,
-/// one line per worker slot — followed by one progress line per worker
-/// whose live-status file currently parses (`workers` pairs a file name
-/// with its parsed document, in slot order).
-pub fn render_swarm_overview(
-    source: &str,
-    swarm_doc: &Value,
-    workers: &[(String, Value)],
-    width: usize,
-) -> String {
-    let bar_width = width.saturating_sub(56).clamp(8, 48);
-    let str_of = |k: &str| swarm_doc.get(k).and_then(Value::as_str).unwrap_or("?");
-    let u64_of = |k: &str| swarm_doc.get(k).and_then(Value::as_u64).unwrap_or(0);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "mce top — swarm `{}` ({source})\n",
-        str_of("workload")
-    ));
-    let (done, total) = (u64_of("leases_done"), u64_of("leases_total"));
-    out.push_str(&format!(
-        "status   {}  {} workers\n",
-        str_of("status"),
-        u64_of("workers")
-    ));
-    out.push_str(&format!(
-        "leases   {} {done}/{total}\n",
-        progress_bar(done, total, bar_width)
-    ));
-    out.push_str(&format!(
-        "faults   restarts {}  leases stolen {}  backoff {} ms\n",
-        u64_of("restarts"),
-        u64_of("leases_stolen"),
-        u64_of("backoff_ms")
-    ));
-    if let Some(slots) = swarm_doc.get("slots").and_then(Value::as_array) {
-        for slot in slots {
-            let u = |k: &str| slot.get(k).and_then(Value::as_u64);
-            let state = slot.get("state").and_then(Value::as_str).unwrap_or("?");
-            let lease = u("lease").map_or_else(|| "-".to_owned(), |l| l.to_string());
-            out.push_str(&format!(
-                "slot {:>3}  {state:<8} lease {lease:<4} restarts {}\n",
-                u("slot").unwrap_or(0),
-                u("restarts").unwrap_or(0)
-            ));
-        }
-    }
-    // One progress line per worker that has published a status file —
-    // the same fields the full dashboard leads with.
-    for (name, doc) in workers {
-        let status = doc.get("status").and_then(Value::as_str).unwrap_or("?");
-        let phase = doc.get("phase").and_then(Value::as_str).unwrap_or("?");
-        let done = doc.get("archs_done").and_then(Value::as_u64).unwrap_or(0);
-        let total = doc.get("archs_total").and_then(Value::as_u64).unwrap_or(0);
-        let evals = doc
-            .get("evals")
-            .and_then(|e| e.get("per_second"))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        out.push_str(&format!(
-            "{name:<24} {status:<9} {phase:<7} archs {done}/{total}  {evals:.1} evals/s\n"
-        ));
-    }
-    out
-}
-
 /// Renders the `mce top <serve-dir>` overview: the daemon's `serve.json`
 /// summary — pid, bound address, drain state, per-state job counts —
 /// followed by one progress line per job whose live-status file
@@ -847,8 +781,8 @@ pub fn render_serve_overview(source: &str, serve_doc: &Value, jobs: &[(String, V
     }
     counts.push('\n');
     out.push_str(&counts);
-    // One progress line per job with a live-status file — same fields as
-    // the swarm worker rows.
+    // One progress line per job with a live-status file — the same fields
+    // the full dashboard leads with.
     for (name, doc) in jobs {
         let status = doc.get("status").and_then(Value::as_str).unwrap_or("?");
         let phase = doc.get("phase").and_then(Value::as_str).unwrap_or("?");

@@ -7,8 +7,7 @@
 //! restart waits out the gap instead of erroring.
 
 use super::journal::JobSpec;
-use super::{addr_path, json_string};
-use crate::swarm::backoff_after;
+use super::{addr_path, backoff_after, json_string};
 use mce_error::MceError;
 use std::io::{Read, Write as _};
 use std::net::TcpStream;

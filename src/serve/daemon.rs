@@ -15,12 +15,11 @@
 
 use super::journal::{fold, JobEvent, JobJournal, JobRecord, JobSpec, JobState};
 use super::{
-    addr_path, http, job_checkpoint_path, job_report_path, job_status_path, journal_path,
-    json_string, log_path, pid_path, status_path, SERVE_SCHEMA,
+    addr_path, backoff_after, http, job_checkpoint_path, job_report_path, job_status_path,
+    journal_path, json_string, log_path, pid_path, status_path, SERVE_SCHEMA,
 };
 use crate::archive::RunArchive;
 use crate::session::ExplorationSession;
-use crate::swarm::backoff_after;
 use mce_budget::{CancelReason, CancelToken};
 use mce_error::{atomic_write, sweep_stale_tmps, MceError};
 use mce_sim::Preset;

@@ -31,9 +31,7 @@ use mce_budget::{Bounds, CancelToken, EvalBudget, Watchdog};
 use mce_conex::design_point::workload_digest;
 use mce_conex::eval_cache::DEFAULT_CAPACITY;
 use mce_conex::explore::Phase1State;
-use mce_conex::{
-    ArchSlice, CacheStats, ConexConfig, ConexExplorer, ConexResult, EvalCache, EvalEngine,
-};
+use mce_conex::{CacheStats, ConexConfig, ConexExplorer, ConexResult, EvalCache, EvalEngine};
 use mce_connlib::ConnectivityLibrary;
 use mce_error::{atomic_write, sweep_stale_tmps, MceError};
 use mce_sim::Preset;
@@ -75,8 +73,6 @@ pub struct ExplorationSession {
     live_every: Duration,
     metrics_out: Option<PathBuf>,
     explain: bool,
-    arch_range: Option<(usize, usize)>,
-    capture_slices: bool,
 }
 
 /// Everything one session run produced.
@@ -102,15 +98,6 @@ pub struct SessionResult {
     /// bit-identical to uninterrupted ones; this only records how the
     /// run got there.
     pub resumed: bool,
-    /// Per-architecture Phase-I slices, captured when
-    /// [`ExplorationSession::capture_slices`] is on (`None` otherwise).
-    /// Each slice carries its *global* architecture index — offset by
-    /// the start of an [`ExplorationSession::arch_range`] — so slices
-    /// from ranged runs over disjoint ranges reassemble into the serial
-    /// Phase-I state with [`mce_conex::merge_arch_slices`]. A resumed
-    /// run re-captures the replayed architectures' slices from the
-    /// restored cache, so the set is complete either way.
-    pub arch_slices: Option<Vec<ArchSlice>>,
 }
 
 impl ExplorationSession {
@@ -136,8 +123,6 @@ impl ExplorationSession {
             live_every: Duration::from_millis(500),
             metrics_out: None,
             explain: false,
-            arch_range: None,
-            capture_slices: false,
         }
     }
 
@@ -335,40 +320,6 @@ impl ExplorationSession {
         self
     }
 
-    /// Restricts Phase I to the half-open sub-range `start..end` of
-    /// APEX's selected architectures (global exploration order). The
-    /// session still runs APEX itself — selection is deterministic, so
-    /// every ranged session over the same workload and configuration
-    /// sees the same global order — then explores only its slice
-    /// through both phases. This is the unit of work a swarm lease
-    /// claims: disjoint ranges partition the run, and their captured
-    /// [`ArchSlice`]s (see
-    /// [`capture_slices`](ExplorationSession::capture_slices)) merge
-    /// back into the serial result.
-    ///
-    /// The range is appended to the configuration digest, so a ranged
-    /// checkpoint can only resume the same lease — never leak into a
-    /// different range or a whole-run session.
-    ///
-    /// An empty or out-of-bounds range fails
-    /// [`run`](ExplorationSession::run) with [`MceError::InvalidInput`].
-    #[must_use]
-    pub fn arch_range(mut self, start: usize, end: usize) -> Self {
-        self.arch_range = Some((start, end));
-        self
-    }
-
-    /// Captures each Phase-I architecture's estimate cloud and local
-    /// shortlist as an [`ArchSlice`] in
-    /// [`SessionResult::arch_slices`]. Off by default (the slices
-    /// duplicate data already in the result); swarm workers turn it on
-    /// to ship their shard back to the supervisor.
-    #[must_use]
-    pub fn capture_slices(mut self, capture: bool) -> Self {
-        self.capture_slices = capture;
-        self
-    }
-
     /// Runs APEX then ConEx over the shared trace and cache, resuming
     /// from a [`checkpoint_file`](ExplorationSession::checkpoint_file)
     /// when one is present.
@@ -398,13 +349,7 @@ impl ExplorationSession {
             sweep_stale_tmps(path);
         }
         let w_digest = workload_digest(&self.workload).to_hex();
-        let mut c_digest =
-            config_digest(&self.apex, &self.conex, &self.library, self.cache_capacity);
-        if let Some((lo, hi)) = self.arch_range {
-            // Scope checkpoints (and swarm shards) to the lease: a
-            // ranged checkpoint must never resume a different range.
-            c_digest.push_str(&format!("|range:{lo}-{hi}"));
-        }
+        let c_digest = config_digest(&self.apex, &self.conex, &self.library, self.cache_capacity);
         let resume = match &self.checkpoint_file {
             Some(path) if path.exists() => {
                 let ck = Checkpoint::load(path)?;
@@ -458,23 +403,6 @@ impl ExplorationSession {
         let explorer = ConexExplorer::with_library(self.conex.clone(), self.library.clone())
             .with_explain(self.explain);
         let mem_archs = apex.selected();
-        let (range_base, mem_archs) = match self.arch_range {
-            Some((lo, hi)) => {
-                if lo >= hi || hi > mem_archs.len() {
-                    return Err(MceError::invalid_input(format!(
-                        "architecture range {lo}..{hi} is not a non-empty sub-range of \
-                         the {} selected architectures",
-                        mem_archs.len()
-                    )));
-                }
-                (lo, mem_archs[lo..hi].to_vec())
-            }
-            None => (0, mem_archs),
-        };
-        // Slice capture: each committed architecture's contribution is
-        // the delta the boundary state grew by since the previous one.
-        let mut slices: Option<Vec<ArchSlice>> = self.capture_slices.then(Vec::new);
-        let mut seen = (0usize, 0usize); // (estimated, shortlist) committed so far
         let state = match &resume {
             Some(ck) => {
                 // Design points are not persisted; replay the completed
@@ -493,22 +421,7 @@ impl ExplorationSession {
                         budget: budget.clone(),
                         ..Bounds::none()
                     });
-                let state = explorer.phase1_partial_with(
-                    &scratch_engine,
-                    &mem_archs,
-                    ck.archs_done,
-                    &mut |s| {
-                        if let Some(out) = &mut slices {
-                            out.push(ArchSlice {
-                                arch: range_base + s.archs_done - 1,
-                                estimated: s.estimated[seen.0..].to_vec(),
-                                shortlist: s.shortlist[seen.1..].to_vec(),
-                            });
-                        }
-                        seen = (s.estimated.len(), s.shortlist.len());
-                        Ok(())
-                    },
-                )?;
+                let state = explorer.phase1_partial(&scratch_engine, &mem_archs, ck.archs_done)?;
                 if state.frontier_evolution != ck.frontier {
                     return Err(MceError::checkpoint(
                         "replayed frontier diverges from the checkpointed one — the \
@@ -573,14 +486,6 @@ impl ExplorationSession {
         let mut last_state = state.clone();
         let mut after_arch = |s: &Phase1State| -> Result<(), MceError> {
             last_state = s.clone();
-            if let Some(out) = &mut slices {
-                out.push(ArchSlice {
-                    arch: range_base + s.archs_done - 1,
-                    estimated: s.estimated[seen.0..].to_vec(),
-                    shortlist: s.shortlist[seen.1..].to_vec(),
-                });
-            }
-            seen = (s.estimated.len(), s.shortlist.len());
             if let Some(path) = &ck_path {
                 if s.archs_done.is_multiple_of(every) || s.archs_done == total {
                     Checkpoint::capture(w_digest.clone(), c_digest.clone(), s, &ck_cache)
@@ -639,7 +544,6 @@ impl ExplorationSession {
             cache_stats,
             report,
             resumed,
-            arch_slices: slices,
         })
     }
 }

@@ -4,13 +4,15 @@
 //! tail-drop semantics: the surviving events are always an exact
 //! prefix of what was journaled, damaged records and everything after
 //! them are dropped, and corruption never mis-parses into a different
-//! job spec or lifecycle event, and never errors the daemon out.
+//! job spec or lifecycle event, and never errors the daemon out. The
+//! retry backoff schedule is pinned here too.
 
 use memory_conex::appmodel::benchmarks;
 use memory_conex::serve::journal::fold;
-use memory_conex::serve::{replay, JobEvent, JobJournal, JobSpec};
+use memory_conex::serve::{backoff_after, replay, JobEvent, JobJournal, JobSpec};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn tmp(name: &str, case: u64) -> PathBuf {
     std::env::temp_dir().join(format!("mce_svprops_{}_{case}_{name}", std::process::id()))
@@ -181,4 +183,67 @@ proptest! {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// For *arbitrary* restart counts — including the full `u32` range,
+    /// far past where `base << restarts` would overflow — the backoff is
+    /// monotone non-decreasing, never exceeds the cap once past it, and
+    /// never panics. This is the schedule the serve executor and client
+    /// lean on after a failure.
+    #[test]
+    fn backoff_is_monotone_capped_and_overflow_safe(
+        restarts in any::<u32>(),
+        base_ms in 0u64..10_000,
+        cap_ms in 0u64..60_000,
+    ) {
+        let base = Duration::from_millis(base_ms);
+        let cap = Duration::from_millis(cap_ms);
+        let here = backoff_after(restarts, base, cap);
+        prop_assert!(here <= cap, "backoff({restarts}) = {here:?} exceeds the cap");
+        if base_ms == 0 {
+            prop_assert_eq!(here, Duration::ZERO, "zero base must disable the delay");
+        }
+        if restarts == 0 {
+            prop_assert_eq!(here, Duration::ZERO, "no delay before the first restart");
+        }
+        // Monotone: one more restart never shrinks the delay. Saturate at
+        // u32::MAX so the property also pins the overflow boundary.
+        let next = backoff_after(restarts.saturating_add(1), base, cap);
+        prop_assert!(
+            next >= here,
+            "backoff({restarts}) = {here:?} > backoff({}) = {next:?}",
+            restarts.saturating_add(1)
+        );
+        // Deep into the schedule the cap is exact, not just an upper
+        // bound: 30 saturated doublings of even 1 ms exceed any cap the
+        // generator can draw.
+        if base_ms > 0 && restarts >= 32 {
+            prop_assert_eq!(here, cap, "the tail of the schedule must sit at the cap");
+        }
+    }
+}
+
+/// The restart backoff schedule is fully deterministic: zero before the
+/// first restart, then doubling from the base until the cap, where it
+/// stays — including far past the shift-overflow range.
+#[test]
+fn backoff_schedule_is_deterministic_and_capped() {
+    let base = Duration::from_millis(250);
+    let cap = Duration::from_secs(5);
+    let schedule: Vec<u64> = (0..10)
+        .map(|r| backoff_after(r, base, cap).as_millis() as u64)
+        .collect();
+    assert_eq!(
+        schedule,
+        [0, 250, 500, 1000, 2000, 4000, 5000, 5000, 5000, 5000]
+    );
+    assert_eq!(backoff_after(u32::MAX, base, cap), cap, "no shift overflow");
+    assert_eq!(
+        backoff_after(3, Duration::ZERO, cap),
+        Duration::ZERO,
+        "a zero base disables the delay entirely"
+    );
 }
