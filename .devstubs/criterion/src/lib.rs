@@ -7,8 +7,8 @@
 //! `criterion_group!` / `criterion_main!` macros. Each bench function
 //! runs one warm-up iteration plus `sample_size` timed samples and
 //! reports min/median/max to stderr. There are no HTML reports, no
-//! statistical regression analysis, and no saved baselines — use the
-//! workspace's own `mce bench-gate` for regression gating.
+//! statistical regression analysis, and no saved baselines — the
+//! workspace's `mce-perf` benchmark (`crates/perf`) catches regressions.
 
 use std::time::{Duration, Instant};
 

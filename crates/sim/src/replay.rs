@@ -35,14 +35,8 @@ pub fn simulate_blocks(
     blocks: &TraceBlocks,
     trace_len: usize,
 ) -> SimStats {
-    let _t = obs::time_scope("sim.replay_us");
-    let mut sim = Simulator::new(sys, workload);
-    for batch in blocks.batches(trace_len) {
-        for i in batch {
-            sim.step(&blocks.get(i));
-        }
-    }
-    sim.finish()
+    simulate_blocks_cancellable(sys, workload, blocks, trace_len, &|| false)
+        .expect("a never-tripping check cannot cancel")
 }
 
 /// [`simulate_blocks`] with a cooperative cancellation check.
@@ -52,10 +46,9 @@ pub fn simulate_blocks(
 /// deadline or watchdog reclaims the evaluation within one batch. When
 /// it trips, the partial simulation is discarded and `None` is returned.
 ///
-/// With a check that never trips, the access sequence and accumulation
-/// order are identical to [`simulate_blocks`], so the returned stats are
-/// bit-identical — a bounded run that never hits its bounds matches an
-/// unbounded one exactly.
+/// [`simulate_blocks`] is this function with a check that never trips,
+/// so a bounded run that never hits its bounds matches an unbounded one
+/// bit for bit, and each mode has exactly one replay loop.
 ///
 /// # Panics
 ///
@@ -279,6 +272,35 @@ mod tests {
             simulate_sampled_blocks_cancellable(&sys, &w, &blocks, N, cfg, &|| true),
             None
         );
+    }
+
+    #[test]
+    fn clear_check_is_polled_once_per_batch() {
+        // The cancellation contract, by count rather than by timing: a
+        // check that never trips is polled once per compiled batch —
+        // never per access — by both replay modes, including a replay
+        // that ends partway through a block.
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        let w = benchmarks::vocoder();
+        let sys = system(&w, 4);
+        let blocks = TraceBlocks::compile(&w, N);
+        let cfg = SamplingConfig::paper();
+        let polls = AtomicUsize::new(0);
+        let count = || {
+            polls.fetch_add(1, Relaxed);
+            false
+        };
+        for len in [N, 3 * BLOCK_LEN + 900] {
+            let batches = blocks.batches(len).count();
+            polls.store(0, Relaxed);
+            assert!(simulate_blocks_cancellable(&sys, &w, &blocks, len, &count).is_some());
+            assert_eq!(polls.load(Relaxed), batches, "full replay of {len}");
+            polls.store(0, Relaxed);
+            assert!(
+                simulate_sampled_blocks_cancellable(&sys, &w, &blocks, len, cfg, &count).is_some()
+            );
+            assert_eq!(polls.load(Relaxed), batches, "sampled replay of {len}");
+        }
     }
 
     #[test]

@@ -37,10 +37,6 @@
 //! mce cache-check <spill.json> [--capacity N] [--repair]
 //!                                              validate (and optionally
 //!                                              repair) an eval-cache spill
-//! mce bench-gate [--baseline FILE] [--current FILE] [--tolerance T]
-//!              [--warn-only] [--enforce-pinned] compare BENCH_eval.json to a
-//!              [--record] [--trajectory FILE]   committed baseline, optionally
-//!                                              appending to the perf trajectory
 //! mce runs     add|list|show|gc [--archive DIR]
 //!                                              content-addressed archive of
 //!                                              run reports for cross-run
@@ -50,8 +46,6 @@
 //!                                              runs (files or archive
 //!                                              digests); exits 0 iff their
 //!                                              deterministic sections match
-//! mce diff     --bench [FILE]                  render the recorded bench
-//!                                              trajectory
 //! ```
 //!
 //! `<workload>` is either a built-in name (`compress`, `li`, `vocoder`,
@@ -161,11 +155,8 @@ fn main() -> ExitCode {
         Ok(code) => ExitCode::from(code),
         Err(e) => {
             eprintln!("error: {e}");
-            // A failed bench gate is a verdict, not a usage mistake.
-            if !e.to_string().starts_with("bench gate:") {
-                eprintln!();
-                eprintln!("{USAGE}");
-            }
+            eprintln!();
+            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -194,12 +185,9 @@ const USAGE: &str = "usage:
   mce report   <report.json>... [--out FILE] [--html]
   mce export-metrics <status-or-report.json> [--out FILE]
   mce cache-check <spill.json> [--capacity N] [--repair]
-  mce bench-gate [--baseline FILE] [--current FILE] [--tolerance T] [--warn-only]
-               [--enforce-pinned] [--record] [--trajectory FILE]
   mce runs     add <report.json> | list | show <digest> | gc [--keep N]
                [--archive DIR]
   mce diff     <A> <B> [--html] [--out FILE] [--archive DIR]
-  mce diff     --bench [FILE]
 
 <workload> = compress | li | vocoder | adpcm | jpeg | mix | path/to/workload.json
 
@@ -300,19 +288,6 @@ cache-check options:
                    exits 0 when the spill was already clean, 2 when
                    corrupt entries were dropped, 1 on unrepairable damage
 
-bench-gate options:
-  --baseline FILE  committed baseline (default crates/bench/BENCH_eval.baseline.json)
-  --current FILE   fresh measurement (default BENCH_eval.json)
-  --tolerance T    allowed relative regression, e.g. 0.2 = 20% (default 0.2)
-  --warn-only      report regressions without failing
-  --enforce-pinned fail only on the pinned contract fields
-                   (block_replay_speedup, block_replay_cancellable_overhead);
-                   other regressions warn
-  --record         append the current summary to the bench trajectory
-                   (one JSON line per run; render with `mce diff --bench`)
-  --trajectory FILE trajectory file for --record / --bench
-                   (default BENCH_trajectory.jsonl)
-
 runs subcommands (content-addressed run archive, default DIR target/mce-runs):
   add <report.json> archive a run report under the digest of its
                    deterministic prefix; a re-run of the same
@@ -330,9 +305,7 @@ diff options:
                    1 when they differ
   --html           render a self-contained HTML document instead of markdown
   --out FILE       write the rendered diff to FILE instead of stdout
-  --archive DIR    archive to resolve digests against (default target/mce-runs)
-  --bench [FILE]   render the recorded bench trajectory instead of
-                   comparing two runs";
+  --archive DIR    archive to resolve digests against (default target/mce-runs)";
 
 type CliError = Box<dyn std::error::Error>;
 
@@ -355,7 +328,6 @@ fn run(args: &[String]) -> Result<u8, CliError> {
         "report" => cmd_report(&args[1..]).map(|()| 0),
         "export-metrics" => cmd_export_metrics(&args[1..]).map(|()| 0),
         "cache-check" => cmd_cache_check(&args[1..]),
-        "bench-gate" => cmd_bench_gate(&args[1..]).map(|()| 0),
         "runs" => cmd_runs(&args[1..]).map(|()| 0),
         "diff" => cmd_diff(&args[1..]),
         other => Err(format!("unknown command `{other}`").into()),
@@ -368,6 +340,23 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// The value after a numeric `--flag`: `None` when the flag is absent,
+/// a typed [`MceError::InvalidArg`] when it is the last argument — a
+/// valueless flag is a mistake, not a request for the default.
+fn raw_value<'a>(
+    args: &'a [String],
+    flag: &'static str,
+    hint: &'static str,
+) -> Result<Option<&'a str>, MceError> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(raw) => Ok(Some(raw)),
+            None => Err(MceError::invalid_arg(flag, "missing value", hint)),
+        },
+    }
 }
 
 /// Parses an optional integer `--flag value`, rejecting non-numeric,
@@ -384,7 +373,7 @@ where
     T: std::str::FromStr + PartialOrd + std::fmt::Display,
     T::Err: std::fmt::Display,
 {
-    let Some(raw) = flag_value(args, flag) else {
+    let Some(raw) = raw_value(args, flag, hint)? else {
         return Ok(None);
     };
     let v: T = raw
@@ -398,6 +387,26 @@ where
         ));
     }
     Ok(Some(v))
+}
+
+/// Parses an optional `--deadline SECS` (positive, finite, fractions
+/// allowed), shared by `explore` and `submit`.
+fn deadline_flag(args: &[String]) -> Result<Option<f64>, MceError> {
+    let hint = "--deadline SECS (positive seconds, fractions allowed)";
+    let Some(raw) = raw_value(args, "--deadline", hint)? else {
+        return Ok(None);
+    };
+    let secs: f64 = raw.parse().map_err(|e| {
+        MceError::invalid_arg("--deadline", format!("`{raw}` is not a number: {e}"), hint)
+    })?;
+    if !secs.is_finite() || secs <= 0.0 {
+        return Err(MceError::invalid_arg(
+            "--deadline",
+            format!("must be a positive number of seconds, got `{raw}`"),
+            hint,
+        ));
+    }
+    Ok(Some(secs))
 }
 
 fn load_workload(args: &[String]) -> Result<Workload, CliError> {
@@ -618,19 +627,7 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     if let Some(n) = numeric_flag::<usize>(args, "--max-archs", 1, "--max-archs N (N >= 1)")? {
         session = session.max_archs(n);
     }
-    if let Some(raw) = flag_value(args, "--deadline") {
-        let hint = "--deadline SECS (positive seconds, fractions allowed)";
-        let secs: f64 = raw.parse().map_err(|e| {
-            MceError::invalid_arg("--deadline", format!("`{raw}` is not a number: {e}"), hint)
-        })?;
-        if !secs.is_finite() || secs <= 0.0 {
-            return Err(MceError::invalid_arg(
-                "--deadline",
-                format!("must be a positive number of seconds, got `{raw}`"),
-                hint,
-            )
-            .into());
-        }
+    if let Some(secs) = deadline_flag(args)? {
         session = session.deadline(Duration::from_secs_f64(secs));
     }
     if let Some(ms) = numeric_flag::<u64>(
@@ -855,24 +852,7 @@ fn cmd_submit(args: &[String]) -> Result<u8, CliError> {
         .or_else(|| flag_value(args, "--scale"))
         .unwrap_or("fast");
     let _: Preset = preset.parse()?; // reject bad presets before the wire
-    let deadline_ms = match flag_value(args, "--deadline") {
-        Some(raw) => {
-            let hint = "--deadline SECS (positive seconds, fractions allowed)";
-            let secs: f64 = raw.parse().map_err(|e| {
-                MceError::invalid_arg("--deadline", format!("`{raw}` is not a number: {e}"), hint)
-            })?;
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err(MceError::invalid_arg(
-                    "--deadline",
-                    format!("must be a positive number of seconds, got `{raw}`"),
-                    hint,
-                )
-                .into());
-            }
-            (secs * 1000.0).ceil() as u64
-        }
-        None => 0,
-    };
+    let deadline_ms = deadline_flag(args)?.map_or(0, |secs| (secs * 1000.0).ceil() as u64);
     let spec = memory_conex::serve::JobSpec {
         workload: w,
         preset: preset.to_owned(),
@@ -1263,119 +1243,6 @@ fn cmd_cache_check(args: &[String]) -> Result<u8, CliError> {
     }
 }
 
-fn cmd_bench_gate(args: &[String]) -> Result<(), CliError> {
-    let baseline_path =
-        flag_value(args, "--baseline").unwrap_or("crates/bench/BENCH_eval.baseline.json");
-    let current_path = flag_value(args, "--current").unwrap_or("BENCH_eval.json");
-    let tolerance: f64 = flag_value(args, "--tolerance").unwrap_or("0.2").parse()?;
-    if !tolerance.is_finite() || tolerance < 0.0 {
-        return Err(format!("--tolerance must be a non-negative number, got {tolerance}").into());
-    }
-    let warn_only = args.iter().any(|a| a == "--warn-only");
-    let enforce_pinned = args.iter().any(|a| a == "--enforce-pinned");
-    // The two fields whose regressions are design-contract violations,
-    // not machine-speed noise; `--enforce-pinned` fails on exactly these
-    // and downgrades everything else to a warning.
-    const PINNED_FIELDS: [&str; 2] = ["block_replay_speedup", "block_replay_cancellable_overhead"];
-    let load = |path: &str| -> Result<obs::json::Value, CliError> {
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read bench summary `{path}`: {e}"))?;
-        obs::json::parse(&body)
-            .map_err(|e| format!("bench summary `{path}` is not valid JSON: {e}").into())
-    };
-    let baseline = load(baseline_path)?;
-    let current = load(current_path)?;
-    // --record appends before the verdict, so regressing runs land in
-    // the trajectory too — those are exactly the ones worth studying
-    // with `mce diff --bench`.
-    if args.iter().any(|a| a == "--record") {
-        use std::io::Write as _;
-        let trajectory = flag_value(args, "--trajectory").unwrap_or("BENCH_trajectory.jsonl");
-        let body = std::fs::read_to_string(current_path)
-            .map_err(|e| format!("cannot read bench summary `{current_path}`: {e}"))?;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(trajectory)
-            .map_err(|e| format!("cannot open trajectory `{trajectory}`: {e}"))?;
-        writeln!(file, "{}", compact_json(&body))
-            .map_err(|e| format!("cannot append to trajectory `{trajectory}`: {e}"))?;
-        eprintln!("recorded {current_path} into {trajectory}");
-    }
-    let checks = report::bench_gate_compare(&baseline, &current, tolerance)?;
-    println!(
-        "bench gate: `{current_path}` vs baseline `{baseline_path}` (tolerance {:.0}%)",
-        tolerance * 100.0
-    );
-    let mut regressed = false;
-    let mut pinned_regressed = false;
-    for c in &checks {
-        regressed |= c.regressed;
-        pinned_regressed |= c.regressed && PINNED_FIELDS.contains(&c.field);
-        println!(
-            "  {:<34} baseline {:>12.3}  current {:>12.3}  ratio {:>5.2}  tol {:>3.0}%  {}",
-            c.field,
-            c.baseline,
-            c.current,
-            c.ratio,
-            c.tolerance * 100.0,
-            if c.regressed { "REGRESSED" } else { "ok" }
-        );
-    }
-    if regressed {
-        // --warn-only never fails; --enforce-pinned fails only when a
-        // pinned contract field regressed; the default fails on any.
-        let fails = if warn_only {
-            false
-        } else if enforce_pinned {
-            pinned_regressed
-        } else {
-            true
-        };
-        if fails {
-            return Err("bench gate: regression beyond tolerance".into());
-        }
-        eprintln!(
-            "bench gate: regression beyond tolerance ({}, not failing)",
-            if warn_only {
-                "--warn-only"
-            } else {
-                "--enforce-pinned: no pinned field regressed"
-            }
-        );
-    } else {
-        println!("bench gate: within tolerance");
-    }
-    Ok(())
-}
-
-/// Compacts a JSON document to one line by stripping whitespace outside
-/// string literals — the trajectory stores one run per line. The input
-/// is already-validated JSON, so no structural checks here.
-fn compact_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in text.chars() {
-        if in_string {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-        } else if c == '"' {
-            in_string = true;
-            out.push(c);
-        } else if !c.is_whitespace() {
-            out.push(c);
-        }
-    }
-    out
-}
-
 fn archive_at(args: &[String]) -> memory_conex::RunArchive {
     memory_conex::RunArchive::open(flag_value(args, "--archive").unwrap_or("target/mce-runs"))
 }
@@ -1466,23 +1333,8 @@ fn resolve_diff_operand(
 /// `mce diff`: structural comparison of two runs — report files,
 /// live-status files, or archived digests. Exits 0 iff the
 /// deterministic sections are byte-identical (wall clock, cache state
-/// and provenance never affect the verdict), 1 when they differ. With
-/// `--bench` it renders the recorded bench trajectory instead.
+/// and provenance never affect the verdict), 1 when they differ.
 fn cmd_diff(args: &[String]) -> Result<u8, CliError> {
-    if args.iter().any(|a| a == "--bench") {
-        let path = args
-            .iter()
-            .position(|a| a == "--bench")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-            .filter(|v| !v.starts_with("--"))
-            .unwrap_or("BENCH_trajectory.jsonl");
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read trajectory `{path}`: {e}"))?;
-        let markdown = memory_conex::diff::render_bench_trajectory(&body)?;
-        emit_diff(args, markdown)?;
-        return Ok(0);
-    }
     let mut operands = args
         .iter()
         .enumerate()
@@ -1602,6 +1454,8 @@ mod tests {
             (&["explore", "vocoder", "--deadline", "NaN"], "--deadline"),
             (&["explore", "vocoder", "--deadline", "inf"], "--deadline"),
             (&["explore", "vocoder", "--deadline", "soon"], "--deadline"),
+            (&["explore", "vocoder", "--deadline"], "--deadline"),
+            (&["explore", "vocoder", "--threads"], "--threads"),
             (
                 &["explore", "vocoder", "--candidate-timeout", "0"],
                 "--candidate-timeout",
@@ -1647,6 +1501,7 @@ mod tests {
             (&["top", "s.json", "--interval", "abc"], "--interval"),
             (&["classify", "vocoder", "--trace", "0"], "--trace"),
             (&["classify", "vocoder", "--trace", "-5"], "--trace"),
+            (&["simulate", "vocoder", "--trace"], "--trace"),
             (&["simulate", "vocoder", "--cache", "-1"], "--cache"),
             (&["simulate", "vocoder", "--cache", "0"], "--cache"),
             (
@@ -1852,95 +1707,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_gate_passes_and_fails_by_tolerance() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let base = dir.join(format!("mce_gate_base_{pid}.json"));
-        let good = dir.join(format!("mce_gate_good_{pid}.json"));
-        let slow = dir.join(format!("mce_gate_slow_{pid}.json"));
-        std::fs::write(
-            &base,
-            "{\"per_access_dispatch_ns\": 100, \"block_replay_ns\": 50, \
-             \"block_replay_speedup\": 2.0, \
-             \"block_replay_cancellable_overhead\": 1.0}",
-        )
-        .unwrap();
-        std::fs::write(
-            &good,
-            "{\"per_access_dispatch_ns\": 105, \"block_replay_ns\": 52, \
-             \"block_replay_speedup\": 2.0, \
-             \"block_replay_cancellable_overhead\": 1.01}",
-        )
-        .unwrap();
-        std::fs::write(
-            &slow,
-            "{\"per_access_dispatch_ns\": 100, \"block_replay_ns\": 65, \
-             \"block_replay_speedup\": 1.5, \
-             \"block_replay_cancellable_overhead\": 1.0}",
-        )
-        .unwrap();
-        let gate = |current: &std::path::Path, extra: &[&str]| {
-            let mut args = vec![
-                "--baseline".to_owned(),
-                base.to_str().unwrap().to_owned(),
-                "--current".to_owned(),
-                current.to_str().unwrap().to_owned(),
-            ];
-            args.extend(extra.iter().map(|x| x.to_string()));
-            cmd_bench_gate(&args)
-        };
-        assert!(gate(&base, &[]).is_ok(), "identical summaries pass");
-        assert!(gate(&good, &[]).is_ok(), "+5% stays within 20% tolerance");
-        let err = gate(&slow, &[]).unwrap_err();
-        assert!(err.to_string().contains("regression"), "{err}");
-        assert!(
-            gate(&slow, &["--warn-only"]).is_ok(),
-            "warn-only never fails"
-        );
-        // --enforce-pinned: a pinned-field regression (the speedup drop
-        // in `slow`) still fails; a wall-time-only regression warns.
-        assert!(
-            gate(&slow, &["--enforce-pinned"]).is_err(),
-            "pinned speedup regression fails under --enforce-pinned"
-        );
-        let dispatch_only = dir.join(format!("mce_gate_dispatch_{pid}.json"));
-        std::fs::write(
-            &dispatch_only,
-            "{\"per_access_dispatch_ns\": 130, \"block_replay_ns\": 50, \
-             \"block_replay_speedup\": 2.0, \
-             \"block_replay_cancellable_overhead\": 1.0}",
-        )
-        .unwrap();
-        assert!(gate(&dispatch_only, &[]).is_err(), "default gate fails it");
-        assert!(
-            gate(&dispatch_only, &["--enforce-pinned"]).is_ok(),
-            "non-pinned regression only warns under --enforce-pinned"
-        );
-        std::fs::remove_file(&dispatch_only).ok();
-        assert!(
-            gate(&good, &["--tolerance", "0.01"]).is_err(),
-            "tight tolerance flags +5%"
-        );
-        let err = gate(&good, &["--tolerance", "-1"]).unwrap_err();
-        assert!(err.to_string().contains("non-negative"), "{err}");
-        std::fs::remove_file(&base).ok();
-        std::fs::remove_file(&good).ok();
-        std::fs::remove_file(&slow).ok();
-    }
-
-    #[test]
     fn classify_and_simulate_run() {
         assert!(cmd_classify(&s(&["vocoder", "--trace", "2000"])).is_ok());
         assert!(cmd_simulate(&s(&["vocoder", "--cache", "2", "--trace", "2000"])).is_ok());
-    }
-
-    #[test]
-    fn compact_json_strips_whitespace_outside_strings_only() {
-        assert_eq!(
-            compact_json("{\n  \"a\": 1,\n  \"b\": \"x y\\\"z \"\n}"),
-            "{\"a\":1,\"b\":\"x y\\\"z \"}"
-        );
-        assert_eq!(compact_json("[1, 2,\t3]"), "[1,2,3]");
     }
 
     fn sample_report_text(enumerated: u64, elapsed: f64) -> String {
@@ -2031,51 +1800,6 @@ mod tests {
         let err = cmd_diff(&with_archive(&[&a])).unwrap_err();
         assert!(err.to_string().contains("exactly two"), "{err}");
 
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bench_record_builds_a_renderable_trajectory() {
-        let dir = std::env::temp_dir().join(format!("mce_cli_traj_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let summary = |per_access: f64| {
-            format!(
-                "{{\"per_access_dispatch_ns\": {per_access}, \"block_replay_ns\": 50, \
-                 \"block_replay_speedup\": 2.0, \
-                 \"block_replay_cancellable_overhead\": 1.0}}"
-            )
-        };
-        let base = dir.join("base.json");
-        let cur = dir.join("cur.json");
-        let traj = dir.join("traj.jsonl");
-        std::fs::write(&base, summary(100.0)).unwrap();
-        std::fs::write(&cur, summary(104.0)).unwrap();
-        let record = |current: &std::path::Path| {
-            cmd_bench_gate(&s(&[
-                "--baseline",
-                base.to_str().unwrap(),
-                "--current",
-                current.to_str().unwrap(),
-                "--record",
-                "--trajectory",
-                traj.to_str().unwrap(),
-            ]))
-        };
-        record(&cur).unwrap();
-        std::fs::write(&cur, summary(108.0)).unwrap();
-        record(&cur).unwrap();
-        let body = std::fs::read_to_string(&traj).unwrap();
-        assert_eq!(body.lines().count(), 2, "{body}");
-        assert!(body.lines().all(|l| l.starts_with('{')), "{body}");
-
-        // `mce diff --bench` renders the series.
-        assert_eq!(
-            cmd_diff(&s(&["--bench", traj.to_str().unwrap()])).unwrap(),
-            0
-        );
-        let err = cmd_diff(&s(&["--bench", "/nonexistent/traj.jsonl"])).unwrap_err();
-        assert!(err.to_string().contains("cannot read trajectory"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

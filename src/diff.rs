@@ -468,72 +468,6 @@ fn diff_live(label_a: &str, doc_a: &Value, label_b: &str, doc_b: &Value) -> Diff
     }
 }
 
-// ---------------------------------------------------------------------------
-// Bench trajectory (`mce diff --bench`)
-// ---------------------------------------------------------------------------
-
-/// Renders a bench trajectory (JSONL of successive `BENCH_eval.json`
-/// snapshots, appended by `mce bench-gate --record`) as a markdown
-/// trend summary: one row per numeric field with a sparkline over the
-/// recorded series and the relative change from first to last entry.
-///
-/// # Errors
-///
-/// [`MceError::Json`] on a malformed line, [`MceError::InvalidInput`]
-/// when the file holds no entries.
-pub fn render_bench_trajectory(jsonl: &str) -> Result<String, MceError> {
-    let mut docs = Vec::new();
-    for (i, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        docs.push(
-            json::parse(line)
-                .map_err(|e| MceError::json(format!("trajectory line {}", i + 1), e.to_string()))?,
-        );
-    }
-    if docs.is_empty() {
-        return Err(MceError::invalid_input(
-            "bench trajectory is empty — record entries with `mce bench-gate --record`",
-        ));
-    }
-    let fields: BTreeSet<&String> = docs
-        .iter()
-        .filter_map(|d| match d {
-            Value::Object(m) => Some(m.keys()),
-            _ => None,
-        })
-        .flatten()
-        .collect();
-    let mut out = format!(
-        "# Bench trajectory\n\n{} recorded run(s).\n\n\
-         | field | first | last | change | trend |\n|---|---|---|---|---|\n",
-        docs.len()
-    );
-    for field in fields {
-        let series: Vec<f64> = docs
-            .iter()
-            .filter_map(|d| d.get(field).and_then(Value::as_f64))
-            .collect();
-        if series.is_empty() {
-            continue;
-        }
-        let (first, last) = (series[0], series[series.len() - 1]);
-        let change = if first.abs() > f64::EPSILON {
-            format!("{:+.1}%", (last - first) / first * 100.0)
-        } else {
-            "—".to_owned()
-        };
-        let scaled: Vec<u64> = series.iter().map(|v| (v * 1000.0) as u64).collect();
-        out.push_str(&format!(
-            "| {field} | {first} | {last} | {change} | {} |\n",
-            crate::live::sparkline(&scaled)
-        ));
-    }
-    out.push('\n');
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,29 +607,5 @@ mod tests {
             "{}",
             out.markdown
         );
-    }
-
-    #[test]
-    fn bench_trajectory_renders_trends() {
-        let jsonl = "{\"per_access_dispatch_ns\": 1000.0, \"block_replay_ns\": 500.0}\n\
-                     {\"per_access_dispatch_ns\": 1100.0, \"block_replay_ns\": 450.0}\n";
-        let md = render_bench_trajectory(jsonl).unwrap();
-        assert!(md.contains("2 recorded run(s)"));
-        assert!(
-            md.contains("| per_access_dispatch_ns | 1000 | 1100 | +10.0% |"),
-            "{md}"
-        );
-        assert!(
-            md.contains("| block_replay_ns | 500 | 450 | -10.0% |"),
-            "{md}"
-        );
-        assert!(matches!(
-            render_bench_trajectory("").unwrap_err(),
-            MceError::InvalidInput { .. }
-        ));
-        assert!(matches!(
-            render_bench_trajectory("garbage\n").unwrap_err(),
-            MceError::Json { .. }
-        ));
     }
 }

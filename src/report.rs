@@ -23,8 +23,8 @@
 //!
 //! The same module renders reports into self-contained markdown/HTML
 //! summaries (tables plus an inline SVG frontier plot — no external
-//! assets) for `mce report`, and implements the tolerance comparison
-//! behind `mce bench-gate`.
+//! assets) for `mce report`. Performance regressions are the `mce-perf`
+//! benchmark's job (`crates/perf`), not the report's.
 
 use mce_apex::ApexConfig;
 use mce_appmodel::Workload;
@@ -1070,91 +1070,6 @@ fn html_inline(text: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Bench gate: BENCH_eval.json regression comparison
-// ---------------------------------------------------------------------------
-
-/// One field's comparison in a bench-gate run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GateCheck {
-    /// The `BENCH_eval.json` field compared.
-    pub field: &'static str,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Freshly measured value.
-    pub current: f64,
-    /// `current / baseline`.
-    pub ratio: f64,
-    /// The tolerance this field was judged against: the caller's value,
-    /// or a per-field pin (the cancellation-check overhead is a design
-    /// contract, fixed at 2% regardless of `--tolerance`).
-    pub tolerance: f64,
-    /// True when the current value is outside the tolerated band in the
-    /// bad direction.
-    pub regressed: bool,
-}
-
-/// Compares a fresh `BENCH_eval.json` against a committed baseline.
-///
-/// Policy: the wall-time fields (`per_access_dispatch_ns`,
-/// `block_replay_ns`) regress when they grow past `baseline × (1 +
-/// tolerance)`; the derived `block_replay_speedup` regresses when it
-/// falls below `baseline × (1 − tolerance)`. The
-/// `block_replay_cancellable_overhead` ratio (cancellation-token replay
-/// time over plain replay time) is pinned at a fixed 2% tolerance —
-/// `--tolerance` does not loosen it — because "the cancellation check is
-/// hot-path free" is a design contract, not a machine-speed question.
-/// Improvements never fail the gate, however large — the gate bounds
-/// regressions, it does not pin performance.
-///
-/// # Errors
-///
-/// Returns a message when either document is missing one of the compared
-/// fields or a baseline value is non-positive (a ratio would be
-/// meaningless).
-pub fn bench_gate_compare(
-    baseline: &Value,
-    current: &Value,
-    tolerance: f64,
-) -> Result<Vec<GateCheck>, String> {
-    let field = |doc: &Value, which: &str, key: &str| {
-        doc.get(key)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("{which} is missing numeric field `{key}`"))
-    };
-    // (field, higher-is-worse, pinned tolerance overriding the caller's)
-    const GATED_FIELDS: [(&str, bool, Option<f64>); 4] = [
-        ("per_access_dispatch_ns", true, None),
-        ("block_replay_ns", true, None),
-        ("block_replay_speedup", false, None),
-        ("block_replay_cancellable_overhead", true, Some(0.02)),
-    ];
-    let mut checks = Vec::new();
-    for (key, higher_is_worse, pinned) in GATED_FIELDS {
-        let b = field(baseline, "baseline", key)?;
-        let c = field(current, "current", key)?;
-        if b <= 0.0 {
-            return Err(format!("baseline `{key}` must be positive, got {b}"));
-        }
-        let tolerance = pinned.unwrap_or(tolerance);
-        let ratio = c / b;
-        let regressed = if higher_is_worse {
-            ratio > 1.0 + tolerance
-        } else {
-            ratio < 1.0 - tolerance
-        };
-        checks.push(GateCheck {
-            field: key,
-            baseline: b,
-            current: c,
-            ratio,
-            tolerance,
-            regressed,
-        });
-    }
-    Ok(checks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1505,82 +1420,5 @@ mod tests {
             !html.contains("http://") || html.contains("xmlns"),
             "no external assets"
         );
-    }
-
-    fn bench_doc_with_overhead(per_access: f64, block: f64, speedup: f64, overhead: f64) -> Value {
-        json::parse(&format!(
-            "{{\"workload\": \"vocoder\", \"trace_len\": 30000, \
-             \"per_access_dispatch_ns\": {per_access}, \"block_replay_ns\": {block}, \
-             \"block_replay_speedup\": {speedup}, \
-             \"block_replay_cancellable_overhead\": {overhead}}}"
-        ))
-        .unwrap()
-    }
-
-    fn bench_doc(per_access: f64, block: f64, speedup: f64) -> Value {
-        bench_doc_with_overhead(per_access, block, speedup, 1.0)
-    }
-
-    #[test]
-    fn bench_gate_passes_identical_and_improved() {
-        let base = bench_doc(1000.0, 500.0, 2.0);
-        let same = bench_gate_compare(&base, &base, 0.2).unwrap();
-        assert!(same.iter().all(|c| !c.regressed), "{same:?}");
-        // Big improvement: faster and higher speedup never regresses.
-        let better = bench_doc(800.0, 200.0, 4.0);
-        let checks = bench_gate_compare(&base, &better, 0.2).unwrap();
-        assert!(checks.iter().all(|c| !c.regressed), "{checks:?}");
-    }
-
-    #[test]
-    fn bench_gate_flags_twenty_percent_regressions() {
-        let base = bench_doc(1000.0, 500.0, 2.0);
-        // +25% block replay time (and the speedup drop it implies):
-        // outside the 20% band. Exactly-at-boundary values pass the gate,
-        // so both injected values sit strictly outside.
-        let slow = bench_doc(1000.0, 625.0, 1.5);
-        let checks = bench_gate_compare(&base, &slow, 0.2).unwrap();
-        let by_field = |f: &str| checks.iter().find(|c| c.field == f).unwrap();
-        assert!(by_field("block_replay_ns").regressed);
-        assert!(by_field("block_replay_speedup").regressed);
-        assert!(!by_field("per_access_dispatch_ns").regressed);
-        // Just inside the band: passes.
-        let ok = bench_gate_compare(&base, &bench_doc(1100.0, 550.0, 2.0), 0.2).unwrap();
-        assert!(ok.iter().all(|c| !c.regressed), "{ok:?}");
-    }
-
-    #[test]
-    fn cancellation_overhead_tolerance_is_pinned_at_two_percent() {
-        let base = bench_doc(1000.0, 500.0, 2.0);
-        // +5% cancellation-check overhead regresses even under the
-        // default 20% tolerance — the 2% pin is not caller-loosenable.
-        let costly = bench_doc_with_overhead(1000.0, 500.0, 2.0, 1.05);
-        let checks = bench_gate_compare(&base, &costly, 0.2).unwrap();
-        let check = checks
-            .iter()
-            .find(|c| c.field == "block_replay_cancellable_overhead")
-            .unwrap();
-        assert!(check.regressed, "{checks:?}");
-        assert_eq!(check.tolerance, 0.02);
-        // Within the pin: passes even when the caller's tolerance is
-        // tighter than 2% (the pin replaces, not caps).
-        let fine = bench_doc_with_overhead(1000.0, 500.0, 2.0, 1.015);
-        let checks = bench_gate_compare(&base, &fine, 0.001).unwrap();
-        let check = checks
-            .iter()
-            .find(|c| c.field == "block_replay_cancellable_overhead")
-            .unwrap();
-        assert!(!check.regressed, "{checks:?}");
-    }
-
-    #[test]
-    fn bench_gate_rejects_malformed_documents() {
-        let base = bench_doc(1000.0, 500.0, 2.0);
-        let missing = json::parse("{\"workload\": \"x\"}").unwrap();
-        let err = bench_gate_compare(&base, &missing, 0.2).unwrap_err();
-        assert!(err.contains("per_access_dispatch_ns"), "{err}");
-        let zero = bench_doc(0.0, 500.0, 2.0);
-        let err = bench_gate_compare(&zero, &base, 0.2).unwrap_err();
-        assert!(err.contains("positive"), "{err}");
     }
 }

@@ -159,17 +159,3 @@ fn live_status_files_diff_like_reports() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn recorded_bench_trajectory_renders_a_series() {
-    let lines = "{\"per_access_dispatch_ns\": 2572000, \"block_replay_ns\": 2100000}\n\
-                 {\"per_access_dispatch_ns\": 2580000, \"block_replay_ns\": 2058000}\n";
-    let md = diff::render_bench_trajectory(lines).expect("trajectory renders");
-    assert!(md.contains("per_access_dispatch_ns"));
-    assert!(md.contains("block_replay_ns"));
-    assert!(md.contains('%'), "change column is a percentage:\n{md}");
-    assert!(
-        diff::render_bench_trajectory("").is_err(),
-        "an empty trajectory is an input error"
-    );
-}
