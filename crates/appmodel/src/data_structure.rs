@@ -71,9 +71,6 @@ impl DataStructure {
         element_size: u64,
         pattern: AccessPattern,
     ) -> Self {
-        assert!(footprint > 0, "footprint must be non-zero");
-        assert!(element_size > 0, "element size must be non-zero");
-        assert!(element_size <= footprint, "element larger than footprint");
         DataStructure {
             name: name.into(),
             footprint,
@@ -82,6 +79,7 @@ impl DataStructure {
             hotness: 1.0,
             write_fraction: 0.2,
         }
+        .checked()
     }
 
     /// Sets the relative share of dynamic accesses this structure receives.
@@ -90,12 +88,8 @@ impl DataStructure {
     ///
     /// Panics if `hotness` is not finite and positive.
     pub fn with_hotness(mut self, hotness: f64) -> Self {
-        assert!(
-            hotness.is_finite() && hotness > 0.0,
-            "hotness must be positive"
-        );
         self.hotness = hotness;
-        self
+        self.checked()
     }
 
     /// Sets the fraction of accesses that are writes, in `[0, 1]`.
@@ -104,12 +98,8 @@ impl DataStructure {
     ///
     /// Panics if `fraction` is outside `[0, 1]`.
     pub fn with_write_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "write fraction must be in [0,1]"
-        );
         self.write_fraction = fraction;
-        self
+        self.checked()
     }
 
     /// The structure's name (for reports).
@@ -140,6 +130,32 @@ impl DataStructure {
     /// Fraction of accesses that are writes.
     pub const fn write_fraction(&self) -> f64 {
         self.write_fraction
+    }
+
+    /// Checks every invariant the constructors assert: a non-empty
+    /// footprint holding at least one non-empty element, a positive
+    /// hotness and a write fraction in `[0, 1]`. Deserialized values
+    /// bypass the constructors, so workload validation re-runs it.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        if self.footprint == 0 {
+            Err("footprint must be non-zero")
+        } else if self.element_size == 0 {
+            Err("element size must be non-zero")
+        } else if self.element_size > self.footprint {
+            Err("element larger than footprint")
+        } else if !(self.hotness.is_finite() && self.hotness > 0.0) {
+            Err("hotness must be positive")
+        } else if !(0.0..=1.0).contains(&self.write_fraction) {
+            Err("write fraction must be in [0,1]")
+        } else {
+            Ok(())
+        }
+    }
+
+    /// `self`, or a panic naming the first violated invariant.
+    fn checked(self) -> Self {
+        self.check().unwrap_or_else(|e| panic!("{e}"));
+        self
     }
 }
 

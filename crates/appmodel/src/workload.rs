@@ -4,6 +4,7 @@ use crate::access::{AccessKind, MemAccess};
 use crate::address::{Addr, AddrRange};
 use crate::data_structure::{DataStructure, DsId};
 use crate::pattern::PatternGen;
+use mce_error::MceError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -38,16 +39,13 @@ impl Phase {
     /// Panics if `accesses` is zero or a multiplier is not finite and
     /// non-negative.
     pub fn new(name: impl Into<String>, accesses: u64, hotness_scale: Vec<f64>) -> Self {
-        assert!(accesses > 0, "phase must span at least one access");
-        assert!(
-            hotness_scale.iter().all(|s| s.is_finite() && *s >= 0.0),
-            "hotness multipliers must be finite and non-negative"
-        );
-        Phase {
+        let phase = Phase {
             name: name.into(),
             accesses,
             hotness_scale,
-        }
+        };
+        phase.check().unwrap_or_else(|e| panic!("{e}"));
+        phase
     }
 
     /// The phase name.
@@ -63,6 +61,21 @@ impl Phase {
     /// The per-structure hotness multipliers.
     pub fn hotness_scale(&self) -> &[f64] {
         &self.hotness_scale
+    }
+
+    /// [`Phase::new`]'s invariant.
+    fn check(&self) -> Result<(), &'static str> {
+        if self.accesses == 0 {
+            Err("phase must span at least one access")
+        } else if !self
+            .hotness_scale
+            .iter()
+            .all(|s| s.is_finite() && *s >= 0.0)
+        {
+            Err("hotness multipliers must be finite and non-negative")
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -158,29 +171,52 @@ impl WorkloadBuilder {
     /// Panics if no data structure was added, or if a phase's multiplier
     /// vector does not match the number of data structures.
     pub fn build(self) -> Workload {
-        assert!(
-            !self.data_structures.is_empty(),
-            "workload needs at least one data structure"
-        );
-        for p in &self.phases {
-            assert_eq!(
-                p.hotness_scale().len(),
-                self.data_structures.len(),
-                "phase {} must scale every data structure",
-                p.name()
-            );
-        }
-        Workload {
+        let workload = Workload {
             name: self.name,
             data_structures: self.data_structures,
             seed: self.seed,
             compute_gap: self.compute_gap,
             phases: self.phases,
-        }
+        };
+        workload.validate().unwrap_or_else(|e| panic!("{e}"));
+        workload
     }
 }
 
 impl Workload {
+    /// Checks every invariant the constructors assert —
+    /// [`DataStructure::new`], [`DataStructure::with_hotness`],
+    /// [`DataStructure::with_write_fraction`], [`Phase::new`] and
+    /// [`WorkloadBuilder::build`] — for a workload that bypassed them,
+    /// such as one deserialized from a workload file.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MceError::InvalidInput`] naming the first violated
+    /// invariant.
+    pub fn validate(&self) -> Result<(), MceError> {
+        let fail =
+            |what: String| MceError::invalid_input(format!("workload `{}`: {what}", self.name));
+        if self.data_structures.is_empty() {
+            return Err(fail("needs at least one data structure".to_owned()));
+        }
+        for (i, ds) in self.data_structures.iter().enumerate() {
+            ds.check()
+                .map_err(|e| fail(format!("data structure {i} (`{}`): {e}", ds.name())))?;
+        }
+        for p in &self.phases {
+            p.check()
+                .map_err(|e| fail(format!("phase `{}`: {e}", p.name)))?;
+            if p.hotness_scale.len() != self.data_structures.len() {
+                return Err(fail(format!(
+                    "phase `{}` must scale every data structure",
+                    p.name
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// The workload's name.
     pub fn name(&self) -> &str {
         &self.name

@@ -2,12 +2,12 @@
 //! benchmark.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mce_apex::{ApexConfig, CandidateConfig};
+use mce_apex::{ApexConfig, ApexExplorer, CandidateConfig};
 use mce_appmodel::benchmarks;
-use mce_conex::{ConexConfig, MemorEx};
+use mce_conex::{ConexConfig, ConexExplorer};
 use mce_sim::Preset;
 
-fn pipeline() -> MemorEx {
+fn pipeline() -> (ApexExplorer, ConexExplorer) {
     let apex = ApexConfig {
         trace_len: 5_000,
         candidates: CandidateConfig {
@@ -21,7 +21,7 @@ fn pipeline() -> MemorEx {
     let mut conex = ConexConfig::preset(Preset::Fast);
     conex.trace_len = 5_000;
     conex.max_allocations_per_level = 16;
-    MemorEx::new(apex, conex)
+    (ApexExplorer::new(apex), ConexExplorer::new(conex))
 }
 
 fn table1_designs(c: &mut Criterion) {
@@ -29,8 +29,8 @@ fn table1_designs(c: &mut Criterion) {
     group.sample_size(10);
     for w in benchmarks::all() {
         group.bench_function(w.name(), |b| {
-            let memorex = pipeline();
-            b.iter(|| memorex.run(&w));
+            let (apex, conex) = pipeline();
+            b.iter(|| conex.explore(&w, apex.explore(&w).selected()));
         });
     }
     group.finish();

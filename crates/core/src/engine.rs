@@ -21,10 +21,9 @@
 //!
 //! Determinism: cache probes, coalescing and cache population all run
 //! serially on the calling thread; only the unique simulations fan out
-//! through [`par_map_named`](crate::par::par_map_named), whose output
-//! is order-preserving. Results
-//! are therefore bit-identical with the cache on or off and for any
-//! thread count — the cache only removes redundant work, it never
+//! through [`try_par_map_named`], whose output is order-preserving.
+//! Results are therefore bit-identical with the cache on or off and for
+//! any thread count — the cache only removes redundant work, it never
 //! reorders floating-point accumulation within an evaluation.
 
 use crate::design_point::{
@@ -177,31 +176,12 @@ impl EvalEngine {
     }
 
     /// Phase-I estimation of a batch of connectivity candidates for one
-    /// memory architecture.
+    /// memory architecture, under the engine's [`Bounds`].
     ///
-    /// The result is index-aligned with `candidates`; `None` marks an
+    /// The output is index-aligned with `candidates`; `None` marks an
     /// infeasible pairing. Equivalent to calling
     /// [`estimate_candidate`](crate::estimate::estimate_candidate) per
     /// candidate — bit-identically, minus the redundant simulations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MceError::WorkerPanic`] when an evaluation panics twice
-    /// (parallel pass and serial retry) — see
-    /// [`try_par_map_named`].
-    pub fn estimate_batch(
-        &self,
-        mem: &MemoryArchitecture,
-        candidates: Vec<ConnectivityArchitecture>,
-        trace_len: usize,
-        sampling: SamplingConfig,
-        threads: usize,
-    ) -> Result<Vec<Option<DesignPoint>>, MceError> {
-        let batch = self.estimate_batch_bounded(mem, candidates, trace_len, sampling, threads)?;
-        expect_complete(batch)
-    }
-
-    /// [`EvalEngine::estimate_batch`] under the engine's [`Bounds`].
     ///
     /// A batch cut short by the logical budget or the cancel token comes
     /// back with an empty output and the corresponding
@@ -301,7 +281,9 @@ impl EvalEngine {
     /// # Errors
     ///
     /// Returns [`MceError::WorkerPanic`] when an evaluation panics twice
-    /// (parallel pass and serial retry).
+    /// (parallel pass and serial retry), and [`MceError::InvalidInput`]
+    /// when the engine's bounds cut the batch short — a truncation only
+    /// [`EvalEngine::refine_batch_bounded`] can express.
     pub fn refine_batch(
         &self,
         points: &[DesignPoint],
@@ -309,7 +291,12 @@ impl EvalEngine {
         threads: usize,
     ) -> Result<Vec<DesignPoint>, MceError> {
         let batch = self.refine_batch_bounded(points, trace_len, threads)?;
-        expect_complete(batch)
+        match batch.status {
+            BatchStatus::Complete => Ok(batch.output),
+            status => Err(MceError::invalid_input(format!(
+                "batch truncated ({status:?}) under active bounds — use the *_bounded API"
+            ))),
+        }
     }
 
     /// [`EvalEngine::refine_batch`] under the engine's [`Bounds`].
@@ -537,17 +524,6 @@ impl EvalEngine {
     }
 }
 
-/// Unwraps a bounded batch for the unbounded entry points, which cannot
-/// express truncation.
-fn expect_complete<T>(batch: BoundedBatch<T>) -> Result<Vec<T>, MceError> {
-    match batch.status {
-        BatchStatus::Complete => Ok(batch.output),
-        status => Err(MceError::invalid_input(format!(
-            "batch truncated ({status:?}) under active bounds — use the *_bounded API"
-        ))),
-    }
-}
-
 impl std::fmt::Debug for EvalEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalEngine")
@@ -591,8 +567,9 @@ mod tests {
         let engine = EvalEngine::new(&w, N);
         let sampling = SamplingConfig::paper();
         let batch = engine
-            .estimate_batch(&mem, cands.clone(), N, sampling, 2)
-            .unwrap();
+            .estimate_batch_bounded(&mem, cands.clone(), N, sampling, 2)
+            .unwrap()
+            .output;
         assert_eq!(batch.len(), cands.len());
         for (conn, got) in cands.into_iter().zip(batch) {
             let expect = estimate_candidate(&w, &mem, conn, N, sampling);
@@ -614,8 +591,9 @@ mod tests {
         let engine = EvalEngine::new(&w, N);
         let sampling = SamplingConfig::paper();
         let points: Vec<DesignPoint> = engine
-            .estimate_batch(&mem, candidates(&w, &mem), N, sampling, 0)
+            .estimate_batch_bounded(&mem, candidates(&w, &mem), N, sampling, 0)
             .unwrap()
+            .output
             .into_iter()
             .flatten()
             .take(4)
@@ -637,13 +615,18 @@ mod tests {
         let plain = EvalEngine::new(&w, N);
         let cached = plain.clone().with_cache(Arc::new(EvalCache::new()));
         let a = plain
-            .estimate_batch(&mem, cands.clone(), N, sampling, 0)
-            .unwrap();
+            .estimate_batch_bounded(&mem, cands.clone(), N, sampling, 0)
+            .unwrap()
+            .output;
         // Run the cached engine twice: the second pass answers from cache.
         let b1 = cached
-            .estimate_batch(&mem, cands.clone(), N, sampling, 0)
-            .unwrap();
-        let b2 = cached.estimate_batch(&mem, cands, N, sampling, 3).unwrap();
+            .estimate_batch_bounded(&mem, cands.clone(), N, sampling, 0)
+            .unwrap()
+            .output;
+        let b2 = cached
+            .estimate_batch_bounded(&mem, cands, N, sampling, 3)
+            .unwrap()
+            .output;
         let stats = cached.cache().unwrap().stats();
         assert!(stats.hits > 0, "second pass must hit: {stats:?}");
         for ((pa, pb1), pb2) in a.iter().zip(&b1).zip(&b2) {
@@ -660,16 +643,18 @@ mod tests {
         let cands = candidates(&w, &mem);
         let sampling = SamplingConfig::paper();
         let reference: Vec<Option<Metrics>> = EvalEngine::new(&w, N)
-            .estimate_batch(&mem, cands.clone(), N, sampling, 1)
+            .estimate_batch_bounded(&mem, cands.clone(), N, sampling, 1)
             .unwrap()
+            .output
             .into_iter()
             .map(|p| p.map(|p| p.metrics))
             .collect();
         for threads in [2, 5, 0] {
             let engine = EvalEngine::new(&w, N).with_cache(Arc::new(EvalCache::new()));
             let got: Vec<Option<Metrics>> = engine
-                .estimate_batch(&mem, cands.clone(), N, sampling, threads)
+                .estimate_batch_bounded(&mem, cands.clone(), N, sampling, threads)
                 .unwrap()
+                .output
                 .into_iter()
                 .map(|p| p.map(|p| p.metrics))
                 .collect();
@@ -686,8 +671,9 @@ mod tests {
         cands.push(dup);
         let engine = EvalEngine::new(&w, N).with_cache(Arc::new(EvalCache::new()));
         let batch = engine
-            .estimate_batch(&mem, cands, N, SamplingConfig::paper(), 0)
-            .unwrap();
+            .estimate_batch_bounded(&mem, cands, N, SamplingConfig::paper(), 0)
+            .unwrap()
+            .output;
         let first = batch.first().unwrap().as_ref().unwrap();
         let last = batch.last().unwrap().as_ref().unwrap();
         assert_eq!(first.metrics, last.metrics);
@@ -705,8 +691,9 @@ mod tests {
         let cands = candidates(&w, &mem);
         let sampling = SamplingConfig::paper();
         let plain = EvalEngine::new(&w, N)
-            .estimate_batch(&mem, cands.clone(), N, sampling, 0)
-            .unwrap();
+            .estimate_batch_bounded(&mem, cands.clone(), N, sampling, 0)
+            .unwrap()
+            .output;
         let bounds = Bounds {
             budget: Some(Arc::new(EvalBudget::limited(1_000_000))),
             ..Bounds::none()
@@ -770,14 +757,12 @@ mod tests {
             ..Bounds::none()
         });
         let batch = engine
-            .estimate_batch_bounded(&mem, cands.clone(), N, SamplingConfig::paper(), 0)
+            .estimate_batch_bounded(&mem, cands, N, SamplingConfig::paper(), 0)
             .unwrap();
         assert_eq!(batch.status, BatchStatus::Cancelled);
         assert!(batch.output.is_empty());
         // The unbounded entry point cannot express the truncation.
-        let err = engine
-            .estimate_batch(&mem, cands, N, SamplingConfig::paper(), 0)
-            .unwrap_err();
+        let err = engine.refine_batch(&[], N, 0).unwrap_err();
         assert!(matches!(err, MceError::InvalidInput { .. }), "{err}");
     }
 
@@ -789,8 +774,9 @@ mod tests {
         let mem = MemoryArchitecture::cache_only(&w, CacheConfig::kilobytes(4));
         let engine = EvalEngine::new(&w, N);
         let points: Vec<DesignPoint> = engine
-            .estimate_batch(&mem, candidates(&w, &mem), N, SamplingConfig::paper(), 0)
+            .estimate_batch_bounded(&mem, candidates(&w, &mem), N, SamplingConfig::paper(), 0)
             .unwrap()
+            .output
             .into_iter()
             .flatten()
             .take(3)
@@ -821,8 +807,9 @@ mod tests {
         let engine = EvalEngine::new(&w, N).with_cache(Arc::new(EvalCache::new()));
         let sampling = SamplingConfig::paper();
         let est: Vec<DesignPoint> = engine
-            .estimate_batch(&mem, cands, N, sampling, 0)
+            .estimate_batch_bounded(&mem, cands, N, sampling, 0)
             .unwrap()
+            .output
             .into_iter()
             .flatten()
             .collect();

@@ -416,7 +416,7 @@ impl ConexExplorer {
     /// feasible connectivity architecture for one memory architecture.
     ///
     /// Compiles a fresh evaluation engine (no cache) for the call; use
-    /// [`ConexExplorer::connectivity_exploration_with`] to share one
+    /// [`ConexExplorer::connectivity_exploration_bounded`] to share one
     /// engine — and its compiled trace and memoization cache — across
     /// calls.
     ///
@@ -432,37 +432,12 @@ impl ConexExplorer {
         mem: &MemoryArchitecture,
     ) -> Result<Vec<DesignPoint>, MceError> {
         let engine = EvalEngine::new(workload, self.config.trace_len);
-        self.connectivity_exploration_with(&engine, mem)
-    }
-
-    /// [`ConexExplorer::connectivity_exploration`] on a shared evaluation
-    /// engine.
-    ///
-    /// The engine must be built for the explored workload with a compiled
-    /// length of at least [`ConexConfig::trace_len`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MceError::WorkerPanic`] when an evaluation panics twice
-    /// (parallel pass and serial retry).
-    pub fn connectivity_exploration_with(
-        &self,
-        engine: &EvalEngine,
-        mem: &MemoryArchitecture,
-    ) -> Result<Vec<DesignPoint>, MceError> {
-        let batch = self.connectivity_exploration_bounded(engine, mem)?;
-        if batch.status != BatchStatus::Complete {
-            return Err(MceError::invalid_input(format!(
-                "connectivity exploration truncated ({:?}) under active bounds — \
-                 use `connectivity_exploration_bounded`",
-                batch.status
-            )));
-        }
+        let batch = self.connectivity_exploration_bounded(&engine, mem)?;
         Ok(batch.output.into_iter().flatten().collect())
     }
 
-    /// [`ConexExplorer::connectivity_exploration_with`] under the
-    /// engine's [`Bounds`](mce_budget::Bounds).
+    /// [`ConexExplorer::connectivity_exploration`] on a shared evaluation
+    /// engine, under the engine's [`Bounds`](mce_budget::Bounds).
     ///
     /// The output is index-aligned with the architecture's enumerated
     /// candidates; `None` marks an infeasible pairing or a candidate
@@ -632,8 +607,8 @@ impl ConexExplorer {
     /// The full two-phase `Algorithm ConEx`.
     ///
     /// Compiles a fresh evaluation engine (no cache) for the run; use
-    /// [`ConexExplorer::explore_with_engine`] to reuse an engine's
-    /// compiled trace and memoization cache across runs.
+    /// [`ConexExplorer::explore_with_engine_resumable`] to reuse an
+    /// engine's compiled trace and memoization cache across runs.
     ///
     /// # Errors
     ///
@@ -645,24 +620,7 @@ impl ConexExplorer {
         mem_archs: Vec<MemoryArchitecture>,
     ) -> Result<ConexResult, MceError> {
         let engine = EvalEngine::new(workload, self.config.trace_len);
-        self.explore_with_engine(&engine, mem_archs)
-    }
-
-    /// The full two-phase `Algorithm ConEx` on a shared evaluation engine.
-    ///
-    /// The engine must be built for the explored workload with a compiled
-    /// length of at least [`ConexConfig::trace_len`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MceError::WorkerPanic`] when an evaluation panics twice
-    /// (parallel pass and serial retry).
-    pub fn explore_with_engine(
-        &self,
-        engine: &EvalEngine,
-        mem_archs: Vec<MemoryArchitecture>,
-    ) -> Result<ConexResult, MceError> {
-        self.explore_with_engine_resumable(engine, mem_archs, Phase1State::default(), &mut |_| {
+        self.explore_with_engine_resumable(&engine, mem_archs, Phase1State::default(), &mut |_| {
             Ok(())
         })
     }
@@ -766,25 +724,12 @@ impl ConexExplorer {
     /// checkpointed values (see
     /// [`counter_restore`](mce_obs::counter_restore)).
     ///
-    /// # Errors
-    ///
-    /// Returns [`MceError::Checkpoint`] when `upto` exceeds
-    /// `mem_archs.len()`, and propagates evaluation errors.
-    pub fn phase1_partial(
-        &self,
-        engine: &EvalEngine,
-        mem_archs: &[MemoryArchitecture],
-        upto: usize,
-    ) -> Result<Phase1State, MceError> {
-        self.phase1_partial_with(engine, mem_archs, upto, &mut |_| Ok(()))
-    }
-
-    /// [`ConexExplorer::phase1_partial`] with an observer run on the
-    /// accumulated state after each replayed architecture — the same
-    /// boundary `explore_with_engine_resumable` hands to its checkpoint
-    /// hook. A caller timing or inspecting the replay per architecture
-    /// hooks in here; like the plain replay it never emits logical
-    /// time-series marks. An error from the observer aborts the replay.
+    /// `after_arch` runs on the accumulated state after each replayed
+    /// architecture — the same boundary `explore_with_engine_resumable`
+    /// hands to its checkpoint hook. A caller timing or inspecting the
+    /// replay per architecture hooks in here; pass `&mut |_| Ok(())` for
+    /// a plain replay. The replay never emits logical time-series marks.
+    /// An error from the observer aborts the replay.
     ///
     /// # Errors
     ///
@@ -822,8 +767,11 @@ impl ConexExplorer {
         Ok(state)
     }
 
-    /// [`ConexExplorer::explore_with_engine`], resumable at memory-
-    /// architecture granularity.
+    /// The full two-phase `Algorithm ConEx` on a shared evaluation engine,
+    /// resumable at memory-architecture granularity.
+    ///
+    /// The engine must be built for the explored workload with a compiled
+    /// length of at least [`ConexConfig::trace_len`].
     ///
     /// Phase I starts from `state` — [`Phase1State::default`] for a fresh
     /// run, or a state previously observed by `after_arch` to resume one —
@@ -896,8 +844,9 @@ impl ConexExplorer {
                         // time-series marks fire here (and only here), so
                         // the logical channel is byte-identical across
                         // thread counts. Checkpoint replay goes through
-                        // `phase1_partial`, which never marks — a resumed
-                        // run's series continues from the resume point.
+                        // `phase1_partial_with`, which never marks — a
+                        // resumed run's series continues from the resume
+                        // point.
                         obs::timeseries::logical_mark(state.archs_done as u64);
                         after_arch(&state)?
                     }
@@ -1311,7 +1260,12 @@ mod tests {
         let explorer = ConexExplorer::new(ConexConfig::preset(Preset::Fast));
         let engine = EvalEngine::new(&w, explorer.config().trace_len);
         let clean = explorer
-            .explore_with_engine(&engine, archs.clone())
+            .explore_with_engine_resumable(
+                &engine,
+                archs.clone(),
+                Phase1State::default(),
+                &mut |_| Ok(()),
+            )
             .unwrap();
         // Capture the state after the first architecture, then restart the
         // run from that state, as a resume after a crash would.
@@ -1331,7 +1285,9 @@ mod tests {
             .unwrap();
         let saved = saved.unwrap();
         // Replay reconstructs the same state from nothing but the count.
-        let replayed = explorer.phase1_partial(&engine, &archs, 1).unwrap();
+        let replayed = explorer
+            .phase1_partial_with(&engine, &archs, 1, &mut |_| Ok(()))
+            .unwrap();
         assert_eq!(replayed, saved);
         let resumed = explorer
             .explore_with_engine_resumable(&engine, archs, saved, &mut |_| Ok(()))
@@ -1410,7 +1366,10 @@ mod tests {
             })
             .unwrap();
         assert_eq!(seen, vec![1, 2]);
-        assert_eq!(state, explorer.phase1_partial(&engine, &archs, 2).unwrap());
+        let plain = explorer
+            .phase1_partial_with(&engine, &archs, 2, &mut |_| Ok(()))
+            .unwrap();
+        assert_eq!(state, plain);
     }
 
     #[test]
@@ -1419,7 +1378,7 @@ mod tests {
         let explorer = ConexExplorer::new(ConexConfig::preset(Preset::Fast));
         let engine = EvalEngine::new(&w, explorer.config().trace_len);
         let err = explorer
-            .phase1_partial(&engine, &one_arch(&w), 2)
+            .phase1_partial_with(&engine, &one_arch(&w), 2, &mut |_| Ok(()))
             .unwrap_err();
         assert!(matches!(err, MceError::Checkpoint { .. }), "{err}");
     }

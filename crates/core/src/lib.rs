@@ -26,9 +26,9 @@
 //! or performance-constrained) is in [`scenario`].
 //!
 //! The [`pareto`] module carries the dominance/coverage machinery,
-//! including the coverage-vs-full-search metrics of the paper's Table 2;
-//! [`memorex`] wires APEX and ConEx into the end-to-end MemorEx flow of
-//! Figure 1.
+//! including the coverage-vs-full-search metrics of the paper's Table 2.
+//! The end-to-end MemorEx flow of Figure 1 (APEX → ConEx over one shared
+//! trace and cache) is `ExplorationSession` in the `memory-conex` facade.
 //!
 //! ## Example
 //!
@@ -57,7 +57,6 @@ pub mod engine;
 pub mod estimate;
 pub mod eval_cache;
 pub mod explore;
-pub mod memorex;
 pub mod par;
 pub mod pareto;
 pub mod reconfig;
@@ -73,7 +72,6 @@ pub use explore::{
     ArchProvenance, ConexConfig, ConexExplorer, ConexResult, DegradedEval, ExplorationStrategy,
     FrontierSnapshot, Phase1State, PointProvenance,
 };
-pub use memorex::{MemorEx, MemorExResult};
 pub use pareto::{hypervolume_proxy, Axis, CoverageReport, ParetoFront};
 pub use reconfig::{PhaseChoice, ReconfigReport};
 pub use scenario::Scenario;

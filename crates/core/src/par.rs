@@ -29,35 +29,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Maps `f` over `items` using up to `threads` OS threads (0 = one per
-/// available core), returning outputs in input order.
-///
-/// The output equals the serial `items.iter().map(f).collect()`; only the
-/// wall-clock time differs.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_named("par_map", items, threads, f)
-}
-
-/// [`try_par_map_named`] for callers that treat a twice-failed item as
-/// fatal: panics with the [`MceError::WorkerPanic`] message instead of
-/// returning it.
-pub fn par_map_named<T, R, F>(name: &'static str, items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    match try_par_map_named(name, items, threads, f) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Per-worker execution record, gathered while the scope runs and emitted
 /// as worker-lane events only after all workers have joined, so lane
 /// events always appear in worker order.
@@ -80,11 +51,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// [`par_map`] with a region name for observability and panic isolation:
-/// when a `mce-obs` sink is installed, the region emits rate-limited
-/// progress ticks and one worker-lane span per thread (lanes are 1-based;
-/// the serial fallback emits progress only). When tracing is disabled the
-/// extra cost is one relaxed atomic load up front.
+/// Maps `f` over `items` using up to `threads` OS threads (0 = one per
+/// available core), returning outputs in input order — equal to the
+/// serial `items.iter().map(f).collect()`; only the wall-clock time
+/// differs.
+///
+/// `name` labels the region for observability: when a `mce-obs` sink is
+/// installed, the region emits rate-limited progress ticks and one
+/// worker-lane span per thread (lanes are 1-based; the serial fallback
+/// emits progress only). When tracing is disabled the extra cost is one
+/// relaxed atomic load up front.
 ///
 /// Worker panics are caught per item; see the [module docs](self) for the
 /// retry and degradation semantics.
@@ -360,7 +336,7 @@ mod tests {
     #[test]
     fn preserves_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = par_map(&items, 8, |x| x * 2);
+        let out = try_par_map_named("test", &items, 8, |x| x * 2).unwrap();
         let expect: Vec<u64> = items.iter().map(|x| x * 2).collect();
         assert_eq!(out, expect);
     }
@@ -368,34 +344,46 @@ mod tests {
     #[test]
     fn serial_fallback_matches() {
         let items: Vec<u64> = (0..50).collect();
-        assert_eq!(par_map(&items, 1, |x| x + 1), par_map(&items, 4, |x| x + 1));
+        assert_eq!(
+            try_par_map_named("test", &items, 1, |x| x + 1).unwrap(),
+            try_par_map_named("test", &items, 4, |x| x + 1).unwrap()
+        );
     }
 
     #[test]
     fn every_item_processed_exactly_once() {
         let counter = AtomicU32::new(0);
         let items: Vec<u32> = (0..500).collect();
-        let _ = par_map(&items, 6, |_| counter.fetch_add(1, Ordering::Relaxed));
+        try_par_map_named("test", &items, 6, |_| {
+            counter.fetch_add(1, Ordering::Relaxed)
+        })
+        .unwrap();
         assert_eq!(counter.load(Ordering::Relaxed), 500);
     }
 
     #[test]
     fn empty_and_singleton() {
         let empty: Vec<u32> = vec![];
-        assert!(par_map(&empty, 4, |x| *x).is_empty());
-        assert_eq!(par_map(&[7u32], 4, |x| *x), vec![7]);
+        assert!(try_par_map_named("test", &empty, 4, |x| *x)
+            .unwrap()
+            .is_empty());
+        assert_eq!(
+            try_par_map_named("test", &[7u32], 4, |x| *x).unwrap(),
+            vec![7]
+        );
     }
 
     #[test]
     fn uneven_work_is_balanced() {
         // Items with wildly different cost still produce ordered output.
         let items: Vec<u64> = (0..64).collect();
-        let out = par_map(&items, 4, |&x| {
+        let out = try_par_map_named("test", &items, 4, |&x| {
             if x % 7 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             x
-        });
+        })
+        .unwrap();
         assert_eq!(out, items);
     }
 
@@ -406,7 +394,7 @@ mod tests {
         let sink = std::sync::Arc::new(mce_obs::MemorySink::new());
         mce_obs::install(sink.clone());
         let items: Vec<u64> = (0..200).collect();
-        let out = par_map_named("test.region", &items, 4, |x| x + 1);
+        let out = try_par_map_named("test.region", &items, 4, |x| x + 1).unwrap();
         mce_obs::uninstall();
         let expect: Vec<u64> = items.iter().map(|x| x + 1).collect();
         assert_eq!(out, expect);
@@ -500,20 +488,5 @@ mod tests {
         for a in &attempts {
             assert_eq!(a.load(Ordering::SeqCst), 2, "exactly one retry per item");
         }
-    }
-
-    #[test]
-    fn par_map_named_panics_on_twice_failed_items() {
-        let result = std::panic::catch_unwind(|| {
-            par_map_named("test.fatal", &[1u32, 2, 3], 2, |&x| {
-                if x == 2 {
-                    panic!("unrecoverable");
-                }
-                x
-            })
-        });
-        let msg = panic_message(result.unwrap_err().as_ref());
-        assert!(msg.contains("test.fatal"), "{msg}");
-        assert!(msg.contains("unrecoverable"), "{msg}");
     }
 }

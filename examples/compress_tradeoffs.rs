@@ -7,15 +7,15 @@
 //! ```
 
 use memory_conex::appmodel::benchmarks;
-use memory_conex::conex::MemorEx;
 use memory_conex::prelude::*;
 
 fn main() {
     let workload = benchmarks::compress();
     println!("{workload}");
 
-    let result = MemorEx::preset(Preset::Fast)
-        .run(&workload)
+    let result = ExplorationSession::new(workload)
+        .preset(Preset::Fast)
+        .run()
         .expect("exploration runs");
 
     // Figure 6-style analysis: the labelled cost/performance pareto.

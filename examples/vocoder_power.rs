@@ -7,13 +7,13 @@
 //! ```
 
 use memory_conex::appmodel::benchmarks;
-use memory_conex::conex::MemorEx;
 use memory_conex::prelude::*;
 
 fn main() {
     let workload = benchmarks::vocoder();
-    let result = MemorEx::preset(Preset::Fast)
-        .run(&workload)
+    let result = ExplorationSession::new(workload.clone())
+        .preset(Preset::Fast)
+        .run()
         .expect("exploration runs");
 
     // The unconstrained cost/performance view first.

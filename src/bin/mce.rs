@@ -49,7 +49,13 @@
 //! ```
 //!
 //! `<workload>` is either a built-in name (`compress`, `li`, `vocoder`,
-//! `mix`) or a path to a workload JSON file (see `mce template`).
+//! `mix`) or a path to a workload JSON file (see `mce template`). A
+//! workload file is checked against every invariant the workload
+//! constructors enforce before it is used.
+//!
+//! Every command rejects an unknown `--flag`, and a value-taking flag
+//! whose value is missing or itself a `--flag`, with a typed `invalid
+//! argument` error and exit code 1.
 //!
 //! `--eval-cache FILE` persists the candidate-evaluation cache across runs:
 //! loaded before exploring (a missing file is a cold start) and saved back
@@ -316,8 +322,8 @@ type CliError = Box<dyn std::error::Error>;
 fn run(args: &[String]) -> Result<u8, CliError> {
     let cmd = args.first().ok_or("missing command")?;
     match cmd.as_str() {
-        "benchmarks" => cmd_benchmarks().map(|()| 0),
-        "template" => cmd_template().map(|()| 0),
+        "benchmarks" => cmd_benchmarks(&args[1..]).map(|()| 0),
+        "template" => cmd_template(&args[1..]).map(|()| 0),
         "classify" => cmd_classify(&args[1..]).map(|()| 0),
         "simulate" => cmd_simulate(&args[1..]).map(|()| 0),
         "explore" => cmd_explore(&args[1..]).map(|()| 0),
@@ -334,29 +340,52 @@ fn run(args: &[String]) -> Result<u8, CliError> {
     }
 }
 
-/// Parses `--flag value` pairs after the positional workload argument.
+/// Checks `args` against `flags` — the flags `mce <cmd>` accepts, in
+/// usage form (`[--out FILE] [--html]`: a metavariable marks a
+/// value-taking flag) — and returns the positional operands, in order.
+/// An unknown `--flag`, or a value-taking flag whose value is missing or
+/// itself flag-shaped, is a typed [`MceError::InvalidArg`]: a mistyped
+/// or valueless flag never silently falls back to the default.
+fn check_flags<'a>(cmd: &str, args: &'a [String], flags: &str) -> Result<Vec<&'a str>, MceError> {
+    let mut operands = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            operands.push(arg.as_str());
+            continue;
+        }
+        let meta = flags
+            .split('[')
+            .filter_map(|f| f.trim().strip_suffix(']'))
+            .find_map(|f| match f.split_once(' ') {
+                Some((name, meta)) => (name == arg).then_some(Some(meta)),
+                None => (f == arg).then_some(None),
+            })
+            .ok_or_else(|| {
+                let hint = format!("mce {cmd} {flags}");
+                MceError::invalid_arg(arg, format!("unknown {cmd} flag"), hint.trim_end())
+            })?;
+        if let Some(meta) = meta {
+            if rest.next().is_none_or(|v| v.starts_with("--")) {
+                let hint = format!("{arg} {meta}");
+                return Err(MceError::invalid_arg(
+                    arg,
+                    format!("needs a {meta} argument"),
+                    hint,
+                ));
+            }
+        }
+    }
+    Ok(operands)
+}
+
+/// The value of `--flag`, if present. Call after [`check_flags`], which
+/// guarantees every value-taking flag carries a value.
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
-}
-
-/// The value after a numeric `--flag`: `None` when the flag is absent,
-/// a typed [`MceError::InvalidArg`] when it is the last argument — a
-/// valueless flag is a mistake, not a request for the default.
-fn raw_value<'a>(
-    args: &'a [String],
-    flag: &'static str,
-    hint: &'static str,
-) -> Result<Option<&'a str>, MceError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(raw) => Ok(Some(raw)),
-            None => Err(MceError::invalid_arg(flag, "missing value", hint)),
-        },
-    }
 }
 
 /// Parses an optional integer `--flag value`, rejecting non-numeric,
@@ -373,7 +402,7 @@ where
     T: std::str::FromStr + PartialOrd + std::fmt::Display,
     T::Err: std::fmt::Display,
 {
-    let Some(raw) = raw_value(args, flag, hint)? else {
+    let Some(raw) = flag_value(args, flag) else {
         return Ok(None);
     };
     let v: T = raw
@@ -393,7 +422,7 @@ where
 /// allowed), shared by `explore` and `submit`.
 fn deadline_flag(args: &[String]) -> Result<Option<f64>, MceError> {
     let hint = "--deadline SECS (positive seconds, fractions allowed)";
-    let Some(raw) = raw_value(args, "--deadline", hint)? else {
+    let Some(raw) = flag_value(args, "--deadline") else {
         return Ok(None);
     };
     let secs: f64 = raw.parse().map_err(|e| {
@@ -423,12 +452,15 @@ fn load_workload(args: &[String]) -> Result<Workload, CliError> {
                 .map_err(|e| format!("cannot read workload file `{path}`: {e}"))?;
             let w: Workload = serde_json::from_str(&body)
                 .map_err(|e| format!("invalid workload JSON in `{path}`: {e}"))?;
+            // Deserialization bypasses the constructors' checks.
+            w.validate()?;
             Ok(w)
         }
     }
 }
 
-fn cmd_benchmarks() -> Result<(), CliError> {
+fn cmd_benchmarks(args: &[String]) -> Result<(), CliError> {
+    check_flags("benchmarks", args, "")?;
     for w in benchmarks::all().into_iter().chain(benchmarks::extended()) {
         println!("{w}");
     }
@@ -436,7 +468,8 @@ fn cmd_benchmarks() -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_template() -> Result<(), CliError> {
+fn cmd_template(args: &[String]) -> Result<(), CliError> {
+    check_flags("template", args, "")?;
     // A small but representative workload the user can edit.
     let template = WorkloadBuilder::new("my_app")
         .data_structure(
@@ -468,6 +501,7 @@ fn cmd_template() -> Result<(), CliError> {
 }
 
 fn cmd_classify(args: &[String]) -> Result<(), CliError> {
+    check_flags("classify", args, "[--trace N]")?;
     let w = load_workload(args)?;
     let trace = numeric_flag::<usize>(args, "--trace", 1, "--trace N (accesses, N >= 1)")?
         .unwrap_or(30_000);
@@ -490,6 +524,7 @@ fn cmd_classify(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
+    check_flags("simulate", args, "[--cache KIB] [--trace N]")?;
     let w = load_workload(args)?;
     let kib =
         numeric_flag::<u64>(args, "--cache", 1, "--cache KIB (cache size, KIB >= 1)")?.unwrap_or(8);
@@ -578,6 +613,15 @@ impl ObsSession {
 fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     use std::fmt::Write as _;
 
+    check_flags(
+        "explore",
+        args,
+        "[--preset P] [--scale P] [--out FILE] [--threads N] [--eval-cache FILE] \
+         [--trace-out FILE] [--report-out FILE] [--checkpoint FILE] [--checkpoint-every N] \
+         [--max-evals N] [--max-archs N] [--deadline SECS] [--candidate-timeout MS] \
+         [--live-status FILE] [--live-every MS] [--metrics-out FILE] [--out-dir DIR] \
+         [--explain] [--progress]",
+    )?;
     let w = load_workload(args)?;
     let scale: Preset = flag_value(args, "--preset")
         .or_else(|| flag_value(args, "--scale"))
@@ -591,18 +635,7 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     if let Some(path) = cache_file {
         session = session.eval_cache_file(path);
     }
-    // Unlike the output flags, a silently dropped `--checkpoint` would
-    // cost the user the crash safety they asked for, so a missing or
-    // flag-shaped value is an error rather than ignored.
-    let checkpoint_file = match args.iter().position(|a| a == "--checkpoint") {
-        Some(i) => Some(
-            args.get(i + 1)
-                .map(String::as_str)
-                .filter(|v| !v.starts_with("--"))
-                .ok_or("--checkpoint needs a FILE argument")?,
-        ),
-        None => None,
-    };
+    let checkpoint_file = flag_value(args, "--checkpoint");
     if let Some(path) = checkpoint_file {
         session = session.checkpoint_file(path);
         let resuming = std::path::Path::new(path).exists();
@@ -638,18 +671,7 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     )? {
         session = session.candidate_timeout(Duration::from_millis(ms));
     }
-    // Like --checkpoint: a silently dropped --live-status would cost the
-    // user the monitoring they asked for, so a missing or flag-shaped
-    // value is an error rather than ignored.
-    let live_status = match args.iter().position(|a| a == "--live-status") {
-        Some(i) => Some(
-            args.get(i + 1)
-                .map(String::as_str)
-                .filter(|v| !v.starts_with("--"))
-                .ok_or("--live-status needs a FILE argument")?,
-        ),
-        None => None,
-    };
+    let live_status = flag_value(args, "--live-status");
     if let Some(path) = live_status {
         session = session.live_status_file(path);
     }
@@ -800,6 +822,11 @@ fn write_experiment_log(out_dir: &str, w: &Workload, scale: Preset, summary: &st
 /// termination signal drains it. See `memory_conex::serve` for the
 /// durability contract the daemon implements.
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    check_flags(
+        "serve",
+        args,
+        "[--dir DIR] [--addr HOST:PORT] [--archive DIR] [--backoff-base MS] [--backoff-cap MS]",
+    )?;
     let dir = flag_value(args, "--dir").unwrap_or("target/serve");
     let mut cfg = memory_conex::serve::ServeConfig::new(dir);
     if let Some(addr) = flag_value(args, "--addr") {
@@ -847,6 +874,12 @@ fn serve_client(dir: &std::path::Path) -> Result<memory_conex::serve::Client, Cl
 ///
 /// [`JobSpec`]: memory_conex::serve::JobSpec
 fn cmd_submit(args: &[String]) -> Result<u8, CliError> {
+    check_flags(
+        "submit",
+        args,
+        "[--preset P] [--scale P] [--threads N] [--max-evals N] [--max-archs N] \
+         [--deadline SECS] [--retries N] [--dir DIR] [--wait]",
+    )?;
     let w = load_workload(args)?;
     let preset = flag_value(args, "--preset")
         .or_else(|| flag_value(args, "--scale"))
@@ -921,19 +954,19 @@ fn wait_for_job(dir: &std::path::Path, id: u64) -> Result<u8, CliError> {
 /// `result`, `wait`). Every subcommand re-resolves the daemon address
 /// from the serve directory, so it works across daemon restarts.
 fn cmd_jobs(args: &[String]) -> Result<u8, CliError> {
-    let sub = args.first().ok_or(
+    let operands = check_flags("jobs", args, "[--dir DIR] [--out FILE]")?;
+    let sub = operands.first().ok_or(
         "jobs needs a subcommand: list | show <id> | cancel <id> | result <id> | wait <id>",
     )?;
     let dir = serve_dir(args);
     let job_id = || -> Result<u64, CliError> {
-        let raw = args
+        let raw = operands
             .get(1)
-            .filter(|a| !a.starts_with("--"))
             .ok_or_else(|| format!("jobs {sub} needs a job id"))?;
         raw.parse()
             .map_err(|e| format!("job id `{raw}` is not a number: {e}").into())
     };
-    match sub.as_str() {
+    match *sub {
         "list" => print!("{}", serve_client(dir)?.list()?),
         "show" => print!("{}", serve_client(dir)?.show(job_id()?)?),
         "cancel" => print!("{}", serve_client(dir)?.cancel(job_id()?)?),
@@ -955,22 +988,8 @@ fn cmd_jobs(args: &[String]) -> Result<u8, CliError> {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), CliError> {
+    let files = check_flags("report", args, "[--out FILE] [--html]")?;
     let html = args.iter().any(|a| a == "--html");
-    let mut files: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => i += 2,
-            "--html" => i += 1,
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown report flag `{flag}`").into())
-            }
-            file => {
-                files.push(file);
-                i += 1;
-            }
-        }
-    }
     if files.is_empty() {
         return Err("report needs at least one run-report JSON file".into());
     }
@@ -1094,9 +1113,8 @@ fn terminal_width() -> usize {
 fn cmd_top(args: &[String]) -> Result<(), CliError> {
     use std::io::{IsTerminal, Write as _};
 
-    let path = args
+    let path = *check_flags("top", args, "[--interval MS] [--once]")?
         .first()
-        .filter(|a| !a.starts_with("--"))
         .ok_or("top needs a live-status file or serve directory argument")?;
     let interval =
         numeric_flag::<u64>(args, "--interval", 50, "--interval MS (MS >= 50)")?.unwrap_or(500);
@@ -1164,9 +1182,8 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
 /// as OpenMetrics text (to stdout or `--out FILE`), so any
 /// Prometheus-compatible scraper can ingest a run's registries.
 fn cmd_export_metrics(args: &[String]) -> Result<(), CliError> {
-    let path = args
+    let path = *check_flags("export-metrics", args, "[--out FILE]")?
         .first()
-        .filter(|a| !a.starts_with("--"))
         .ok_or("export-metrics needs a live-status or run-report JSON file")?;
     let body = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read metrics source `{path}`: {e}"))?;
@@ -1200,9 +1217,8 @@ fn cmd_export_metrics(args: &[String]) -> Result<(), CliError> {
 fn cmd_cache_check(args: &[String]) -> Result<u8, CliError> {
     use memory_conex::conex::EvalCache;
 
-    let path = args
+    let path = *check_flags("cache-check", args, "[--capacity N] [--repair]")?
         .first()
-        .filter(|a| !a.starts_with("--"))
         .ok_or("cache-check needs a spill file argument")?;
     let capacity = numeric_flag::<usize>(args, "--capacity", 1, "--capacity N (N >= 1)")?
         .unwrap_or(memory_conex::conex::eval_cache::DEFAULT_CAPACITY);
@@ -1253,15 +1269,15 @@ fn archive_at(args: &[String]) -> memory_conex::RunArchive {
 /// the index, `show` prints an archived report by digest prefix, and
 /// `gc` prunes old entries and orphaned objects.
 fn cmd_runs(args: &[String]) -> Result<(), CliError> {
-    let sub = args
+    let operands = check_flags("runs", args, "[--archive DIR] [--keep N]")?;
+    let sub = operands
         .first()
         .ok_or("runs needs a subcommand: add | list | show | gc")?;
     let archive = archive_at(args);
-    match sub.as_str() {
+    match *sub {
         "add" => {
-            let path = args
+            let path = operands
                 .get(1)
-                .filter(|a| !a.starts_with("--"))
                 .ok_or("runs add needs a run-report JSON file")?;
             let body = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read report file `{path}`: {e}"))?;
@@ -1283,9 +1299,8 @@ fn cmd_runs(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "show" => {
-            let prefix = args
+            let prefix = operands
                 .get(1)
-                .filter(|a| !a.starts_with("--"))
                 .ok_or("runs show needs a digest (prefixes resolve)")?;
             let (_digest, text) = archive.show(prefix)?;
             print!("{text}");
@@ -1335,19 +1350,8 @@ fn resolve_diff_operand(
 /// deterministic sections are byte-identical (wall clock, cache state
 /// and provenance never affect the verdict), 1 when they differ.
 fn cmd_diff(args: &[String]) -> Result<u8, CliError> {
-    let mut operands = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && !matches!(
-                    args.get(i.wrapping_sub(1)).map(String::as_str),
-                    Some("--out" | "--archive")
-                )
-        })
-        .map(|(_, a)| a.as_str());
-    let (a, b) = match (operands.next(), operands.next(), operands.next()) {
-        (Some(a), Some(b), None) => (a, b),
+    let (a, b) = match check_flags("diff", args, "[--html] [--out FILE] [--archive DIR]")?[..] {
+        [a, b] => (a, b),
         _ => return Err("diff needs exactly two runs: files or archive digests".into()),
     };
     let archive = archive_at(args);
@@ -1512,19 +1516,88 @@ mod tests {
                 &["cache-check", "spill.json", "--capacity", "lots"],
                 "--capacity",
             ),
+            // Unknown flags and value-taking flags without a value: a
+            // mistyped flag never silently runs unbounded, a valueless
+            // output flag never silently drops its file.
+            (&["explore", "vocoder", "--max-eval", "3"], "--max-eval"),
+            (&["classify", "vocoder", "--trac", "100"], "--trac"),
+            (&["simulate", "vocoder", "--bogus"], "--bogus"),
+            (&["explore", "vocoder", "--report-out"], "--report-out"),
+            (&["explore", "vocoder", "--eval-cache"], "--eval-cache"),
+            (&["explore", "vocoder", "--trace-out"], "--trace-out"),
+            (&["explore", "vocoder", "--metrics-out"], "--metrics-out"),
+            (&["explore", "vocoder", "--out"], "--out"),
+            (&["explore", "vocoder", "--out-dir"], "--out-dir"),
+            (
+                &["explore", "vocoder", "--report-out", "--progress"],
+                "--report-out",
+            ),
+            (&["explore", "vocoder", "--preset"], "--preset"),
+            (&["benchmarks", "--all"], "--all"),
+            (&["template", "--out", "t.json"], "--out"),
+            (&["submit", "vocoder", "--wiat"], "--wiat"),
+            (&["jobs", "list", "--dri", "d"], "--dri"),
+            (&["top", "s.json", "--onse"], "--onse"),
+            (&["report", "r.json", "--out"], "--out"),
+            (&["export-metrics", "s.json", "--html"], "--html"),
+            (&["cache-check", "spill.json", "--fix"], "--fix"),
+            (&["runs", "list", "--archive"], "--archive"),
+            (&["diff", "a.json", "b.json", "--out"], "--out"),
         ];
         for (args, flag) in cases {
             let err = run(&s(args)).unwrap_err().to_string();
             assert!(
-                err.starts_with("invalid argument:"),
-                "{args:?} should render a typed InvalidArg, got: {err}"
+                err.starts_with(&format!("invalid argument: {flag}:")),
+                "{args:?} should render a typed InvalidArg for {flag}, got: {err}"
             );
-            assert!(err.contains(flag), "{args:?}: {err}");
             assert!(
                 err.contains("usage:"),
                 "{args:?} should carry a hint: {err}"
             );
         }
+    }
+
+    #[test]
+    fn malformed_workload_files_are_typed_errors_table_driven() {
+        // Deserialization bypasses the constructors, so every invariant
+        // they assert is re-checked on load: each broken file is an
+        // InvalidInput error, never a panic or a silently odd run. `file`
+        // writes one data structure (footprint, element size, hotness,
+        // write fraction) and the phases array.
+        let file = |fp: u64, es: u64, hot: f64, wr: f64, phases: &str| {
+            format!(
+                "{{\"name\": \"t\", \"data_structures\": [{{\"name\": \"d\", \"footprint\": {fp}, \
+                 \"element_size\": {es}, \"pattern\": \"Random\", \"hotness\": {hot:?}, \
+                 \"write_fraction\": {wr:?}}}], \"seed\": 1, \"compute_gap\": 2, \"phases\": [{phases}]}}"
+            )
+        };
+        let phase = |n: u64, scale: &str| {
+            format!("{{\"name\": \"p\", \"accesses\": {n}, \"hotness_scale\": [{scale}]}}")
+        };
+        let no_ds = "{\"name\": \"t\", \"data_structures\": [], \"seed\": 1, \"compute_gap\": 2}";
+        let cases = [
+            (file(0, 4, 1.0, 0.2, ""), "footprint must be"),
+            (file(64, 0, 1.0, 0.2, ""), "element size must"),
+            (no_ds.to_owned(), "at least one data structure"),
+            (file(4, 8, 1.0, 0.2, ""), "element larger"),
+            (file(64, 4, -1.0, 0.2, ""), "hotness must be"),
+            (file(64, 4, 0.0, 0.2, ""), "hotness must be"),
+            (file(64, 4, 1.0, 1.5, ""), "write fraction"),
+            (file(64, 4, 1.0, 0.2, &phase(0, "1.0")), "one access"),
+            (file(64, 4, 1.0, 0.2, &phase(9, "")), "must scale every"),
+        ];
+        let path = std::env::temp_dir().join(format!("mce_bad_wl_{}.json", std::process::id()));
+        let path_s = path.to_str().unwrap();
+        std::fs::write(&path, file(64, 4, 1.0, 0.2, &phase(9, "1.0"))).unwrap();
+        assert!(load_workload(&s(&[path_s])).is_ok(), "a valid file loads");
+        for (body, expect) in cases {
+            std::fs::write(&path, &body).unwrap();
+            let err = run(&s(&["classify", path_s, "--trace", "100"])).unwrap_err();
+            let err = err.downcast_ref::<MceError>().expect("typed error");
+            assert!(matches!(err, MceError::InvalidInput { .. }), "{err}");
+            assert!(err.to_string().contains(expect), "{expect}: {err}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! Notably *absent* are the estimated design points themselves: they are
 //! a deterministic function of the workload and configuration, so resume
 //! replays the completed architectures through a scratch copy of the
-//! restored cache ([`ConexExplorer::phase1_partial`]) — every evaluation
-//! is a cache hit, making replay cheap — and the recomputed frontier
-//! samples are cross-checked against the checkpointed ones. This keeps
-//! the file format to a handful of flat, checksummed fields instead of a
-//! deep serialization of the design space.
+//! restored cache ([`ConexExplorer::phase1_partial_with`]) — every
+//! evaluation is a cache hit, making replay cheap — and the recomputed
+//! frontier samples are cross-checked against the checkpointed ones.
+//! This keeps the file format to a handful of flat, checksummed fields
+//! instead of a deep serialization of the design space.
 //!
 //! ## File format
 //!
@@ -39,7 +39,7 @@
 //! [`Checkpoint::ensure_matches`] rejects a checkpoint from a different
 //! run with [`MceError::Checkpoint`].
 //!
-//! [`ConexExplorer::phase1_partial`]: mce_conex::ConexExplorer::phase1_partial
+//! [`ConexExplorer::phase1_partial_with`]: mce_conex::ConexExplorer::phase1_partial_with
 
 use mce_apex::ApexConfig;
 use mce_conex::design_point::{CanonKey, Metrics};

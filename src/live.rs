@@ -23,6 +23,7 @@
 //! the deterministic logical series carried here are the same ones the
 //! run report embeds.
 
+use crate::report::{fmt_f64, histograms_array, owned_series, series_object, u64_object};
 use mce_budget::EvalBudget;
 use mce_conex::explore::Phase1State;
 use mce_error::atomic_write;
@@ -263,33 +264,13 @@ impl LiveShared {
         ));
         s.push_str(&u64_object("counters", &counters, "  "));
         s.push_str(&u64_object("gauges", &gauges, "  "));
-        let hists: Vec<String> = histograms
-            .iter()
-            .map(|(name, h)| {
-                format!(
-                    "    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"min\": {}, \
-                     \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                    escape_json(name),
-                    h.count,
-                    h.sum,
-                    h.min,
-                    h.max,
-                    h.p50,
-                    h.p90,
-                    h.p99
-                )
-            })
-            .collect();
-        if hists.is_empty() {
-            s.push_str("  \"histograms\": [],\n");
-        } else {
-            s.push_str(&format!(
-                "  \"histograms\": [\n{}\n  ],\n",
-                hists.join(",\n")
-            ));
-        }
+        s.push_str(&histograms_array(&histograms, "  "));
+        s.push_str(",\n");
         let (logical, wall) = if obs::tracing_enabled() {
-            (obs::logical_series(), obs::wall_series())
+            (
+                owned_series(obs::logical_series()),
+                owned_series(obs::wall_series()),
+            )
         } else {
             (Vec::new(), Vec::new())
         };
@@ -334,53 +315,6 @@ fn registries_snapshot() -> Registries {
 
 fn opt_u64(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_owned(), |n| n.to_string())
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_owned()
-    }
-}
-
-/// `"key": {"name": value, ...}` with a trailing comma, at `indent`.
-fn u64_object(key: &str, entries: &[(String, u64)], indent: &str) -> String {
-    if entries.is_empty() {
-        return format!("{indent}\"{key}\": {{}},\n");
-    }
-    let lines: Vec<String> = entries
-        .iter()
-        .map(|(name, v)| format!("{indent}  \"{}\": {v}", escape_json(name)))
-        .collect();
-    format!(
-        "{indent}\"{key}\": {{\n{}\n{indent}}},\n",
-        lines.join(",\n")
-    )
-}
-
-/// One time-series channel as `"key": {"name": [[at, value], ...]}` —
-/// the exact layout [`RunReport`](crate::RunReport) embeds under
-/// `wall_clock.timeseries`, so `mce top` reads both the same way.
-fn series_object(
-    key: &str,
-    series: &[(&'static str, Vec<obs::SeriesPoint>)],
-    indent: &str,
-) -> String {
-    if series.is_empty() {
-        return format!("{indent}\"{key}\": {{}}");
-    }
-    let lines: Vec<String> = series
-        .iter()
-        .map(|(name, points)| {
-            let pts: Vec<String> = points
-                .iter()
-                .map(|p| format!("[{}, {}]", p.at, p.value))
-                .collect();
-            format!("{indent}  \"{}\": [{}]", escape_json(name), pts.join(", "))
-        })
-        .collect();
-    format!("{indent}\"{key}\": {{\n{}\n{indent}}}", lines.join(",\n"))
 }
 
 // ---------------------------------------------------------------------------

@@ -362,8 +362,8 @@ impl RunReport {
         ));
         s.push_str(&format!("    \"cache_capacity\": {}\n", c.cache_capacity));
         s.push_str("  },\n");
-        s.push_str(&named_u64_object("counters", &self.counters));
-        s.push_str(&named_u64_object("gauges", &self.gauges));
+        s.push_str(&u64_object("counters", &self.counters, "  "));
+        s.push_str(&u64_object("gauges", &self.gauges, "  "));
         let e = &self.eval_cache;
         s.push_str(&format!(
             "  \"eval_cache\": {{\"hits\": {}, \"misses\": {}, \"inserts\": {}, \
@@ -454,56 +454,26 @@ impl RunReport {
                 degraded.join(",\n")
             ));
         }
-        if self.wall_clock.budget_counters.is_empty() {
-            s.push_str("    \"budget\": {},\n");
-        } else {
-            let lines: Vec<String> = self
-                .wall_clock
-                .budget_counters
-                .iter()
-                .map(|(name, v)| format!("      \"{}\": {v}", escape_json(name)))
-                .collect();
-            s.push_str(&format!(
-                "    \"budget\": {{\n{}\n    }},\n",
-                lines.join(",\n")
-            ));
-        }
+        s.push_str(&u64_object(
+            "budget",
+            &self.wall_clock.budget_counters,
+            "    ",
+        ));
         s.push_str("    \"timeseries\": {\n");
-        s.push_str(&series_channel(
+        s.push_str(&series_object(
             "logical",
             &self.wall_clock.timeseries_logical,
+            "      ",
         ));
         s.push_str(",\n");
-        s.push_str(&series_channel("wall", &self.wall_clock.timeseries_wall));
+        s.push_str(&series_object(
+            "wall",
+            &self.wall_clock.timeseries_wall,
+            "      ",
+        ));
         s.push_str("\n    },\n");
-        let hists: Vec<String> = self
-            .wall_clock
-            .histograms
-            .iter()
-            .map(|(name, h)| {
-                format!(
-                    "      {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"min\": {}, \
-                     \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                    escape_json(name),
-                    h.count,
-                    h.sum,
-                    h.min,
-                    h.max,
-                    h.p50,
-                    h.p90,
-                    h.p99
-                )
-            })
-            .collect();
-        if hists.is_empty() {
-            s.push_str("    \"histograms\": []\n");
-        } else {
-            s.push_str(&format!(
-                "    \"histograms\": [\n{}\n    ]\n",
-                hists.join(",\n")
-            ));
-        }
-        s.push_str("  }\n}\n");
+        s.push_str(&histograms_array(&self.wall_clock.histograms, "    "));
+        s.push_str("\n  }\n}\n");
         s
     }
 
@@ -623,7 +593,7 @@ fn provenance_section(archs: &[ArchProvenance]) -> String {
 
 /// Converts a borrowed time-series snapshot into the owned
 /// `(name, [(at, value)])` form the report stores.
-fn owned_series(
+pub(crate) fn owned_series(
     series: Vec<(&'static str, Vec<obs::SeriesPoint>)>,
 ) -> Vec<(String, Vec<(u64, u64)>)> {
     series
@@ -637,11 +607,17 @@ fn owned_series(
         .collect()
 }
 
-/// One time-series channel as `"key": {"name": [[at, value], ...]}`, at
-/// the `wall_clock.timeseries` nesting depth (no trailing comma).
-fn series_channel(key: &str, series: &[(String, Vec<(u64, u64)>)]) -> String {
+/// One time-series channel as `"key": {"name": [[at, value], ...]}` at
+/// `indent`, without a trailing comma — the layout of the report's
+/// `wall_clock.timeseries` and of the live-status `series`, so `mce top`
+/// reads both the same way.
+pub(crate) fn series_object(
+    key: &str,
+    series: &[(String, Vec<(u64, u64)>)],
+    indent: &str,
+) -> String {
     if series.is_empty() {
-        return format!("      \"{key}\": {{}}");
+        return format!("{indent}\"{key}\": {{}}");
     }
     let lines: Vec<String> = series
         .iter()
@@ -650,30 +626,61 @@ fn series_channel(key: &str, series: &[(String, Vec<(u64, u64)>)]) -> String {
                 .iter()
                 .map(|(at, value)| format!("[{at}, {value}]"))
                 .collect();
-            format!("        \"{}\": [{}]", escape_json(name), pts.join(", "))
+            format!("{indent}  \"{}\": [{}]", escape_json(name), pts.join(", "))
         })
         .collect();
-    format!("      \"{key}\": {{\n{}\n      }}", lines.join(",\n"))
+    format!("{indent}\"{key}\": {{\n{}\n{indent}}}", lines.join(",\n"))
 }
 
-/// Renders a `[(name, value)]` list as one pretty-printed JSON object
-/// line block under `key`, with a trailing comma.
-fn named_u64_object(key: &str, entries: &[(String, u64)]) -> String {
+/// `"histograms": [{"name": ..., "count": ..., "p99": ...}, ...]` at
+/// `indent`, without a trailing comma.
+pub(crate) fn histograms_array(hists: &[(String, HistogramSummary)], indent: &str) -> String {
+    if hists.is_empty() {
+        return format!("{indent}\"histograms\": []");
+    }
+    let lines: Vec<String> = hists
+        .iter()
+        .map(|(name, h)| {
+            format!(
+                "{indent}  {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"min\": {}, \
+                 \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
+                escape_json(name),
+                h.count,
+                h.sum,
+                h.min,
+                h.max,
+                h.p50,
+                h.p90,
+                h.p99
+            )
+        })
+        .collect();
+    format!(
+        "{indent}\"histograms\": [\n{}\n{indent}]",
+        lines.join(",\n")
+    )
+}
+
+/// `"key": {"name": value, ...}` at `indent`, with a trailing comma.
+pub(crate) fn u64_object(key: &str, entries: &[(String, u64)], indent: &str) -> String {
     if entries.is_empty() {
-        return format!("  \"{key}\": {{}},\n");
+        return format!("{indent}\"{key}\": {{}},\n");
     }
     let lines: Vec<String> = entries
         .iter()
-        .map(|(name, v)| format!("    \"{}\": {v}", escape_json(name)))
+        .map(|(name, v)| format!("{indent}  \"{}\": {v}", escape_json(name)))
         .collect();
-    format!("  \"{key}\": {{\n{}\n  }},\n", lines.join(",\n"))
+    format!(
+        "{indent}\"{key}\": {{\n{}\n{indent}}},\n",
+        lines.join(",\n")
+    )
 }
 
 /// `f64` in its shortest round-trip form, with a guaranteed numeric JSON
 /// token (`Display` already never produces exponents for our ranges, but
 /// integral values need the `.0` stripped consistently — `Display` does
 /// that for us; non-finite values clamp to 0).
-fn fmt_f64(v: f64) -> String {
+pub(crate) fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -7,8 +7,9 @@
 //! restart waits out the gap instead of erroring.
 
 use super::journal::JobSpec;
-use super::{addr_path, backoff_after, json_string};
+use super::{addr_path, backoff_after};
 use mce_error::MceError;
+use mce_obs::escape_json;
 use std::io::{Read, Write as _};
 use std::net::TcpStream;
 use std::path::Path;
@@ -239,9 +240,9 @@ fn parse_id_field(body: &str) -> Option<u64> {
 /// Builds a [`JobSpec`] summary line for client-side display.
 pub fn describe_spec(spec: &JobSpec) -> String {
     format!(
-        "{{\"workload\":{},\"preset\":{},\"deadline_ms\":{},\"retries\":{}}}",
-        json_string(spec.workload.name()),
-        json_string(&spec.preset),
+        "{{\"workload\":\"{}\",\"preset\":\"{}\",\"deadline_ms\":{},\"retries\":{}}}",
+        escape_json(spec.workload.name()),
+        escape_json(&spec.preset),
         spec.deadline_ms,
         spec.retry_budget
     )

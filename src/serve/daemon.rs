@@ -16,12 +16,13 @@
 use super::journal::{fold, JobEvent, JobJournal, JobRecord, JobSpec, JobState};
 use super::{
     addr_path, backoff_after, http, job_checkpoint_path, job_report_path, job_status_path,
-    journal_path, json_string, log_path, pid_path, status_path, SERVE_SCHEMA,
+    journal_path, log_path, pid_path, status_path, SERVE_SCHEMA,
 };
 use crate::archive::RunArchive;
 use crate::session::ExplorationSession;
 use mce_budget::{CancelReason, CancelToken};
 use mce_error::{atomic_write, sweep_stale_tmps, MceError};
+use mce_obs::escape_json;
 use mce_sim::Preset;
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -610,6 +611,9 @@ fn submit(shared: &Arc<Shared>, body: &[u8]) -> (u16, String) {
             error_json(400, &format!("unknown preset `{}`", spec.preset)),
         );
     }
+    if let Err(e) = spec.workload.validate() {
+        return (400, error_json(400, &e.to_string()));
+    }
     // Id assignment, the durable Submitted record and the table insert
     // happen under one lock so the journal's Submitted order matches
     // the id order.
@@ -729,24 +733,24 @@ fn with_job(
 
 fn error_json(status: u16, detail: &str) -> String {
     format!(
-        "{{\"error\":{},\"status\":{status}}}\n",
-        json_string(detail)
+        "{{\"error\":\"{}\",\"status\":{status}}}\n",
+        escape_json(detail)
     )
 }
 
 /// One job summary line (used for both `GET /jobs` and `GET /jobs/N`).
 fn summary_json(record: &JobRecord) -> String {
     format!(
-        "{{\"id\":{},\"workload\":{},\"preset\":{},\"state\":{},\"attempts\":{},\"error\":{}}}",
+        "{{\"id\":{},\"workload\":\"{}\",\"preset\":\"{}\",\"state\":\"{}\",\"attempts\":{},\"error\":{}}}",
         record.id,
-        json_string(record.spec.workload.name()),
-        json_string(&record.spec.preset),
-        json_string(record.state.as_str()),
+        escape_json(record.spec.workload.name()),
+        escape_json(&record.spec.preset),
+        record.state.as_str(),
         record.attempts,
         record
             .error
             .as_deref()
-            .map_or("null".to_owned(), json_string),
+            .map_or("null".to_owned(), |e| format!("\"{}\"", escape_json(e))),
     )
 }
 
@@ -766,14 +770,14 @@ fn write_status(shared: &Arc<Shared>, addr: &str) {
     drop(jobs);
     let counts_json = counts
         .iter()
-        .map(|(state, n)| format!("{}:{n}", json_string(state)))
+        .map(|(state, n)| format!("\"{state}\":{n}"))
         .collect::<Vec<_>>()
         .join(",");
     let body = format!(
-        "{{\"serve_schema\":{SERVE_SCHEMA},\"pid\":{},\"addr\":{},\"draining\":{},\
+        "{{\"serve_schema\":{SERVE_SCHEMA},\"pid\":{},\"addr\":\"{}\",\"draining\":{},\
          \"total\":{total},\"running\":{},\"jobs\":{{{counts_json}}}}}\n",
         std::process::id(),
-        json_string(addr),
+        escape_json(addr),
         shared.draining(),
         running.map_or("null".to_owned(), |id| id.to_string()),
     );

@@ -218,8 +218,8 @@ pub fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, b
 /// Writes the JSON error body for `err`.
 pub fn write_error(stream: &mut TcpStream, err: &HttpError) {
     let body = format!(
-        "{{\"error\":{},\"status\":{}}}\n",
-        super::json_string(&err.detail),
+        "{{\"error\":\"{}\",\"status\":{}}}\n",
+        mce_obs::escape_json(&err.detail),
         err.status
     );
     write_response(stream, err.status, "application/json", &body);

@@ -421,7 +421,12 @@ impl ExplorationSession {
                         budget: budget.clone(),
                         ..Bounds::none()
                     });
-                let state = explorer.phase1_partial(&scratch_engine, &mem_archs, ck.archs_done)?;
+                let state = explorer.phase1_partial_with(
+                    &scratch_engine,
+                    &mem_archs,
+                    ck.archs_done,
+                    &mut |_| Ok(()),
+                )?;
                 if state.frontier_evolution != ck.frontier {
                     return Err(MceError::checkpoint(
                         "replayed frontier diverges from the checkpointed one — the \
@@ -610,7 +615,7 @@ mod tests {
             .with_cache(cache.clone());
         let explorer = ConexExplorer::new(ConexConfig::preset(Preset::Fast));
         let state = explorer
-            .phase1_partial(&engine, &apex.selected(), 1)
+            .phase1_partial_with(&engine, &apex.selected(), 1, &mut |_| Ok(()))
             .unwrap();
         Checkpoint::capture(
             workload_digest(&w).to_hex(),

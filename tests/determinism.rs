@@ -2,7 +2,6 @@
 //! workload seed, so experiments are exactly repeatable.
 
 use memory_conex::appmodel::benchmarks;
-use memory_conex::conex::MemorEx;
 use memory_conex::prelude::*;
 
 #[test]
@@ -40,9 +39,10 @@ fn apex_is_deterministic() {
 #[test]
 fn full_pipeline_metrics_are_reproducible() {
     let w = benchmarks::vocoder();
-    let a = MemorEx::preset(Preset::Fast).run(&w).unwrap();
-    let b = MemorEx::preset(Preset::Fast).run(&w).unwrap();
-    let metrics = |r: &memory_conex::conex::MemorExResult| -> Vec<(u64, f64, f64)> {
+    let session = ExplorationSession::new(w).preset(Preset::Fast);
+    let a = session.run().unwrap();
+    let b = session.run().unwrap();
+    let metrics = |r: &SessionResult| -> Vec<(u64, f64, f64)> {
         r.conex
             .simulated()
             .iter()

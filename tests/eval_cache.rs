@@ -109,14 +109,15 @@ fn spill_round_trips_through_the_public_cache_api() {
             .collect()
     };
     let first = engine
-        .estimate_batch(
+        .estimate_batch_bounded(
             &mem,
             candidates.clone(),
             4_000,
             memory_conex::sim::SamplingConfig::paper(),
             1,
         )
-        .expect("estimation runs");
+        .expect("estimation runs")
+        .output;
     assert!(
         first.iter().any(Option::is_some),
         "at least one alternative allocation must be feasible"
@@ -129,14 +130,15 @@ fn spill_round_trips_through_the_public_cache_api() {
     assert_eq!(reloaded.len(), cache.len(), "every entry survives the disk");
     let again = EvalEngine::new(&w, 4_000)
         .with_cache(reloaded.clone())
-        .estimate_batch(
+        .estimate_batch_bounded(
             &mem,
             candidates,
             4_000,
             memory_conex::sim::SamplingConfig::paper(),
             1,
         )
-        .expect("estimation runs");
+        .expect("estimation runs")
+        .output;
     assert_eq!(
         first, again,
         "reloaded cache reproduces the metrics bit-for-bit"

@@ -3,12 +3,12 @@
 //! stage must uphold.
 
 use memory_conex::appmodel::benchmarks;
-use memory_conex::conex::MemorEx;
 use memory_conex::prelude::*;
 
-fn run(workload: &Workload) -> memory_conex::conex::MemorExResult {
-    MemorEx::preset(Preset::Fast)
-        .run(workload)
+fn run(workload: &Workload) -> SessionResult {
+    ExplorationSession::new(workload.clone())
+        .preset(Preset::Fast)
+        .run()
         .expect("exploration runs")
 }
 
@@ -148,4 +148,32 @@ fn costs_decompose_into_memory_plus_connectivity() {
         assert_eq!(p.metrics.cost_gates, mem + conn);
         assert!(conn > 0, "connectivity is never free");
     }
+}
+
+#[test]
+fn conex_extends_apex_cost_with_connectivity() {
+    let w = benchmarks::vocoder();
+    let result = run(&w);
+    // Every combined design costs at least its memory architecture.
+    for p in result.conex.simulated() {
+        assert!(p.metrics.cost_gates >= p.system.mem().gate_cost());
+    }
+}
+
+#[test]
+fn exploration_improves_over_worst_connectivity() {
+    // The headline claim: connectivity choice matters. Among the fully
+    // simulated designs, the best latency should clearly beat the worst
+    // (same memory architectures, different connectivity).
+    let w = benchmarks::compress();
+    let result = run(&w);
+    let lats: Vec<f64> = result
+        .conex
+        .simulated()
+        .iter()
+        .map(|p| p.metrics.latency_cycles)
+        .collect();
+    let best = lats.iter().cloned().fold(f64::MAX, f64::min);
+    let worst = lats.iter().cloned().fold(f64::MIN, f64::max);
+    assert!(worst > 1.3 * best, "best {best} worst {worst}");
 }

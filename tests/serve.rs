@@ -531,6 +531,23 @@ fn hostile_requests_get_typed_errors_and_the_daemon_survives() {
         "400",
         "non-JSON job spec",
     );
+    // A well-formed spec whose workload breaks an invariant (a zero
+    // footprint) is refused at admission, not queued to panic later.
+    let bad_workload =
+        "{\"workload\": {\"name\": \"bad\", \"data_structures\": [{\"name\": \"d\", \
+         \"footprint\": 0, \"element_size\": 4, \"pattern\": \"Random\", \"hotness\": 1.0, \
+         \"write_fraction\": 0.2}], \"seed\": 1, \"compute_gap\": 2, \"phases\": []}, \
+         \"preset\": \"fast\", \"threads\": 0, \"max_evals\": 0, \"max_archs\": 0, \
+         \"deadline_ms\": 0, \"retry_budget\": 0}";
+    let request = format!(
+        "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{bad_workload}",
+        bad_workload.len()
+    );
+    let resp = raw_exchange(&addr, request.as_bytes()).expect("daemon answers");
+    assert!(
+        resp.starts_with("HTTP/1.1 400 ") && resp.contains("footprint must be non-zero"),
+        "invalid workload: wanted a 400 naming the invariant, got:\n{resp}"
+    );
     let huge_head = format!(
         "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
         "x".repeat(9000)
