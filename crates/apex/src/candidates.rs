@@ -11,10 +11,9 @@
 use crate::extract::{PatternClass, PatternReport};
 use mce_appmodel::{DsId, Workload};
 use mce_memlib::{CacheConfig, MemModuleKind, MemoryArchitecture};
-use serde::{Deserialize, Serialize};
 
 /// Knobs for candidate generation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidateConfig {
     /// Cache sizes (KiB) for the cache-only baselines.
     pub baseline_cache_kib: Vec<u64>,
@@ -27,7 +26,6 @@ pub struct CandidateConfig {
     /// `(L1 KiB, L2 KiB)` pairs for two-level baselines (the multi-level
     /// extension). Empty — the paper's single-level behaviour — by
     /// default.
-    #[serde(default)]
     pub two_level_kib: Vec<(u64, u64)>,
 }
 

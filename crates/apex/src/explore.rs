@@ -7,11 +7,10 @@ use mce_appmodel::{TraceBlocks, Workload};
 use mce_memlib::MemoryArchitecture;
 use mce_obs as obs;
 use mce_sim::{simulate_blocks, Preset, SystemConfig};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Configuration of an APEX run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApexConfig {
     /// Trace length used for extraction and evaluation.
     pub trace_len: usize,
@@ -43,7 +42,7 @@ impl ApexConfig {
 }
 
 /// One evaluated memory architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApexPoint {
     /// The architecture.
     pub arch: MemoryArchitecture,
@@ -70,7 +69,7 @@ impl fmt::Display for ApexPoint {
 }
 
 /// Result of an APEX exploration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApexResult {
     points: Vec<ApexPoint>,
     selected: Vec<usize>,

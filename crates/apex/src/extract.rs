@@ -14,12 +14,11 @@
 //!   standing in for that source-level analysis.
 
 use mce_appmodel::{AccessPattern, AccessProfile, DsId, Workload};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// The pattern classes APEX matches memory modules to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternClass {
     /// Constant-stride stream — candidate for a stream buffer.
     Stream,
@@ -46,7 +45,7 @@ impl fmt::Display for PatternClass {
 }
 
 /// Per-data-structure extraction result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternReport {
     /// The data structure.
     pub ds: DsId,

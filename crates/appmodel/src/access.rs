@@ -2,11 +2,10 @@
 
 use crate::address::Addr;
 use crate::data_structure::DsId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether an access reads or writes memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load: the CPU stalls until the data arrives, so read latency is the
     /// quantity the paper's "average memory latency" measures.
@@ -51,7 +50,7 @@ impl fmt::Display for AccessKind {
 /// assert!(a.kind.is_read());
 /// assert_eq!(a.tick, 12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemAccess {
     /// Byte address accessed.
     pub addr: Addr,

@@ -4,7 +4,6 @@
 //! Newtypes keep byte addresses, block numbers and data-structure offsets
 //! from being mixed up across the simulator crates ([C-NEWTYPE]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -16,9 +15,7 @@ use std::ops::{Add, Sub};
 /// assert_eq!(a.offset(16).raw(), 0x1010);
 /// assert_eq!(a.block(64), 0x40);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(u64);
 
 impl Addr {
@@ -113,7 +110,7 @@ impl Sub<Addr> for Addr {
 /// assert!(r.contains(Addr::new(0x10ff)));
 /// assert!(!r.contains(Addr::new(0x1100)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AddrRange {
     base: Addr,
     len: u64,

@@ -1,7 +1,6 @@
 //! Application data-structure descriptors.
 
 use crate::pattern::AccessPattern;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a data structure within its [`Workload`](crate::Workload).
@@ -10,7 +9,7 @@ use std::fmt;
 /// use mce_appmodel::DsId;
 /// assert_eq!(DsId::new(2).index(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DsId(usize);
 
 impl DsId {
@@ -48,7 +47,7 @@ impl fmt::Display for DsId {
 /// assert_eq!(ds.name(), "hash_table");
 /// assert_eq!(ds.footprint(), 64 * 1024);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataStructure {
     name: String,
     footprint: u64,
@@ -56,6 +55,10 @@ pub struct DataStructure {
     pattern: AccessPattern,
     hotness: f64,
     write_fraction: f64,
+}
+
+mce_obs::json_codec! {
+    struct DataStructure { name, footprint, element_size, pattern, hotness, write_fraction }
 }
 
 impl DataStructure {

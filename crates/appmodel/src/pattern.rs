@@ -15,7 +15,6 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The access pattern a data structure exhibits.
@@ -26,7 +25,7 @@ use std::fmt;
 /// assert_eq!(p.to_string(), "stream(stride=4)");
 /// assert!(p.is_prefetchable());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessPattern {
     /// Sequential walk with a fixed stride in bytes (e.g. input/output byte
     /// streams of `compress`, sample buffers of `vocoder`).
@@ -61,6 +60,17 @@ pub enum AccessPattern {
     /// Stack-like access: random walk biased around a moving top-of-stack,
     /// small working set, very high locality.
     Stack,
+}
+
+mce_obs::json_codec! {
+    enum AccessPattern {
+        Stream { stride },
+        SelfIndirect,
+        Indexed { index_stride },
+        LoopNest { working_set, reuse },
+        Random,
+        Stack,
+    }
 }
 
 impl AccessPattern {

@@ -9,11 +9,10 @@
 use crate::access::MemAccess;
 use crate::data_structure::DsId;
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Per-data-structure dynamic statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DsStats {
     /// Total accesses.
     pub accesses: u64,
@@ -48,7 +47,7 @@ impl DsStats {
 /// assert_eq!(profile.total_accesses(), 20_000);
 /// assert!(profile.elapsed_ticks() > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessProfile {
     workload_name: String,
     per_ds: Vec<DsStats>,

@@ -7,7 +7,6 @@ use crate::pattern::PatternGen;
 use mce_error::MceError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Base of the modelled data segment. Data structures are laid out
@@ -23,12 +22,14 @@ const LAYOUT_ALIGN: u64 = 4096;
 /// behaviour that makes the paper's time-sampling estimation both necessary
 /// and error-prone. A workload with no declared phases behaves as a single
 /// uniform phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     name: String,
     accesses: u64,
     hotness_scale: Vec<f64>,
 }
+
+mce_obs::json_codec! { struct Phase { name, accesses, hotness_scale } }
 
 impl Phase {
     /// Creates a phase spanning `accesses` trace entries with the given
@@ -103,7 +104,7 @@ impl fmt::Display for Phase {
 /// let n = w.trace(100).count();
 /// assert_eq!(n, 100);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     name: String,
     data_structures: Vec<DataStructure>,
@@ -112,8 +113,11 @@ pub struct Workload {
     compute_gap: u64,
     /// Execution phases, cycled through for the trace's whole length.
     /// Empty means one uniform phase.
-    #[serde(default)]
     phases: Vec<Phase>,
+}
+
+mce_obs::json_codec! {
+    struct Workload { name, data_structures, seed, compute_gap, #[default] phases }
 }
 
 /// Builder for [`Workload`] ([C-BUILDER]).

@@ -12,12 +12,11 @@ use mce_conex::{
     ExplorationStrategy, Metrics, ParetoFront,
 };
 use mce_sim::Preset;
-use serde::{Deserialize, Serialize};
 
 use crate::report::{render_scatter, render_table};
 
 /// Experiment scale: `Fast` for tests/benches, `Paper` for the real runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Reduced traces and candidate caps; seconds per experiment.
     Fast,
@@ -68,7 +67,7 @@ fn run_conex(scale: Scale, workload: &Workload, apex: &ApexResult) -> ConexResul
 // ---------------------------------------------------------------------------
 
 /// One point of the Figure 3 scatter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Point {
     /// Architecture name.
     pub name: String,
@@ -78,9 +77,11 @@ pub struct Fig3Point {
     pub miss_ratio: f64,
 }
 
+mce_obs::json_codec! { struct Fig3Point { name, cost_gates, miss_ratio } }
+
 /// Figure 3: "The most promising memory modules architectures for the
 /// compress benchmark" — the APEX cost/miss-ratio exploration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Data {
     /// Workload name (compress in the paper).
     pub workload: String,
@@ -89,6 +90,8 @@ pub struct Fig3Data {
     /// The selected pareto architectures (the paper's labels 1..5).
     pub selected: Vec<Fig3Point>,
 }
+
+mce_obs::json_codec! { struct Fig3Data { workload, points, selected } }
 
 impl Fig3Data {
     /// Renders the printed report.
@@ -171,7 +174,7 @@ pub fn fig3(scale: Scale) -> Fig3Data {
 // ---------------------------------------------------------------------------
 
 /// One point of the Figure 4 cloud.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Point {
     /// Total (memory + connectivity) cost, gates.
     pub cost_gates: u64,
@@ -183,10 +186,12 @@ pub struct Fig4Point {
     pub on_pareto: bool,
 }
 
+mce_obs::json_codec! { struct Fig4Point { cost_gates, latency_cycles, energy_nj, on_pareto } }
+
 /// Figure 4: "The connectivity architecture exploration for the compress
 /// benchmark" — cost vs average memory latency over the whole ConEx cloud,
 /// with the paper's headline latency improvement across the pareto.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Data {
     /// Workload name.
     pub workload: String,
@@ -199,6 +204,10 @@ pub struct Fig4Data {
     pub best_latency: f64,
     /// Relative improvement, percent (the paper reports 36 %).
     pub improvement_pct: f64,
+}
+
+mce_obs::json_codec! {
+    struct Fig4Data { workload, points, baseline_latency, best_latency, improvement_pct }
 }
 
 impl Fig4Data {
@@ -305,7 +314,7 @@ fn fig4_from(scale: Scale, w: &Workload, apex: &ApexResult, conex: &ConexResult)
 // ---------------------------------------------------------------------------
 
 /// One labelled pareto design of Figure 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Point {
     /// The paper-style label (a, b, c, ...), in cost order.
     pub label: char,
@@ -325,16 +334,25 @@ pub struct Fig6Point {
     pub cost_increase_pct: f64,
 }
 
+mce_obs::json_codec! {
+    struct Fig6Point {
+        label, cost_gates, latency_cycles, energy_nj, description, cache_only,
+        improvement_vs_cache_pct, cost_increase_pct,
+    }
+}
+
 /// Figure 6: "Analysis of the cost/perf pareto architectures for the
 /// compress benchmark" — the labelled designs *a..k* and their improvement
 /// over the best traditional cache architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Data {
     /// Workload name.
     pub workload: String,
     /// The labelled pareto designs, in cost order.
     pub points: Vec<Fig6Point>,
 }
+
+mce_obs::json_codec! { struct Fig6Data { workload, points } }
 
 impl Fig6Data {
     /// Renders the printed report.
@@ -436,7 +454,7 @@ fn fig6_from(w: &Workload, conex: &ConexResult) -> Fig6Data {
 // ---------------------------------------------------------------------------
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Total cost, gates.
     pub cost_gates: u64,
@@ -446,14 +464,18 @@ pub struct Table1Row {
     pub energy_nj: f64,
 }
 
+mce_obs::json_codec! { struct Table1Row { cost_gates, latency_cycles, energy_nj } }
+
 /// Table 1: "Selected cost/performance designs for the connectivity
 /// exploration" — per benchmark, the cost/latency/energy of the selected
 /// designs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Data {
     /// Rows per benchmark, in (benchmark, rows) pairs.
     pub benchmarks: Vec<(String, Vec<Table1Row>)>,
 }
+
+mce_obs::json_codec! { struct Table1Data { benchmarks } }
 
 impl Table1Data {
     /// Renders the printed report.
@@ -511,7 +533,7 @@ pub fn table1(scale: Scale) -> Table1Data {
 // ---------------------------------------------------------------------------
 
 /// One strategy's coverage results on one benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Cell {
     /// The exploration strategy.
     pub strategy: String,
@@ -529,13 +551,22 @@ pub struct Table2Cell {
     pub avg_energy_dist_pct: f64,
 }
 
+mce_obs::json_codec! {
+    struct Table2Cell {
+        strategy, time_s, simulations, coverage_pct, avg_cost_dist_pct, avg_perf_dist_pct,
+        avg_energy_dist_pct,
+    }
+}
+
 /// Table 2: "Pareto coverage results" — Pruned vs Neighborhood vs Full per
 /// benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Data {
     /// Per-benchmark strategy cells.
     pub benchmarks: Vec<(String, Vec<Table2Cell>)>,
 }
+
+mce_obs::json_codec! { struct Table2Data { benchmarks } }
 
 impl Table2Data {
     /// Renders the printed report.

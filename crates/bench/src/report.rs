@@ -1,6 +1,6 @@
 //! Report rendering: aligned text tables and JSON artifacts.
 
-use serde::Serialize;
+use mce_obs::json::{self, ToJson};
 use std::fs;
 use std::path::PathBuf;
 
@@ -50,14 +50,14 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 /// # Errors
 ///
 /// Returns any I/O or serialization error.
-pub fn write_json_artifact<T: Serialize>(
+pub fn write_json_artifact<T: ToJson>(
     id: &str,
     data: &T,
 ) -> Result<PathBuf, Box<dyn std::error::Error>> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
     fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{id}.json"));
-    fs::write(&path, serde_json::to_string_pretty(data)?)?;
+    fs::write(&path, json::to_string_pretty(data))?;
     Ok(path)
 }
 
@@ -199,12 +199,14 @@ mod tests {
 
     #[test]
     fn artifacts_round_trip() {
-        #[derive(Serialize)]
-        struct D {
-            x: u32,
-        }
-        let p = write_json_artifact("test_artifact", &D { x: 42 }).unwrap();
+        use crate::experiments::Table1Row;
+        let row = Table1Row {
+            cost_gates: 42,
+            latency_cycles: 1.5,
+            energy_nj: 0.25,
+        };
+        let p = write_json_artifact("test_artifact", &row).unwrap();
         let body = std::fs::read_to_string(p).unwrap();
-        assert!(body.contains("42"));
+        assert_eq!(json::from_str::<Table1Row>(&body), Ok(row));
     }
 }

@@ -6,13 +6,12 @@
 //! fairness effects (round-robin), priority inversion (fixed priority) and
 //! slot waiting (TDMA) are simulatable and testable.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Declarative arbitration policy, stored in a component's parameter tuple
 /// ([`ConnParams::arbiter`](crate::ConnParams)); instantiated into a
 /// stateful [`Arbiter`] per link at simulation time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ArbiterKind {
     /// Fixed priority with the component's grant latency.
     #[default]
@@ -25,6 +24,8 @@ pub enum ArbiterKind {
         slot_cycles: u32,
     },
 }
+
+mce_obs::json_codec! { enum ArbiterKind { FixedPriority, RoundRobin, Tdma { slot_cycles } } }
 
 impl ArbiterKind {
     /// Instantiates the runtime arbiter for a link with `ports` attached
@@ -51,7 +52,7 @@ impl fmt::Display for ArbiterKind {
 }
 
 /// Arbitration policy of a shared component.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Arbiter {
     /// Lower master index wins; the configured grant delay applies whenever
     /// more than one port is attached.

@@ -1,13 +1,12 @@
 //! Connectivity architectures: channels assigned to component instances.
 
 use crate::component::{ConnComponent, ConnComponentKind};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Index of a communication channel within a
 /// [`ConnectivityArchitecture`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(usize);
 
 impl ChannelId {
@@ -30,8 +29,10 @@ impl fmt::Display for ChannelId {
 
 /// Index of a link (component instance) within a
 /// [`ConnectivityArchitecture`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(usize);
+
+mce_obs::json_codec! { struct LinkId(usize) }
 
 impl LinkId {
     /// Creates an id from a raw index.
@@ -54,7 +55,7 @@ impl fmt::Display for LinkId {
 /// A communication channel between two endpoints of the memory system
 /// (CPU↔module or module↔DRAM). Channels are *what must be connected*;
 /// links are *what connects them*.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Channel {
     /// Human-readable endpoint description, e.g. `"CPU<->L1"`.
     pub name: String,
@@ -62,6 +63,8 @@ pub struct Channel {
     /// off-chip-capable component).
     pub off_chip: bool,
 }
+
+mce_obs::json_codec! { struct Channel { name, off_chip } }
 
 impl Channel {
     /// Creates an on-chip channel.
@@ -93,11 +96,13 @@ impl fmt::Display for Channel {
 }
 
 /// A component instance carrying one or more channels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConnLink {
     name: String,
     component: ConnComponent,
 }
+
+mce_obs::json_codec! { struct ConnLink { name, component } }
 
 impl ConnLink {
     /// Creates a named link backed by `component`.
@@ -192,12 +197,14 @@ impl Error for ConnArchError {}
 /// assert!(arch.validate().is_ok());
 /// assert!(arch.gate_cost() > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConnectivityArchitecture {
     channels: Vec<Channel>,
     links: Vec<ConnLink>,
     assignment: Vec<Option<LinkId>>,
 }
+
+mce_obs::json_codec! { struct ConnectivityArchitecture { channels, links, assignment } }
 
 impl ConnectivityArchitecture {
     /// Creates an architecture over the given channels with no links yet.

@@ -1,7 +1,6 @@
 //! Connectivity components and their attribute tuples.
 
 use crate::arbiter::ArbiterKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The component classes of the default connectivity IP library.
@@ -11,7 +10,7 @@ use std::fmt;
 /// high-performance busses for shared on-chip transport at increasing
 /// bandwidth and controller cost, and the off-chip bus crossing the chip
 /// boundary to DRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConnComponentKind {
     /// Point-to-point wires between exactly one pair of endpoints: minimal
     /// latency, longest wires (highest per-bit area and energy).
@@ -29,6 +28,10 @@ pub enum ConnComponentKind {
     /// The off-chip bus to DRAM: narrow and slow (pad-limited), shared by
     /// all off-chip traffic.
     OffChipBus,
+}
+
+mce_obs::json_codec! {
+    enum ConnComponentKind { Dedicated, Mux, AmbaApb, AmbaAsb, AmbaAhb, OffChipBus }
 }
 
 impl ConnComponentKind {
@@ -169,7 +172,7 @@ impl fmt::Display for ConnComponentKind {
 /// The attribute tuple of a connectivity component — the paper's library
 /// entry: latency, pipelining, parallelism, split-transaction support,
 /// bitwidth, plus the cost and energy model constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnParams {
     /// Data width in bytes per beat.
     pub width_bytes: u32,
@@ -202,12 +205,22 @@ pub struct ConnParams {
     pub arbiter: ArbiterKind,
 }
 
+mce_obs::json_codec! {
+    struct ConnParams {
+        width_bytes, cycles_per_beat, arbitration_cycles, pipelined, split_transaction, max_ports,
+        outstanding, base_gates, gates_per_port, wire_gates_per_bit, energy_per_transfer_nj,
+        energy_per_byte_nj, off_chip, arbiter,
+    }
+}
+
 /// A connectivity component: a kind plus (possibly customized) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnComponent {
     kind: ConnComponentKind,
     params: ConnParams,
 }
+
+mce_obs::json_codec! { struct ConnComponent { kind, params } }
 
 impl ConnComponent {
     /// A component with the library-default parameters for `kind`.

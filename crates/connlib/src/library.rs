@@ -2,7 +2,7 @@
 
 use crate::component::{ConnComponent, ConnComponentKind, ConnParams};
 use mce_error::MceError;
-use serde::{Deserialize, Serialize};
+use mce_obs::json;
 use std::fmt;
 use std::path::Path;
 
@@ -24,10 +24,12 @@ use std::path::Path;
 /// lib.add(ConnComponent::with_params(ConnComponentKind::AmbaAhb, params));
 /// assert_eq!(lib.len(), 9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConnectivityLibrary {
     components: Vec<ConnComponent>,
 }
+
+mce_obs::json_codec! { struct ConnectivityLibrary { components } }
 
 impl ConnectivityLibrary {
     /// An empty library.
@@ -106,8 +108,8 @@ impl ConnectivityLibrary {
         self.components.is_empty()
     }
 
-    /// Parses a library from its JSON form (the same shape `serde_json`
-    /// produces for a [`ConnectivityLibrary`]) and validates it.
+    /// Parses a library from its JSON form (the shape
+    /// [`mce_obs::json::to_string`] writes) and validates it.
     ///
     /// # Errors
     ///
@@ -115,8 +117,8 @@ impl ConnectivityLibrary {
     /// [`MceError::Library`] when the parsed library violates a structural
     /// invariant (see [`ConnectivityLibrary::validate`]).
     pub fn from_json(text: &str) -> Result<Self, MceError> {
-        let lib: ConnectivityLibrary = serde_json::from_str(text)
-            .map_err(|e| MceError::json("parsing connectivity library", e))?;
+        let lib: ConnectivityLibrary =
+            json::from_str(text).map_err(|e| MceError::json("parsing connectivity library", e))?;
         lib.validate()?;
         Ok(lib)
     }
@@ -242,8 +244,8 @@ mod tests {
     #[test]
     fn json_round_trip_validates() {
         let lib = ConnectivityLibrary::amba();
-        let json = serde_json::to_string(&lib).unwrap();
-        let back = ConnectivityLibrary::from_json(&json).unwrap();
+        let text = json::to_string(&lib);
+        let back = ConnectivityLibrary::from_json(&text).unwrap();
         assert_eq!(lib, back);
     }
 
@@ -269,8 +271,7 @@ mod tests {
             ConnComponentKind::AmbaAhb,
             params,
         ));
-        let json = serde_json::to_string(&lib).unwrap();
-        let err = ConnectivityLibrary::from_json(&json).unwrap_err();
+        let err = ConnectivityLibrary::from_json(&json::to_string(&lib)).unwrap_err();
         assert!(err.to_string().contains("width_bytes"), "{err}");
     }
 

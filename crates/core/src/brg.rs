@@ -15,12 +15,11 @@ use mce_appmodel::{MemAccess, TraceBlocks, Workload};
 use mce_connlib::Channel;
 use mce_memlib::{MemoryArchitecture, ModuleModel};
 use mce_sim::system::{channel_endpoints, channels_for, ChannelEndpoint};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One arc of the BRG: a communication channel with its measured bandwidth
 /// requirement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrgArc {
     /// What the channel connects.
     pub endpoint: ChannelEndpoint,
@@ -56,7 +55,7 @@ impl fmt::Display for BrgArc {
 /// assert_eq!(brg.arcs().len(), 2); // CPU<->L1 and L1<->DRAM
 /// assert!(brg.arcs().iter().all(|a| a.bandwidth > 0.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Brg {
     arcs: Vec<BrgArc>,
     elapsed_cycles: u64,

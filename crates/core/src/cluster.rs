@@ -15,12 +15,11 @@
 //! (the fully shared busses).
 
 use crate::brg::Brg;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A logical connection: a set of BRG arcs that will share one connectivity
 /// component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// Indices into [`Brg::arcs`].
     pub arcs: Vec<usize>,
@@ -61,7 +60,7 @@ impl fmt::Display for Cluster {
 
 /// A complete clustering level: every BRG arc belongs to exactly one
 /// cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Clustering {
     /// The logical connections at this level.
     pub clusters: Vec<Cluster>,
@@ -95,7 +94,7 @@ impl fmt::Display for Clustering {
 
 /// The merge order used by the hierarchical clustering — the paper merges
 /// lowest-bandwidth first; the alternatives exist for the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ClusterOrder {
     /// Merge the two lowest-bandwidth clusters (the paper's rule: cheap
     /// channels share hardware first, hot channels keep private links

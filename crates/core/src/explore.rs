@@ -26,12 +26,11 @@ use mce_error::MceError;
 use mce_memlib::MemoryArchitecture;
 use mce_obs as obs;
 use mce_sim::{Preset, SamplingConfig};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::{Duration, Instant};
 
 /// How aggressively Phase I prunes before Phase II's full simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExplorationStrategy {
     /// Only the locally pareto-promising points are fully simulated (the
     /// paper's fast default: "2 days" vs the full month for compress).
@@ -56,7 +55,7 @@ impl fmt::Display for ExplorationStrategy {
 }
 
 /// Configuration of a ConEx run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConexConfig {
     /// Trace length for estimation and full simulation.
     pub trace_len: usize,
@@ -134,7 +133,7 @@ impl ConexConfig {
 /// frontier, taken during Phase I after a memory architecture's
 /// candidates land (see [`ConexConfig::frontier_sample_every`]). The
 /// sequence of snapshots is a run report's frontier-evolution curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontierSnapshot {
     /// Memory architectures explored when the sample was taken.
     pub archs_explored: usize,
@@ -147,6 +146,10 @@ pub struct FrontierSnapshot {
     pub hypervolume: f64,
 }
 
+mce_obs::json_codec! {
+    struct FrontierSnapshot { archs_explored, estimated, frontier_size, hypervolume }
+}
+
 /// Why one Phase-I candidate did or did not survive local selection —
 /// a frontier-provenance record captured under
 /// [`ConexExplorer::with_explain`].
@@ -155,7 +158,7 @@ pub struct FrontierSnapshot {
 /// cloud (exploration order), except for `origin == "estimate-degraded"`
 /// entries, whose candidate never produced a point: there it is the
 /// architecture's enumeration slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointProvenance {
     /// Position in the architecture's estimate cloud (see above).
     pub index: usize,
@@ -184,12 +187,16 @@ pub struct PointProvenance {
     pub dominated_by: Option<usize>,
 }
 
+mce_obs::json_codec! {
+    struct PointProvenance { index, describe, origin, kept, fronts, dominated_by }
+}
+
 /// Frontier provenance for one Phase-I memory architecture: every
 /// candidate's verdict, in estimate-cloud order (dropped candidates
 /// last). Captured only under [`ConexExplorer::with_explain`]; a pure
 /// function of the deterministic exploration state except for the
 /// origin tags, which describe where *this process* got each value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchProvenance {
     /// Phase-I memory-architecture index (exploration order).
     pub arch: usize,
@@ -203,6 +210,8 @@ pub struct ArchProvenance {
     pub points: Vec<PointProvenance>,
 }
 
+mce_obs::json_codec! { struct ArchProvenance { arch, mem, kept, pruned, points } }
+
 /// The resumable working state of Phase I: everything accumulated after
 /// each memory architecture completes.
 ///
@@ -213,7 +222,7 @@ pub struct ArchProvenance {
 /// state persisted there and fed back in resumes the loop at
 /// [`archs_done`](Phase1State::archs_done) and produces results
 /// bit-identical to an uninterrupted run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Phase1State {
     /// Memory architectures fully processed so far.
     pub archs_done: usize,
@@ -225,7 +234,6 @@ pub struct Phase1State {
     pub frontier_evolution: Vec<FrontierSnapshot>,
     /// Frontier-provenance records accumulated so far (empty unless the
     /// explorer runs with [`ConexExplorer::with_explain`]).
-    #[serde(default)]
     pub provenance: Vec<ArchProvenance>,
 }
 
@@ -233,7 +241,7 @@ pub struct Phase1State {
 /// and was answered with a degraded value: a Phase-II point falls back to
 /// its Phase-I estimate, a Phase-I candidate is dropped (no cheaper
 /// estimator exists). See [`EvalEngine::refine_batch_bounded`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradedEval {
     /// `"estimate"` (Phase I) or `"refine"` (Phase II).
     pub phase: String,
@@ -245,6 +253,8 @@ pub struct DegradedEval {
     /// What went wrong (currently always `"timeout"`).
     pub reason: String,
 }
+
+mce_obs::json_codec! { struct DegradedEval { phase, arch, index, reason } }
 
 impl DegradedEval {
     fn timeout(phase: &str, arch: Option<usize>, index: usize) -> Self {
@@ -258,7 +268,7 @@ impl DegradedEval {
 }
 
 /// The result of a ConEx exploration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConexResult {
     workload_name: String,
     estimated: Vec<DesignPoint>,
@@ -266,9 +276,15 @@ pub struct ConexResult {
     frontier_evolution: Vec<FrontierSnapshot>,
     stop: Option<String>,
     degraded: Vec<DegradedEval>,
-    #[serde(default)]
     provenance: Vec<ArchProvenance>,
     elapsed: Duration,
+}
+
+mce_obs::json_codec! {
+    struct ConexResult {
+        workload_name, estimated, simulated, frontier_evolution, stop, degraded,
+        #[default] provenance, elapsed,
+    }
 }
 
 impl ConexResult {

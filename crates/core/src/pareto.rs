@@ -9,11 +9,10 @@
 //! percentile deviation of the closest substitute for each missed point.
 
 use crate::design_point::Metrics;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A metric axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// Gate cost.
     Cost,
@@ -75,7 +74,7 @@ pub fn dominates(a: &Metrics, b: &Metrics, axes: &[Axis]) -> bool {
 /// let front = ParetoFront::of(&points, &[Axis::Cost, Axis::Latency]);
 /// assert_eq!(front.indices(), &[0, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParetoFront {
     indices: Vec<usize>,
 }
@@ -172,7 +171,7 @@ pub fn hypervolume_proxy(points: &[Metrics], axes: [Axis; 2]) -> f64 {
 
 /// The Table 2 comparison: how well an exploration's points cover a
 /// reference (full-search) pareto front.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoverageReport {
     /// Fraction of reference pareto points exactly matched (within
     /// `tolerance` relative error on every axis), in percent.

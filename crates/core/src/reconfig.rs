@@ -21,7 +21,6 @@ use crate::pareto::{Axis, ParetoFront};
 use mce_appmodel::{DataStructure, Phase, Workload, WorkloadBuilder};
 use mce_error::MceError;
 use mce_memlib::MemoryArchitecture;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Gate overhead of the reconfiguration controller (configuration store,
@@ -31,7 +30,7 @@ pub const RECONFIG_CONTROLLER_GATES: u64 = 9_000;
 pub const RECONFIG_SWITCH_CYCLES: u64 = 200;
 
 /// The connectivity chosen for one phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseChoice {
     /// Phase name.
     pub phase: String,
@@ -43,7 +42,7 @@ pub struct PhaseChoice {
 
 /// Comparison of the best static connectivity against a per-phase
 /// reconfigurable one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigReport {
     /// Workload explored.
     pub workload_name: String,

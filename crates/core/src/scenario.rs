@@ -9,12 +9,11 @@
 
 use crate::design_point::DesignPoint;
 use crate::pareto::{Axis, ParetoFront};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A design-goal scenario: one metric constrained, the other two optimized
 /// as a pareto front.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scenario {
     /// Energy per access must not exceed the threshold; optimize
     /// cost/performance.

@@ -5,13 +5,14 @@ use crate::cost::{module_gates, SYSTEM_BASE_GATES};
 use crate::dram::DramConfig;
 use crate::module::{MemModule, MemModuleKind};
 use mce_appmodel::{AccessPattern, DsId, Workload};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Index of a module within a [`MemoryArchitecture`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ModuleId(usize);
+
+mce_obs::json_codec! { struct ModuleId(usize) }
 
 impl ModuleId {
     /// Creates an id from a raw index.
@@ -117,7 +118,7 @@ impl Error for ArchError {}
 ///     .expect("valid architecture");
 /// assert_eq!(arch.on_chip_modules().count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryArchitecture {
     name: String,
     modules: Vec<MemModule>,
@@ -127,9 +128,10 @@ pub struct MemoryArchitecture {
     /// prefetches and writebacks to another on-chip module (a next-level
     /// cache); `None` means they go straight to the off-chip DRAM. Index-
     /// aligned with `modules`.
-    #[serde(default)]
     backing: Vec<Option<ModuleId>>,
 }
+
+mce_obs::json_codec! { struct MemoryArchitecture { name, modules, mapping, #[default] backing } }
 
 impl MemoryArchitecture {
     /// Starts a builder. A default off-chip DRAM is appended automatically

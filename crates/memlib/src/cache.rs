@@ -2,11 +2,10 @@
 
 use crate::module::{ModuleModel, ModuleResponse};
 use mce_appmodel::{AccessKind, Addr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Replacement policy for a cache set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReplacementPolicy {
     /// Evict the least recently used line.
     #[default]
@@ -15,8 +14,10 @@ pub enum ReplacementPolicy {
     Fifo,
 }
 
+mce_obs::json_codec! { enum ReplacementPolicy { Lru, Fifo } }
+
 /// Write handling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WritePolicy {
     /// Dirty lines are written back on eviction; write hits stay on-chip.
     #[default]
@@ -26,8 +27,10 @@ pub enum WritePolicy {
     WriteThrough,
 }
 
+mce_obs::json_codec! { enum WritePolicy { WriteBack, WriteThrough } }
+
 /// Write-miss handling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WriteMissPolicy {
     /// Fetch the line and install it (pairs naturally with write-back).
     #[default]
@@ -37,6 +40,8 @@ pub enum WriteMissPolicy {
     WriteAround,
 }
 
+mce_obs::json_codec! { enum WriteMissPolicy { WriteAllocate, WriteAround } }
+
 /// Static configuration of a set-associative cache.
 ///
 /// ```
@@ -45,7 +50,7 @@ pub enum WriteMissPolicy {
 /// assert_eq!(c.size_bytes, 8192);
 /// assert_eq!(c.num_sets(), 8192 / (32 * 2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total data capacity in bytes.
     pub size_bytes: u64,
@@ -61,6 +66,10 @@ pub struct CacheConfig {
     pub write_miss: WriteMissPolicy,
     /// Hit latency in cycles.
     pub hit_cycles: u32,
+}
+
+mce_obs::json_codec! {
+    struct CacheConfig { size_bytes, line_bytes, ways, replacement, write, write_miss, hit_cycles }
 }
 
 impl CacheConfig {

@@ -8,11 +8,10 @@
 
 use crate::module::{ModuleModel, ModuleResponse};
 use mce_appmodel::{AccessKind, Addr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Static DRAM timing configuration (cycles are CPU cycles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramConfig {
     /// Row size in bytes (one open page).
     pub row_bytes: u64,
@@ -24,6 +23,10 @@ pub struct DramConfig {
     pub burst_bytes: u32,
     /// Cycles per burst beat after the first.
     pub beat_cycles: u32,
+}
+
+mce_obs::json_codec! {
+    struct DramConfig { row_bytes, row_miss_cycles, cas_cycles, burst_bytes, beat_cycles }
 }
 
 impl DramConfig {

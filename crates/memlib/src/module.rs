@@ -7,7 +7,6 @@ use crate::fifo::FifoState;
 use crate::sram::SramState;
 use crate::stream_buffer::StreamBufferState;
 use mce_appmodel::{AccessKind, Addr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind (and configuration) of a memory module in the IP library.
@@ -17,7 +16,7 @@ use std::fmt;
 /// stream buffers for stream accesses, DMA-like custom modules that bring
 /// "predictable, well-known data structures (such as lists) closer to the
 /// CPU", and the off-chip DRAM backing store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemModuleKind {
     /// A set-associative cache.
     Cache(CacheConfig),
@@ -53,6 +52,17 @@ pub enum MemModuleKind {
     },
     /// The off-chip DRAM backing store. Every architecture has exactly one.
     OffChipDram(DramConfig),
+}
+
+mce_obs::json_codec! {
+    enum MemModuleKind {
+        Cache(config),
+        Sram { bytes },
+        StreamBuffer { entries, line_bytes },
+        SelfIndirectDma { depth, element_bytes },
+        Fifo { entries, line_bytes },
+        OffChipDram(config),
+    }
 }
 
 impl MemModuleKind {
@@ -124,11 +134,13 @@ impl fmt::Display for MemModuleKind {
 }
 
 /// A named instance of a module kind within an architecture.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MemModule {
     name: String,
     kind: MemModuleKind,
 }
+
+mce_obs::json_codec! { struct MemModule { name, kind } }
 
 impl MemModule {
     /// Creates a named module.
@@ -163,7 +175,7 @@ impl fmt::Display for MemModule {
 /// over the off-chip channel *before* the CPU is unblocked (a miss);
 /// `background_bytes` is prefetch/writeback traffic that consumes off-chip
 /// bandwidth and energy but does not stall the CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ModuleResponse {
     /// Served on-chip without waiting for DRAM.
     pub hit: bool,

@@ -79,6 +79,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod fnv;
 pub mod hist;
 pub mod json;
 pub mod recorder;
@@ -86,6 +87,7 @@ pub mod sink;
 pub mod timeseries;
 
 pub use event::{escape_json, Event, EventKind, Level};
+pub use fnv::{fnv128, Fnv128};
 pub use hist::{Histogram, HistogramSummary};
 pub use recorder::{
     counter_add, counter_restore, counter_value, counters_snapshot, debug, emit, gauge_max,

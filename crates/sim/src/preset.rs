@@ -10,12 +10,11 @@
 //! * [`Preset::Paper`] — the configuration reproducing the paper's
 //!   experiments.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// The two operating points every exploration configuration offers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Preset {
     /// Reduced traces and candidate caps — seconds per run.
     Fast,

@@ -24,10 +24,9 @@ use crate::engine::Simulator;
 use crate::stats::SimStats;
 use crate::system::SystemConfig;
 use mce_appmodel::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the on/off sampling windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingConfig {
     /// Accesses fully simulated per window.
     pub on_accesses: u32,

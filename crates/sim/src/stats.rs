@@ -1,10 +1,9 @@
 //! Simulation statistics.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Per-channel utilization numbers.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChannelStats {
     /// Channel description (endpoint names).
     pub name: String,
@@ -16,13 +15,15 @@ pub struct ChannelStats {
     pub busy_cycles: u64,
 }
 
+mce_obs::json_codec! { struct ChannelStats { name, transfers, bytes, busy_cycles } }
+
 /// Per-memory-module utilization numbers.
 ///
 /// Counters cover *CPU-demand* accesses: a backing module (an L2 in the
 /// multi-level extension) that serves no data structure directly shows
 /// zero here — its effect is visible in the per-link byte counters and in
 /// the latency instead. This keeps `Σ modules.accesses == SimStats::accesses`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ModuleStats {
     /// Module instance name.
     pub name: String,
@@ -31,6 +32,8 @@ pub struct ModuleStats {
     /// Accesses served on-chip without a DRAM round trip.
     pub hits: u64,
 }
+
+mce_obs::json_codec! { struct ModuleStats { name, accesses, hits } }
 
 impl ModuleStats {
     /// The module's local hit ratio (0.0 when unused).
@@ -45,7 +48,7 @@ impl ModuleStats {
 
 /// Per-data-structure latency numbers: which application structure is
 /// actually hurting.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DsLatencyStats {
     /// Data-structure name.
     pub name: String,
@@ -54,6 +57,8 @@ pub struct DsLatencyStats {
     /// Total memory latency its accesses accumulated, cycles.
     pub total_latency: u64,
 }
+
+mce_obs::json_codec! { struct DsLatencyStats { name, accesses, total_latency } }
 
 impl DsLatencyStats {
     /// Average latency per access (0.0 when unused).
@@ -71,7 +76,7 @@ impl DsLatencyStats {
 /// `avg_latency_cycles` is the paper's "average memory latency, including
 /// the latency due to the memory modules, as well as the latency due to the
 /// connectivity" (cache misses, bus multiplexing, bus conflicts).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimStats {
     /// Accesses simulated.
     pub accesses: u64,
@@ -93,6 +98,13 @@ pub struct SimStats {
     pub modules: Vec<ModuleStats>,
     /// Per-data-structure latency (one entry per structure).
     pub data_structures: Vec<DsLatencyStats>,
+}
+
+mce_obs::json_codec! {
+    struct SimStats {
+        accesses, reads, on_chip_hits, avg_latency_cycles, avg_energy_nj, total_cycles,
+        total_energy_nj, links, modules, data_structures,
+    }
 }
 
 impl SimStats {

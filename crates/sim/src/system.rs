@@ -6,7 +6,6 @@ use mce_connlib::{
     Channel, ChannelId, ConnArchError, ConnComponent, ConnComponentKind, ConnectivityArchitecture,
 };
 use mce_memlib::{ArchError, MemModuleKind, MemoryArchitecture, ModuleId};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -16,7 +15,7 @@ use std::fmt;
 /// The channel list of a system is derived deterministically from the
 /// memory architecture (see [`channel_endpoints`]), so the ConEx stage and
 /// the simulator always agree on channel identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChannelEndpoint {
     /// CPU to an on-chip module (demand traffic).
     CpuToModule(ModuleId),
@@ -28,6 +27,15 @@ pub enum ChannelEndpoint {
     ModuleToDram(ModuleId),
     /// CPU directly to DRAM (data structures mapped off-chip).
     CpuToDram,
+}
+
+mce_obs::json_codec! {
+    enum ChannelEndpoint {
+        CpuToModule(module),
+        ModuleToModule(from, to),
+        ModuleToDram(module),
+        CpuToDram,
+    }
 }
 
 impl ChannelEndpoint {
@@ -106,12 +114,14 @@ pub fn channels_for(mem: &MemoryArchitecture, workload: &Workload) -> Vec<Channe
 
 /// A complete system configuration: memory architecture + connectivity
 /// architecture, with the channel list they share.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     mem: MemoryArchitecture,
     conn: ConnectivityArchitecture,
     endpoints: Vec<ChannelEndpoint>,
 }
+
+mce_obs::json_codec! { struct SystemConfig { mem, conn, endpoints } }
 
 /// Validation failure for a system configuration.
 #[derive(Debug)]

@@ -31,10 +31,10 @@
 //! Archive mutations are counted under the `archive.*` counter family
 //! (`runs_added`, `duplicates`, `bytes_stored`, `gc_removed`).
 
-use crate::checkpoint::fnv128;
 use crate::report::{check_report_schema, RunReport};
 use mce_error::{atomic_write, MceError};
 use mce_obs as obs;
+use mce_obs::fnv128;
 use mce_obs::json::{self, Value};
 use std::fs;
 use std::io::Write as _;

@@ -48,6 +48,7 @@ use mce_conex::explore::Phase1State;
 use mce_conex::{CacheStats, ConexConfig, EvalCache, FrontierSnapshot};
 use mce_connlib::ConnectivityLibrary;
 use mce_error::MceError;
+use mce_obs::fnv128;
 use mce_obs::json::{self, Value};
 use std::path::Path;
 
@@ -349,24 +350,6 @@ pub fn config_digest(
     // Debug formatting covers every field of every config type and is
     // deterministic; a digest over it changes whenever any knob does.
     fnv128(format!("{apex:?}|{conex:?}|{library:?}|{cache_capacity}").as_bytes())
-}
-
-/// Two-lane FNV-1a over `bytes`, rendered as 32 hex chars. Two
-/// independently-seeded 64-bit lanes make coincidental collisions after
-/// file corruption vanishingly unlikely while keeping the hash
-/// dependency-free. Also used by the run archive to content-address
-/// reports by their deterministic prefix.
-pub fn fnv128(bytes: &[u8]) -> String {
-    const OFFSET_1: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME_1: u64 = 0x0000_0100_0000_01b3;
-    const OFFSET_2: u64 = 0x6c62_272e_07bb_0142;
-    const PRIME_2: u64 = 0x9e37_79b9_7f4a_7c15;
-    let (mut a, mut b) = (OFFSET_1, OFFSET_2);
-    for &byte in bytes {
-        a = (a ^ u64::from(byte)).wrapping_mul(PRIME_1);
-        b = (b ^ u64::from(byte)).wrapping_mul(PRIME_2);
-    }
-    format!("{a:016x}{b:016x}")
 }
 
 #[cfg(test)]

@@ -234,6 +234,7 @@ fn scalar_at(doc: &Value, key: &str) -> String {
         None | Some(Value::Null) => "—".to_owned(),
         Some(Value::String(s)) => s.clone(),
         Some(Value::Number(n)) => format!("{n}"),
+        Some(Value::Int(n)) => n.to_string(),
         Some(Value::Bool(b)) => b.to_string(),
         Some(_) => "…".to_owned(),
     }
@@ -287,6 +288,7 @@ fn scalar_opt(doc: &Value, key: &str) -> Option<String> {
         Value::Null => "null".to_owned(),
         Value::String(s) => s.clone(),
         Value::Number(n) => format!("{n}"),
+        Value::Int(n) => n.to_string(),
         Value::Bool(b) => b.to_string(),
         _ => "…".to_owned(),
     })
@@ -405,6 +407,7 @@ fn scalar_at_value(v: &Value) -> String {
         Value::Null => "—".to_owned(),
         Value::String(s) => s.clone(),
         Value::Number(n) => format!("{n}"),
+        Value::Int(n) => n.to_string(),
         Value::Bool(b) => b.to_string(),
         _ => "…".to_owned(),
     }

@@ -933,6 +933,7 @@ fn render_scalar(v: &Value) -> String {
                 format!("{n}")
             }
         }
+        Value::Int(n) => n.to_string(),
         Value::Bool(b) => b.to_string(),
         Value::Null => "null".to_owned(),
         _ => "…".to_owned(),

@@ -22,7 +22,7 @@ use crate::archive::RunArchive;
 use crate::session::ExplorationSession;
 use mce_budget::{CancelReason, CancelToken};
 use mce_error::{atomic_write, sweep_stale_tmps, MceError};
-use mce_obs::escape_json;
+use mce_obs::{escape_json, json};
 use mce_sim::Preset;
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -601,9 +601,14 @@ fn submit(shared: &Arc<Shared>, body: &[u8]) -> (u16, String) {
         Ok(text) => text,
         Err(_) => return (400, error_json(400, "job spec is not UTF-8")),
     };
-    let spec: JobSpec = match serde_json::from_str(text) {
+    let spec: JobSpec = match json::from_str(text) {
         Ok(spec) => spec,
-        Err(e) => return (400, error_json(400, &format!("invalid job spec: {e}"))),
+        Err(e) => {
+            return (
+                400,
+                error_json(400, &MceError::json("job spec", e).to_string()),
+            )
+        }
     };
     if spec.preset.parse::<Preset>().is_err() {
         return (

@@ -20,10 +20,9 @@
 //! prefix; a daemon that replays the journal after a SIGKILL sees every
 //! acknowledged job exactly as it was journaled.
 
-use crate::checkpoint::fnv128;
 use mce_appmodel::Workload;
 use mce_error::MceError;
-use serde::{Deserialize, Serialize};
+use mce_obs::{fnv128, json};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -36,7 +35,7 @@ pub const JOURNAL_SCHEMA: u64 = 1;
 /// One exploration job as submitted by a client. The workload is
 /// inlined (the client resolves builtin names and files before
 /// submitting), so the daemon never reads client-side paths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// The workload to explore, fully inlined.
     pub workload: Workload,
@@ -55,6 +54,10 @@ pub struct JobSpec {
     /// Retries allowed after a failure or deadline timeout (crashes and
     /// drains are not charged).
     pub retry_budget: u32,
+}
+
+mce_obs::json_codec! {
+    struct JobSpec { workload, preset, threads, max_evals, max_archs, deadline_ms, retry_budget }
 }
 
 /// A job's current state, folded from the journal.
@@ -97,7 +100,7 @@ impl JobState {
 }
 
 /// One journaled lifecycle transition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobEvent {
     /// A client's job was accepted; the acknowledgement is sent only
     /// after this record is fsynced.
@@ -155,6 +158,19 @@ pub enum JobEvent {
     },
 }
 
+mce_obs::json_codec! {
+    enum JobEvent {
+        Submitted { id, spec },
+        Started { id, attempt, pid },
+        Done { id },
+        Failed { id, error },
+        TimedOut { id },
+        Retrying { id, reason },
+        Canceled { id },
+        Requeued { id },
+    }
+}
+
 impl JobEvent {
     /// The id of the job this event belongs to.
     pub fn id(&self) -> u64 {
@@ -195,18 +211,13 @@ const LINE_MID: &str = "\",\"event\":";
 
 /// Frames one event as a digest-checked journal line (with trailing
 /// newline).
-///
-/// # Errors
-///
-/// Returns [`MceError::Json`] if the event fails to serialize.
-pub fn frame_line(event: &JobEvent) -> Result<String, MceError> {
+pub fn frame_line(event: &JobEvent) -> String {
     debug_assert_eq!(JOURNAL_SCHEMA, 1, "LINE_PREFIX pins the schema");
-    let body = serde_json::to_string(event)
-        .map_err(|e| MceError::json("serialize journal event", e.to_string()))?;
-    Ok(format!(
+    let body = json::to_string(event);
+    format!(
         "{LINE_PREFIX}{}{LINE_MID}{body}}}\n",
         fnv128(body.as_bytes())
-    ))
+    )
 }
 
 /// Parses one journal line (without its trailing newline) strictly and
@@ -235,7 +246,7 @@ pub fn parse_line(line: &str) -> Result<JobEvent, MceError> {
     if fnv128(body.as_bytes()) != digest {
         return Err(MceError::checkpoint("journal line: digest mismatch"));
     }
-    serde_json::from_str(body)
+    json::from_str(body)
         .map_err(|e| MceError::checkpoint(format!("journal line: invalid event: {e}")))
 }
 
@@ -356,7 +367,7 @@ impl JobJournal {
     /// Returns [`MceError::Io`] when the write or sync fails; the
     /// journal may then hold a torn line, which replay tail-drops.
     pub fn append(&self, event: &JobEvent) -> Result<(), MceError> {
-        let line = frame_line(event)?;
+        let line = frame_line(event);
         let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         let ctx = || format!("append journal {}", self.path.display());
         file.write_all(line.as_bytes())
@@ -402,7 +413,7 @@ mod tests {
             JobEvent::Done { id: 1 },
         ];
         for event in &events {
-            let line = frame_line(event).unwrap();
+            let line = frame_line(event);
             assert!(line.ends_with('\n'));
             assert_eq!(&parse_line(line.trim_end()).unwrap(), event);
         }

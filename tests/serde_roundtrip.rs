@@ -4,14 +4,15 @@
 
 use memory_conex::appmodel::benchmarks;
 use memory_conex::conex::{ConexConfig, ConexExplorer, ConexResult};
+use memory_conex::obs::json;
 use memory_conex::prelude::*;
 use memory_conex::sim::simulate;
 
 #[test]
 fn workloads_round_trip() {
     for w in benchmarks::all().into_iter().chain(benchmarks::extended()) {
-        let json = serde_json::to_string(&w).expect("serialize");
-        let back: Workload = serde_json::from_str(&json).expect("deserialize");
+        let text = json::to_string(&w);
+        let back: Workload = json::from_str(&text).expect("deserialize");
         assert_eq!(w, back, "{}", w.name());
         // Traces from the deserialized workload are identical.
         let a: Vec<MemAccess> = w.trace(500).collect();
@@ -39,8 +40,8 @@ fn memory_architecture_round_trips() {
         .map_rest_to(0)
         .build(&w)
         .unwrap();
-    let json = serde_json::to_string(&mem).unwrap();
-    let back: MemoryArchitecture = serde_json::from_str(&json).unwrap();
+    let text = json::to_string(&mem);
+    let back: MemoryArchitecture = json::from_str(&text).unwrap();
     assert_eq!(mem, back);
     assert!(back.validate(&w).is_ok());
 }
@@ -50,15 +51,15 @@ fn system_config_and_stats_round_trip() {
     let w = benchmarks::vocoder();
     let mem = MemoryArchitecture::cache_only(&w, memory_conex::memlib::CacheConfig::kilobytes(2));
     let sys = SystemConfig::with_shared_bus(&w, mem).unwrap();
-    let json = serde_json::to_string(&sys).unwrap();
-    let back: SystemConfig = serde_json::from_str(&json).unwrap();
+    let text = json::to_string(&sys);
+    let back: SystemConfig = json::from_str(&text).unwrap();
     assert_eq!(sys, back);
     // Simulating the deserialized system gives identical stats.
     let a = simulate(&sys, &w, 5_000);
     let b = simulate(&back, &w, 5_000);
     assert_eq!(a, b);
-    let stats_json = serde_json::to_string(&a).unwrap();
-    let stats_back: SimStats = serde_json::from_str(&stats_json).unwrap();
+    let stats_json = json::to_string(&a);
+    let stats_back: SimStats = json::from_str(&stats_json).unwrap();
     assert_eq!(a, stats_back);
 }
 
@@ -72,8 +73,8 @@ fn conex_result_round_trips() {
     let result = ConexExplorer::new(cfg)
         .explore(&w, apex.selected())
         .unwrap();
-    let json = serde_json::to_string(&result).unwrap();
-    let back: ConexResult = serde_json::from_str(&json).unwrap();
+    let text = json::to_string(&result);
+    let back: ConexResult = json::from_str(&text).unwrap();
     assert_eq!(result.simulated().len(), back.simulated().len());
     for (a, b) in result.simulated().iter().zip(back.simulated()) {
         assert_eq!(a.metrics, b.metrics);
@@ -88,7 +89,7 @@ fn conex_result_round_trips() {
 #[test]
 fn library_round_trips() {
     let lib = ConnectivityLibrary::amba();
-    let json = serde_json::to_string(&lib).unwrap();
-    let back: ConnectivityLibrary = serde_json::from_str(&json).unwrap();
+    let text = json::to_string(&lib);
+    let back: ConnectivityLibrary = json::from_str(&text).unwrap();
     assert_eq!(lib, back);
 }

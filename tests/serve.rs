@@ -548,6 +548,14 @@ fn hostile_requests_get_typed_errors_and_the_daemon_survives() {
         resp.starts_with("HTTP/1.1 400 ") && resp.contains("footprint must be non-zero"),
         "invalid workload: wanted a 400 naming the invariant, got:\n{resp}"
     );
+    // A small body nested far past the parser's depth cap: a typed 400,
+    // not a stack overflow that kills the daemon.
+    let nested = format!("{{\"workload\":{}", "[".repeat(20_000));
+    let request = format!(
+        "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{nested}",
+        nested.len()
+    );
+    probe(request.as_bytes(), "400", "deeply nested job spec");
     let huge_head = format!(
         "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
         "x".repeat(9000)
