@@ -19,6 +19,7 @@
 
 use crate::data_structure::DataStructure;
 use crate::pattern::AccessPattern;
+use crate::rng::{mix64, GOLDEN_GAMMA};
 use crate::workload::{Phase, Workload, WorkloadBuilder};
 
 /// SPEC95 `compress` model: LZW compression.
@@ -364,15 +365,11 @@ pub fn extended() -> Vec<Workload> {
 /// pipeline: 2–6 data structures with random patterns, footprints, element
 /// sizes, hotness and write mixes, all drawn deterministically from `seed`.
 pub fn random_workload(seed: u64) -> Workload {
-    // splitmix64 stream over the seed: no rand dependency surface in the
-    // public API, fully reproducible.
-    let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    // A splitmix64 stream over the seed.
+    let mut state = seed;
     let mut next = move || {
-        let mut x = state;
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
+        state = state.wrapping_add(GOLDEN_GAMMA);
+        mix64(state)
     };
     let n = 2 + (next() % 5) as usize;
     let mut builder = WorkloadBuilder::new(format!("random_{seed:x}"));

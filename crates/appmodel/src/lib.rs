@@ -39,6 +39,7 @@ pub mod benchmarks;
 pub mod data_structure;
 pub mod pattern;
 pub mod profile;
+pub mod rng;
 pub mod trace_blocks;
 pub mod trace_io;
 pub mod workload;

@@ -13,8 +13,7 @@
 //! Every generator is deterministic given the workload seed, which keeps the
 //! experiments and tests reproducible.
 
-use rand::rngs::SmallRng;
-use rand::Rng;
+use crate::rng::{mix64, Rng, GOLDEN_GAMMA};
 use std::fmt;
 
 /// The access pattern a data structure exhibits.
@@ -147,16 +146,6 @@ pub struct PatternGen {
     sweep: u32,
 }
 
-/// A deterministic integer hash (splitmix64 finalizer) used to model
-/// value-dependent next-element computation for self-indirect traffic.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl PatternGen {
     /// The pattern this generator realizes.
     pub fn pattern(&self) -> AccessPattern {
@@ -169,7 +158,7 @@ impl PatternGen {
     /// `Stack`, and the scatter half of `Indexed`); the regular patterns are
     /// purely a function of their own state so that a prefetching module can
     /// model them exactly.
-    pub fn next_offset(&mut self, rng: &mut SmallRng) -> u64 {
+    pub fn next_offset(&mut self, rng: &mut Rng) -> u64 {
         let fp = self.footprint;
         let elem = self.element_size;
         let n_elems = (fp / elem).max(1);
@@ -184,7 +173,8 @@ impl PatternGen {
                 let off = idx * elem;
                 // Next index is a deterministic function of the current
                 // element "value" — a pseudo-random permutation walk.
-                self.cursor = mix64(idx.wrapping_add(self.aux)) % n_elems;
+                self.cursor =
+                    mix64(idx.wrapping_add(self.aux).wrapping_add(GOLDEN_GAMMA)) % n_elems;
                 self.aux = self.aux.wrapping_add(1);
                 off
             }
@@ -198,7 +188,7 @@ impl PatternGen {
                 } else {
                     // Data read: scattered.
                     self.sweep = 0;
-                    (rng.gen::<u64>() % n_elems) * elem
+                    (rng.next_u64() % n_elems) * elem
                 }
             }
             AccessPattern::LoopNest { working_set, reuse } => {
@@ -216,10 +206,10 @@ impl PatternGen {
                 }
                 off
             }
-            AccessPattern::Random => (rng.gen::<u64>() % n_elems) * elem,
+            AccessPattern::Random => (rng.next_u64() % n_elems) * elem,
             AccessPattern::Stack => {
                 // Random walk of the stack depth, accesses near the top.
-                if rng.gen::<bool>() {
+                if rng.next_bool() {
                     self.aux = (self.aux + 1).min(n_elems.saturating_sub(1));
                 } else {
                     self.aux = self.aux.saturating_sub(1);
@@ -233,10 +223,9 @@ impl PatternGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> SmallRng {
-        SmallRng::seed_from_u64(42)
+    fn rng() -> Rng {
+        Rng::seed_from_u64(42)
     }
 
     fn offsets(p: AccessPattern, fp: u64, elem: u64, n: usize) -> Vec<u64> {

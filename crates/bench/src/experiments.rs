@@ -696,6 +696,32 @@ mod tests {
             );
             assert!(cells[0].simulations <= cells[1].simulations);
             assert!(cells[1].simulations <= cells[2].simulations);
+            // The paper's coverage claim: searching more of the space
+            // never loses pareto coverage.
+            let coverage: Vec<f64> = cells.iter().map(|c| c.coverage_pct).collect();
+            assert!(
+                coverage[0] <= coverage[1] && coverage[1] <= coverage[2],
+                "{name} coverage Pruned/Neighborhood/Full: {coverage:?}"
+            );
         }
+    }
+
+    #[test]
+    fn fig3_paper_selects_the_five_pinned_architectures() {
+        // The paper's Figure 3 selects five pareto architectures, from
+        // cache-only to fully augmented; these are ours on the canonical
+        // trace stream.
+        let d = fig3(Scale::Paper);
+        let names: Vec<&str> = d.selected.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "cache1k_only",
+                "c2k+sb(input_stream)",
+                "c2k+dma(htab)",
+                "c2k+dma(htab)+dma(codetab)",
+                "c2k+dma(htab)+sp(locals)+sb(input_stream)+dma(codetab)",
+            ]
+        );
     }
 }

@@ -15,6 +15,7 @@
 //! (the fully shared busses).
 
 use crate::brg::Brg;
+use mce_appmodel::rng::{mix64, GOLDEN_GAMMA};
 use std::fmt;
 
 /// A logical connection: a set of BRG arcs that will share one connectivity
@@ -176,10 +177,7 @@ fn pick_merge(clusters: &[Cluster], order: ClusterOrder, step: u64) -> Option<(u
             .copied(),
         ClusterOrder::Random(seed) => {
             // splitmix64 over (seed, step) for a deterministic pick.
-            let mut x = seed ^ step.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^= x >> 31;
+            let x = mix64(seed ^ step.wrapping_mul(GOLDEN_GAMMA));
             Some(candidates[(x % candidates.len() as u64) as usize])
         }
     }

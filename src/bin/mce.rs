@@ -1585,6 +1585,11 @@ mod tests {
             (file(64, 4, 1.0, 1.5, ""), "write fraction"),
             (file(64, 4, 1.0, 0.2, &phase(0, "1.0")), "one access"),
             (file(64, 4, 1.0, 0.2, &phase(9, "")), "must scale every"),
+            (
+                file(64, 4, 1.0, 0.2, "")
+                    .replace("\"compute_gap\": 2", "\"compute_gap\": 9223372036854775808"),
+                "compute gap",
+            ),
         ];
         let path = std::env::temp_dir().join(format!("mce_bad_wl_{}.json", std::process::id()));
         let path_s = path.to_str().unwrap();

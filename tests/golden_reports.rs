@@ -9,12 +9,6 @@
 //! masked while pareto fronts, funnel counters and frontier evolution
 //! must match byte for byte.
 //!
-//! The synthetic workloads draw their traces from `rand`, so a build
-//! against a different `rand` generates a different trace. The fixture
-//! carries the workload digest it was generated for; when that differs
-//! from this build's digest, the pin does not apply and the test says so
-//! instead of failing.
-//!
 //! A change that alters any explored result fails here. If the change is
 //! intended, say so in the change log and regenerate the fixtures.
 
@@ -47,13 +41,10 @@ fn check_pinned_report(workload: Workload) {
         .and_then(Value::as_str)
         .expect("fixture carries its workload digest");
     let digest = workload_digest(&workload).to_hex();
-    if digest != pinned_digest {
-        eprintln!(
-            "skipping the `{name}` report pin: this build generates workload digest \
-             {digest}, the fixture was generated for {pinned_digest} (a different rand)"
-        );
-        return;
-    }
+    assert_eq!(
+        digest, pinned_digest,
+        "`{name}` generates a different workload digest than its fixture"
+    );
     let report = {
         let _guard = lock();
         obs::install(Arc::new(obs::NullSink::new()));

@@ -2,6 +2,7 @@
 //! pareto fronts, coverage metrics, reservation tables, caches, pattern
 //! generators, arbitration and trace generation.
 
+use memory_conex::appmodel::rng::Rng;
 use memory_conex::appmodel::{AccessPattern, DataStructure, WorkloadBuilder};
 use memory_conex::conex::{Axis, CoverageReport, Metrics, ParetoFront};
 use memory_conex::connlib::{Arbiter, ConnComponent, ConnComponentKind, ReservationTable};
@@ -159,7 +160,6 @@ proptest! {
         elem_pow in 0u32..4,
         n in 1usize..500,
     ) {
-        use rand::SeedableRng;
         let elem = 1u64 << elem_pow; // 1..8 bytes
         let footprint = footprint_kib * 1024;
         let pattern = match pattern_id {
@@ -171,7 +171,7 @@ proptest! {
             _ => AccessPattern::Stack,
         };
         let mut gen = pattern.generator(footprint, elem);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         for _ in 0..n {
             let off = gen.next_offset(&mut rng);
             prop_assert!(off < footprint, "{pattern}: {off} >= {footprint}");
