@@ -12,26 +12,18 @@
 //!   simulation. Armed with [`Fault::PanicAtEval`] it panics at the Nth
 //!   evaluation (optionally at every evaluation from the Nth on); armed
 //!   with [`Fault::AbortAtEval`] it aborts the whole process — the
-//!   closest in-process stand-in for a `SIGKILL` mid-run; armed with
-//!   [`Fault::SigkillAtEval`] it delivers an actual `SIGKILL` to itself,
-//!   the real thing for supervisor crash-detection tests.
+//!   closest in-process stand-in for a `SIGKILL` mid-run.
 //! * [`on_write`] — called by `mce_error::atomic_write` before touching
 //!   the filesystem. Armed with [`Fault::FailWrite`] the Kth write
 //!   returns an injected [`io::Error`].
-//! * [`on_job`] — called by the `mce serve` job executor at each job
-//!   pickup. Armed with [`Fault::DieAtJob`] it `SIGKILL`s the daemon at
-//!   the Nth pickup (the journal-durability crash test); armed with
-//!   [`Fault::StallJob`] it asks the executor to wedge the Nth job until
-//!   its deadline cancels it (the retry-after-timeout test).
 //!
 //! ## Arming
 //!
 //! In-process tests call [`arm`]/[`disarm`] directly. Subprocess tests
 //! (kill-and-resume) set the `MCE_FAULT` environment variable — a
 //! comma-separated list of specs such as `panic_at_eval:40`,
-//! `panic_at_eval:40+` (sticky), `abort_at_eval:40`, `fail_write:2`,
-//! `sigkill_at_eval:40`, `die_at_job:1` or
-//! `stall_job:1` — and the `mce` binary arms it at startup via
+//! `panic_at_eval:40+` (sticky), `abort_at_eval:40`, `fail_write:2` or
+//! `hang_at_eval:3` — and the `mce` binary arms it at startup via
 //! [`arm_from_env`].
 //!
 //! The crate also ships the file-corruption helpers ([`flip_bit`],
@@ -77,32 +69,6 @@ pub enum Fault {
         /// 1-based evaluation index that hangs.
         nth: u64,
     },
-    /// Deliver a real `SIGKILL` to the current process at the `nth`
-    /// candidate evaluation — unlike [`Fault::AbortAtEval`] (a libc
-    /// `abort`, which still raises a catchable-in-principle signal and
-    /// runs no atexit), this is the genuine uncatchable kill a resumed
-    /// run must recover from.
-    SigkillAtEval {
-        /// 1-based evaluation index that kills the process.
-        nth: u64,
-    },
-    /// Deliver a real `SIGKILL` to the current process at the `nth` job
-    /// pickup ([`on_job`]) — the daemon dies with the job journaled as
-    /// `running`, and the restarted daemon must resume it from its
-    /// checkpoint.
-    DieAtJob {
-        /// 1-based job-pickup index that kills the process.
-        nth: u64,
-    },
-    /// Wedge the `nth` job picked up by the executor: [`on_job`] reports
-    /// "stall this job" once, and the executor spins on the job's cancel
-    /// token instead of exploring — until the per-job deadline trips and
-    /// the retry schedule takes over. One-shot, so the retried attempt
-    /// runs clean.
-    StallJob {
-        /// 1-based job-pickup index that stalls.
-        nth: u64,
-    },
 }
 
 struct State {
@@ -110,7 +76,6 @@ struct State {
     faults: Mutex<Vec<Fault>>,
     evals: AtomicU64,
     writes: AtomicU64,
-    jobs: AtomicU64,
 }
 
 fn state() -> &'static State {
@@ -120,7 +85,6 @@ fn state() -> &'static State {
         faults: Mutex::new(Vec::new()),
         evals: AtomicU64::new(0),
         writes: AtomicU64::new(0),
-        jobs: AtomicU64::new(0),
     })
 }
 
@@ -131,7 +95,6 @@ pub fn arm(faults: Vec<Fault>) {
     *s.faults.lock().unwrap_or_else(PoisonError::into_inner) = faults;
     s.evals.store(0, Ordering::SeqCst);
     s.writes.store(0, Ordering::SeqCst);
-    s.jobs.store(0, Ordering::SeqCst);
     s.enabled.store(true, Ordering::SeqCst);
 }
 
@@ -146,7 +109,6 @@ pub fn disarm() {
         .clear();
     s.evals.store(0, Ordering::SeqCst);
     s.writes.store(0, Ordering::SeqCst);
-    s.jobs.store(0, Ordering::SeqCst);
 }
 
 /// Parses one `MCE_FAULT` spec (e.g. `panic_at_eval:40`,
@@ -174,9 +136,6 @@ pub fn parse_spec(spec: &str) -> Result<Fault, String> {
         "abort_at_eval" if !sticky => Ok(Fault::AbortAtEval { nth }),
         "fail_write" if !sticky => Ok(Fault::FailWrite { nth }),
         "hang_at_eval" if !sticky => Ok(Fault::HangAtEval { nth }),
-        "sigkill_at_eval" if !sticky => Ok(Fault::SigkillAtEval { nth }),
-        "die_at_job" if !sticky => Ok(Fault::DieAtJob { nth }),
-        "stall_job" if !sticky => Ok(Fault::StallJob { nth }),
         _ => Err(format!("unknown fault spec `{spec}`")),
     }
 }
@@ -248,60 +207,10 @@ pub fn on_eval_blocking(cancelled: &(dyn Fn() -> bool + Sync)) -> bool {
                 }
                 hung = true;
             }
-            Fault::SigkillAtEval { nth } if n == nth => {
-                eprintln!("mce-faultinject: SIGKILL to self at evaluation {n}");
-                // No libc in the tree: ask the platform `kill` for the
-                // one signal nothing can catch, then wait for it to land.
-                let _ = std::process::Command::new("kill")
-                    .args(["-9", &std::process::id().to_string()])
-                    .status();
-                loop {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-            }
             _ => {}
         }
     }
     hung
-}
-
-/// The job hook: counts one job pickup and fires any armed
-/// [`Fault::DieAtJob`] (a real `SIGKILL` to the current process) or
-/// [`Fault::StallJob`] whose turn it is. Returns `true` when the picked
-/// job should stall — the executor then spins on the job's cancel token
-/// instead of running the exploration. No-op (one relaxed load, always
-/// `false`) when disarmed.
-pub fn on_job() -> bool {
-    let s = state();
-    if !s.enabled.load(Ordering::Relaxed) {
-        return false;
-    }
-    let n = s.jobs.fetch_add(1, Ordering::SeqCst) + 1;
-    let faults = s
-        .faults
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    let mut stall = false;
-    for fault in faults {
-        match fault {
-            Fault::DieAtJob { nth } if n == nth => {
-                eprintln!("mce-faultinject: SIGKILL to self at job pickup {n}");
-                let _ = std::process::Command::new("kill")
-                    .args(["-9", &std::process::id().to_string()])
-                    .status();
-                loop {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-            }
-            Fault::StallJob { nth } if n == nth => {
-                eprintln!("mce-faultinject: stalling job pickup {n}");
-                stall = true;
-            }
-            _ => {}
-        }
-    }
-    stall
 }
 
 /// The write hook: counts one atomic file write and fails it when an
@@ -397,12 +306,6 @@ mod tests {
             parse_spec("hang_at_eval:5"),
             Ok(Fault::HangAtEval { nth: 5 })
         );
-        assert_eq!(
-            parse_spec("sigkill_at_eval:9"),
-            Ok(Fault::SigkillAtEval { nth: 9 })
-        );
-        assert_eq!(parse_spec("die_at_job:1"), Ok(Fault::DieAtJob { nth: 1 }));
-        assert_eq!(parse_spec("stall_job:2"), Ok(Fault::StallJob { nth: 2 }));
         for bad in [
             "panic_at_eval",
             "panic_at_eval:x",
@@ -410,25 +313,15 @@ mod tests {
             "fail_write:0",
             "abort_at_eval:1+",
             "hang_at_eval:3+",
-            "sigkill_at_eval:2+",
             "stall_heartbeat:0",
             "stall_heartbeat:3",
-            "die_at_job:1+",
-            "stall_job:0",
+            // Removed kinds are unknown, not silently ignored.
+            "sigkill_at_eval:9",
+            "die_at_job:1",
+            "stall_job:2",
         ] {
             assert!(parse_spec(bad).is_err(), "{bad}");
         }
-    }
-
-    #[test]
-    fn stalled_job_fires_at_the_nth_pickup_only() {
-        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        arm(vec![Fault::StallJob { nth: 2 }]);
-        assert!(!on_job(), "first pickup runs");
-        assert!(on_job(), "second pickup stalls");
-        assert!(!on_job(), "one-shot: the retry runs clean");
-        disarm();
-        assert!(!on_job(), "disarmed: jobs always run");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::fmt::{self, Write as _};
 use std::time::Duration;
 
 /// Deepest array/object nesting [`parse`] accepts. The deepest documents
-/// the workspace writes (`explore --out` dumps, journal lines) nest 9
+/// the workspace writes (`explore --out` dumps) nest 9
 /// levels, 11 with a TDMA-arbitrated bus from a custom library; the cap
 /// keeps the recursive parser, the decoder and the tree's drop far from
 /// any thread's stack limit.

@@ -1,7 +1,7 @@
 //! Exploration scale presets.
 //!
 //! Every stage configuration in the workspace (`ApexConfig`,
-//! `ConexConfig`, the bench experiment scales, the `mce` CLI's `--scale`
+//! `ConexConfig`, the bench experiment scales, the `mce` CLI's `--preset`
 //! flag) offers the same two operating points, so the choice is one shared
 //! enum instead of per-type `fast()` / `paper()` constructor pairs:
 //!

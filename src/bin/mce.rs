@@ -14,20 +14,9 @@
 //!              [--live-status FILE] [--live-every MS] [--metrics-out FILE]
 //!              [--out-dir DIR] [--progress]
 //!                                              full APEX + ConEx exploration
-//! mce serve    [--dir DIR] [--addr HOST:PORT] [--archive DIR]
-//!                                              crash-tolerant exploration
-//!                                              job daemon: durable queue,
-//!                                              checkpointed jobs, retries
-//!                                              with backoff, graceful drain
-//! mce submit   <workload> [--preset fast|paper] [--deadline SECS]
-//!              [--retries N] [--dir DIR] [--wait]
-//!                                              submit a job to the daemon
-//! mce jobs     list | show ID | cancel ID | result ID | wait ID
-//!              [--dir DIR]                     inspect and manage jobs
-//! mce top      <status.json | serve-dir> [--interval MS] [--once]
+//! mce top      <status.json> [--interval MS] [--once]
 //!                                              watch a --live-status file
-//!                                              (or a whole serve
-//!                                              directory) as a dashboard
+//!                                              as a dashboard
 //! mce report   <report.json>... [--out FILE] [--html]
 //!                                              render run reports as
 //!                                              markdown/HTML summaries
@@ -111,16 +100,6 @@
 //! written atomically — a sibling temporary plus rename — so a crash
 //! mid-write never leaves a torn file behind.
 //!
-//! `mce serve` runs the exploration *job service*: a daemon with a
-//! durable write-ahead job queue (`jobs.jsonl`), per-job checkpoints,
-//! deterministic retries with exponential backoff, and a graceful drain
-//! on SIGTERM/SIGINT. A daemon SIGKILLed mid-job restarts with every
-//! acknowledged job intact and resumes the interrupted job from its
-//! checkpoint; the finished report is `mce diff`-identical to a plain
-//! `mce explore` of the same spec. `mce submit` and `mce jobs` are the
-//! clients. See the module docs on `memory_conex::serve` for the full
-//! durability contract.
-//!
 //! [`RunReport`]: memory_conex::RunReport
 
 use mce_error::{atomic_write, MceError};
@@ -148,8 +127,7 @@ fn main() -> ExitCode {
         let e = MceError::invalid_arg(
             "MCE_FAULT",
             reason,
-            "MCE_FAULT=<kind>:<N>[+][,...] (e.g. abort_at_eval:7, sigkill_at_eval:40, \
-             panic_at_eval:40+)",
+            "MCE_FAULT=<kind>:<N>[+][,...] (e.g. abort_at_eval:7, panic_at_eval:40+)",
         );
         eprintln!("error: {e}");
         eprintln!();
@@ -180,14 +158,7 @@ const USAGE: &str = "usage:
                [--deadline SECS] [--candidate-timeout MS]
                [--live-status FILE] [--live-every MS] [--metrics-out FILE]
                [--out-dir DIR] [--progress]
-  mce serve    [--dir DIR] [--addr HOST:PORT] [--archive DIR]
-               [--backoff-base MS] [--backoff-cap MS]
-  mce submit   <workload> [--preset fast|paper] [--threads N]
-               [--max-evals N] [--max-archs N] [--deadline SECS]
-               [--retries N] [--dir DIR] [--wait]
-  mce jobs     list | show <id> | cancel <id> | result <id> [--out FILE]
-               | wait <id>  [--dir DIR]
-  mce top      <status.json | serve-dir> [--interval MS] [--once]
+  mce top      <status.json> [--interval MS] [--once]
   mce report   <report.json>... [--out FILE] [--html]
   mce export-metrics <status-or-report.json> [--out FILE]
   mce cache-check <spill.json> [--capacity N] [--repair]
@@ -198,7 +169,7 @@ const USAGE: &str = "usage:
 <workload> = compress | li | vocoder | adpcm | jpeg | mix | path/to/workload.json
 
 explore options:
-  --preset P       exploration scale: fast or paper (--scale is an alias)
+  --preset P       exploration scale: fast or paper
   --threads N      worker threads for estimation and simulation, N >= 1
                    (default: one per core; results are identical for any N)
   --eval-cache FILE persist the candidate-evaluation cache across runs
@@ -238,47 +209,10 @@ explore options:
   --progress       print live progress lines to stderr (MCE_LOG=debug
                    for more detail)
 
-serve options (the job daemon; clients are `mce submit` / `mce jobs`):
-  --dir DIR        serve directory: job journal (jobs.jsonl), pidfile,
-                   bound-address file, per-job checkpoints/reports and
-                   serve.log (default target/serve; watch with `mce top DIR`)
-  --addr HOST:PORT listen address (default 127.0.0.1:0 — an ephemeral
-                   port, published to DIR/serve.addr once bound)
-  --archive DIR    run archive completed job reports are added to
-                   (default target/mce-runs)
-  --backoff-base MS first-retry delay, doubling per charged attempt
-                   (default 250)
-  --backoff-cap MS backoff saturation cap (default 5000)
-  SIGTERM/SIGINT drain the daemon: admissions stop, the running job
-  checkpoints at its next safe point and requeues uncharged, and the
-  process exits 0; restarting the daemon resumes everything. A daemon
-  killed outright (SIGKILL) replays its journal on restart — no
-  acknowledged job is ever lost.
-
-submit options (plus --preset/--threads/--max-evals/--max-archs as in explore):
-  --deadline SECS  per-attempt wall-clock deadline (fractions allowed);
-                   a deadlined attempt retries from its checkpoint
-                   until --retries is spent, then parks as timed-out
-  --retries N      retry budget for failures and deadline timeouts
-                   (default 2; crash recoveries and drains are free)
-  --dir DIR        the daemon's serve directory (default target/serve)
-  --wait           block until the job is terminal; exit 0 iff it is done
-
-jobs subcommands (ids are printed by submit; --dir as in submit):
-  list             one summary JSON line per job
-  show <id>        one job's summary JSON
-  cancel <id>      cancel a queued job now, or ask a running one to
-                   stop at its next safe point
-  result <id>      print the finished job's run report (--out FILE to
-                   write it instead)
-  wait <id>        poll until the job is terminal; exit 0 iff done
-
 top options:
   --interval MS    dashboard refresh interval (default 500, MS >= 50)
   --once           print one plain-text snapshot and exit (also the
                    default when stdout is not a terminal)
-                   (a serve directory renders the daemon summary
-                   plus one line per job)
 
 report options:
   --out FILE       write the summary to FILE instead of stdout
@@ -317,8 +251,7 @@ type CliError = Box<dyn std::error::Error>;
 
 /// Runs one command; `Ok` carries the process exit code (0 for every
 /// command except `cache-check`, which exits 2 to tell "clean" from
-/// "repaired", and `serve`/`jobs`,
-/// whose codes mirror the service contract).
+/// "repaired", and `diff`, which exits 1 when the runs differ).
 fn run(args: &[String]) -> Result<u8, CliError> {
     let cmd = args.first().ok_or("missing command")?;
     match cmd.as_str() {
@@ -327,9 +260,6 @@ fn run(args: &[String]) -> Result<u8, CliError> {
         "classify" => cmd_classify(&args[1..]).map(|()| 0),
         "simulate" => cmd_simulate(&args[1..]).map(|()| 0),
         "explore" => cmd_explore(&args[1..]).map(|()| 0),
-        "serve" => cmd_serve(&args[1..]).map(|()| 0),
-        "submit" => cmd_submit(&args[1..]),
-        "jobs" => cmd_jobs(&args[1..]),
         "top" => cmd_top(&args[1..]).map(|()| 0),
         "report" => cmd_report(&args[1..]).map(|()| 0),
         "export-metrics" => cmd_export_metrics(&args[1..]).map(|()| 0),
@@ -419,7 +349,7 @@ where
 }
 
 /// Parses an optional `--deadline SECS` (positive, finite, fractions
-/// allowed), shared by `explore` and `submit`.
+/// allowed).
 fn deadline_flag(args: &[String]) -> Result<Option<f64>, MceError> {
     let hint = "--deadline SECS (positive seconds, fractions allowed)";
     let Some(raw) = flag_value(args, "--deadline") else {
@@ -616,17 +546,14 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     check_flags(
         "explore",
         args,
-        "[--preset P] [--scale P] [--out FILE] [--threads N] [--eval-cache FILE] \
+        "[--preset P] [--out FILE] [--threads N] [--eval-cache FILE] \
          [--trace-out FILE] [--report-out FILE] [--checkpoint FILE] [--checkpoint-every N] \
          [--max-evals N] [--max-archs N] [--deadline SECS] [--candidate-timeout MS] \
          [--live-status FILE] [--live-every MS] [--metrics-out FILE] [--out-dir DIR] \
          [--explain] [--progress]",
     )?;
     let w = load_workload(args)?;
-    let scale: Preset = flag_value(args, "--preset")
-        .or_else(|| flag_value(args, "--scale"))
-        .unwrap_or("fast")
-        .parse()?;
+    let scale: Preset = flag_value(args, "--preset").unwrap_or("fast").parse()?;
     let mut session = ExplorationSession::new(w.clone()).preset(scale);
     if let Some(t) = numeric_flag::<usize>(args, "--threads", 1, "--threads N (N >= 1)")? {
         session = session.threads(t);
@@ -818,175 +745,6 @@ fn write_experiment_log(out_dir: &str, w: &Workload, scale: Preset, summary: &st
     }
 }
 
-/// `mce serve`: runs the crash-tolerant exploration job daemon until a
-/// termination signal drains it. See `memory_conex::serve` for the
-/// durability contract the daemon implements.
-fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    check_flags(
-        "serve",
-        args,
-        "[--dir DIR] [--addr HOST:PORT] [--archive DIR] [--backoff-base MS] [--backoff-cap MS]",
-    )?;
-    let dir = flag_value(args, "--dir").unwrap_or("target/serve");
-    let mut cfg = memory_conex::serve::ServeConfig::new(dir);
-    if let Some(addr) = flag_value(args, "--addr") {
-        cfg.addr = addr.to_owned();
-    }
-    if let Some(archive) = flag_value(args, "--archive") {
-        cfg.archive = archive.into();
-    }
-    if let Some(ms) = numeric_flag::<u64>(
-        args,
-        "--backoff-base",
-        1,
-        "--backoff-base MS (milliseconds, MS >= 1)",
-    )? {
-        cfg.backoff_base = Duration::from_millis(ms);
-    }
-    if let Some(ms) = numeric_flag::<u64>(
-        args,
-        "--backoff-cap",
-        1,
-        "--backoff-cap MS (milliseconds, MS >= 1)",
-    )? {
-        cfg.backoff_cap = Duration::from_millis(ms);
-    }
-    memory_conex::serve::run_daemon(cfg)?;
-    Ok(())
-}
-
-/// The serve directory named by `--dir` (default `target/serve`).
-fn serve_dir(args: &[String]) -> &std::path::Path {
-    std::path::Path::new(flag_value(args, "--dir").unwrap_or("target/serve"))
-}
-
-/// A client bound to the daemon currently publishing `<dir>/serve.addr`.
-fn serve_client(dir: &std::path::Path) -> Result<memory_conex::serve::Client, CliError> {
-    Ok(memory_conex::serve::Client::new(
-        memory_conex::serve::client::read_addr(dir)?,
-    ))
-}
-
-/// `mce submit`: builds a [`JobSpec`] from explore-style flags — the
-/// workload is resolved and inlined client-side, so the daemon never
-/// reads client paths — and submits it. Prints the assigned job id to
-/// stdout; with `--wait`, blocks until the job is terminal.
-///
-/// [`JobSpec`]: memory_conex::serve::JobSpec
-fn cmd_submit(args: &[String]) -> Result<u8, CliError> {
-    check_flags(
-        "submit",
-        args,
-        "[--preset P] [--scale P] [--threads N] [--max-evals N] [--max-archs N] \
-         [--deadline SECS] [--retries N] [--dir DIR] [--wait]",
-    )?;
-    let w = load_workload(args)?;
-    let preset = flag_value(args, "--preset")
-        .or_else(|| flag_value(args, "--scale"))
-        .unwrap_or("fast");
-    let _: Preset = preset.parse()?; // reject bad presets before the wire
-    let deadline_ms = deadline_flag(args)?.map_or(0, |secs| (secs * 1000.0).ceil() as u64);
-    let spec = memory_conex::serve::JobSpec {
-        workload: w,
-        preset: preset.to_owned(),
-        threads: numeric_flag::<usize>(args, "--threads", 1, "--threads N (N >= 1)")?.unwrap_or(0),
-        max_evals: numeric_flag::<u64>(args, "--max-evals", 1, "--max-evals N (N >= 1)")?
-            .unwrap_or(0),
-        max_archs: numeric_flag::<usize>(args, "--max-archs", 1, "--max-archs N (N >= 1)")?
-            .unwrap_or(0),
-        deadline_ms,
-        retry_budget: numeric_flag::<u32>(args, "--retries", 0, "--retries N (N >= 0)")?
-            .unwrap_or(2),
-    };
-    let dir = serve_dir(args);
-    let id = serve_client(dir)?.submit(&spec)?;
-    eprintln!(
-        "submitted job {id} (workload `{}`, preset {preset}) to {}",
-        spec.workload.name(),
-        dir.display()
-    );
-    println!("{id}");
-    if args.iter().any(|a| a == "--wait") {
-        return wait_for_job(dir, id);
-    }
-    Ok(0)
-}
-
-/// Polls the daemon (re-reading the published address each time, so a
-/// daemon restart with a new ephemeral port is followed transparently)
-/// until job `id` reaches a terminal state. Unreachable-daemon windows
-/// — a crash before its supervisor restarts it — are tolerated for up
-/// to ~60 s before giving up.
-fn wait_for_job(dir: &std::path::Path, id: u64) -> Result<u8, CliError> {
-    let mut unreachable = 0u32;
-    loop {
-        let state = serve_client(dir)
-            .and_then(|c| Ok(c.show(id)?))
-            .and_then(|body| Ok(obs::json::parse(&body)?))
-            .map(|doc| {
-                doc.get("state")
-                    .and_then(obs::json::Value::as_str)
-                    .unwrap_or("?")
-                    .to_owned()
-            });
-        match state {
-            Ok(state) => {
-                unreachable = 0;
-                let terminal =
-                    matches!(state.as_str(), "done" | "failed" | "timed-out" | "canceled");
-                if terminal {
-                    eprintln!("job {id}: {state}");
-                    return Ok(u8::from(state != "done"));
-                }
-            }
-            Err(e) => {
-                unreachable += 1;
-                if unreachable >= 120 {
-                    return Err(format!("job {id}: daemon unreachable while waiting: {e}").into());
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(500));
-    }
-}
-
-/// `mce jobs`: the job-management client (`list`, `show`, `cancel`,
-/// `result`, `wait`). Every subcommand re-resolves the daemon address
-/// from the serve directory, so it works across daemon restarts.
-fn cmd_jobs(args: &[String]) -> Result<u8, CliError> {
-    let operands = check_flags("jobs", args, "[--dir DIR] [--out FILE]")?;
-    let sub = operands.first().ok_or(
-        "jobs needs a subcommand: list | show <id> | cancel <id> | result <id> | wait <id>",
-    )?;
-    let dir = serve_dir(args);
-    let job_id = || -> Result<u64, CliError> {
-        let raw = operands
-            .get(1)
-            .ok_or_else(|| format!("jobs {sub} needs a job id"))?;
-        raw.parse()
-            .map_err(|e| format!("job id `{raw}` is not a number: {e}").into())
-    };
-    match *sub {
-        "list" => print!("{}", serve_client(dir)?.list()?),
-        "show" => print!("{}", serve_client(dir)?.show(job_id()?)?),
-        "cancel" => print!("{}", serve_client(dir)?.cancel(job_id()?)?),
-        "result" => {
-            let report = serve_client(dir)?.result(job_id()?)?;
-            match flag_value(args, "--out") {
-                Some(out) => {
-                    atomic_write(out, report.as_bytes())
-                        .map_err(|e| format!("cannot write report file `{out}`: {e}"))?;
-                    eprintln!("wrote report {out}");
-                }
-                None => print!("{report}"),
-            }
-        }
-        "wait" => return wait_for_job(dir, job_id()?),
-        other => return Err(format!("unknown jobs subcommand `{other}`").into()),
-    }
-    Ok(0)
-}
-
 fn cmd_report(args: &[String]) -> Result<(), CliError> {
     let files = check_flags("report", args, "[--out FILE] [--html]")?;
     let html = args.iter().any(|a| a == "--html");
@@ -1017,49 +775,6 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
         None => print!("{rendered}"),
     }
     Ok(())
-}
-
-/// Renders one `mce top` frame for a serve directory — the daemon
-/// summary plus one line per job with a live-status file — and reports
-/// whether the daemon is still admitting (not draining).
-fn render_serve_frame(dir: &str) -> Result<(String, bool), CliError> {
-    let status = memory_conex::serve::status_path(std::path::Path::new(dir));
-    let body = std::fs::read_to_string(&status)
-        .map_err(|e| format!("cannot read serve status `{}`: {e}", status.display()))?;
-    let doc = obs::json::parse(&body)
-        .map_err(|e| format!("serve status `{}` is not valid JSON: {e}", status.display()))?;
-    match doc.get("serve_schema").and_then(obs::json::Value::as_u64) {
-        Some(memory_conex::serve::SERVE_SCHEMA) => {}
-        found => {
-            return Err(format!(
-                "serve status `{}` has unsupported serve_schema {found:?} (expected {})",
-                status.display(),
-                memory_conex::serve::SERVE_SCHEMA
-            )
-            .into())
-        }
-    }
-    let active = doc.get("draining") != Some(&obs::json::Value::Bool(true));
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read serve directory `{dir}`: {e}"))?
-        .filter_map(|entry| entry.ok())
-        .filter_map(|entry| entry.file_name().into_string().ok())
-        .filter(|name| name.starts_with("job-") && name.ends_with(".status.json"))
-        .collect();
-    // Numeric job-id order, not lexicographic (job-10 after job-2).
-    names.sort_by_key(|name| {
-        name.trim_start_matches("job-")
-            .trim_end_matches(".status.json")
-            .parse::<u64>()
-            .unwrap_or(u64::MAX)
-    });
-    let mut jobs = Vec::new();
-    for name in names {
-        if let Ok(doc) = load_live_status(&format!("{dir}/{name}")) {
-            jobs.push((name, doc));
-        }
-    }
-    Ok((live::render_serve_overview(dir, &doc, &jobs), active))
 }
 
 /// Loads and schema-checks one live-status file.
@@ -1115,33 +830,28 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
 
     let path = *check_flags("top", args, "[--interval MS] [--once]")?
         .first()
-        .ok_or("top needs a live-status file or serve directory argument")?;
+        .ok_or("top needs a live-status file argument")?;
+    let file = std::path::Path::new(path);
+    if file.is_dir() {
+        return Err(MceError::invalid_arg(
+            path,
+            "is a directory; top takes a live-status file",
+            "mce top <status.json> [--interval MS] [--once]",
+        )
+        .into());
+    }
     let interval =
         numeric_flag::<u64>(args, "--interval", 50, "--interval MS (MS >= 50)")?.unwrap_or(500);
     let once = args.iter().any(|a| a == "--once");
-    // A directory is a serve daemon's: aggregate its serve.json with the
-    // per-job live-status files instead of one dashboard.
-    let is_serve = std::path::Path::new(path).is_dir();
     let render = |width: usize| -> Result<(String, bool), CliError> {
-        if is_serve {
-            render_serve_frame(path)
-        } else {
-            let doc = load_live_status(path)?;
-            let active = doc.get("status").and_then(obs::json::Value::as_str) == Some("running");
-            Ok((live::render_dashboard_with_width(path, &doc, width), active))
-        }
+        let doc = load_live_status(path)?;
+        let active = doc.get("status").and_then(obs::json::Value::as_str) == Some("running");
+        Ok((live::render_dashboard_with_width(path, &doc, width), active))
     };
     if once || !std::io::stdout().is_terminal() {
         print!("{}", render(terminal_width())?.0);
         return Ok(());
     }
-    // What "the writer hasn't started yet" looks like: the status file
-    // itself, or for a serve directory its summary JSON.
-    let watched = if is_serve {
-        memory_conex::serve::status_path(std::path::Path::new(path))
-    } else {
-        std::path::PathBuf::from(path)
-    };
     let mut failures = 0u32;
     loop {
         // Re-measured every refresh: a resized terminal gets a
@@ -1153,7 +863,7 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
             let _ = write!(stdout, "\x1b[2J\x1b[H{frame}");
             let _ = stdout.flush();
         };
-        if !watched.exists() {
+        if !file.exists() {
             // Transient by design — never counts toward the failure cap.
             show(&format!("mce top — waiting for writer… ({path})\n"));
             std::thread::sleep(Duration::from_millis(interval));
@@ -1535,8 +1245,8 @@ mod tests {
             (&["explore", "vocoder", "--preset"], "--preset"),
             (&["benchmarks", "--all"], "--all"),
             (&["template", "--out", "t.json"], "--out"),
-            (&["submit", "vocoder", "--wiat"], "--wiat"),
-            (&["jobs", "list", "--dri", "d"], "--dri"),
+            // The removed alias of `--preset` is an unknown flag too.
+            (&["explore", "vocoder", "--scale", "fast"], "--scale"),
             (&["top", "s.json", "--onse"], "--onse"),
             (&["report", "r.json", "--out"], "--out"),
             (&["export-metrics", "s.json", "--html"], "--html"),
@@ -1625,19 +1335,8 @@ mod tests {
     }
 
     #[test]
-    fn explore_rejects_bad_scale() {
-        let err = cmd_explore(&s(&["vocoder", "--scale", "huge"])).unwrap_err();
-        assert!(err.to_string().contains("unknown preset"), "{err}");
-    }
-
-    #[test]
-    fn explore_accepts_preset_alias() {
-        // `--preset` is parsed through the same path as `--scale` and wins
-        // when both are present.
-        let err = cmd_explore(&s(&["vocoder", "--preset", "huge"])).unwrap_err();
-        assert!(err.to_string().contains("unknown preset"), "{err}");
-        let err =
-            cmd_explore(&s(&["vocoder", "--preset", "bogus", "--scale", "fast"])).unwrap_err();
+    fn explore_rejects_bad_preset() {
+        let err = cmd_explore(&s(&["vocoder", "--preset", "bogus"])).unwrap_err();
         assert!(err.to_string().contains("unknown preset"), "{err}");
     }
 
@@ -1693,6 +1392,12 @@ mod tests {
         let err = cmd_top(&s(&[bad.to_str().unwrap(), "--once"])).unwrap_err();
         std::fs::remove_file(&bad).ok();
         assert!(err.to_string().contains("unsupported live_schema"), "{err}");
+        // A directory is rejected up front, not read or watched.
+        let err = cmd_top(&s(&[dir.to_str().unwrap(), "--once"])).unwrap_err();
+        assert!(
+            err.to_string().contains("takes a live-status file"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub mod checkpoint;
 pub mod diff;
 pub mod live;
 pub mod report;
-pub mod serve;
 pub mod session;
 
 pub use archive::{AddOutcome, ArchiveEntry, GcStats, RunArchive, ARCHIVE_SCHEMA};
@@ -76,7 +75,6 @@ pub use mce_memlib as memlib;
 pub use mce_obs as obs;
 pub use mce_sim as sim;
 pub use report::{RunReport, REPORT_SCHEMA};
-pub use serve::{Client, JobEvent, JobJournal, JobRecord, JobSpec, JobState, ServeConfig};
 pub use session::{ExplorationSession, SessionResult};
 
 /// Commonly used items for writing explorations end to end.

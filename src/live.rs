@@ -689,51 +689,6 @@ pub fn render_dashboard_with_width(source: &str, doc: &Value, width: usize) -> S
     out
 }
 
-/// Renders the `mce top <serve-dir>` overview: the daemon's `serve.json`
-/// summary — pid, bound address, drain state, per-state job counts —
-/// followed by one progress line per job whose live-status file
-/// currently parses (`jobs` pairs a file name with its parsed document,
-/// in job-id order).
-pub fn render_serve_overview(source: &str, serve_doc: &Value, jobs: &[(String, Value)]) -> String {
-    let mut out = String::new();
-    let draining = serve_doc.get("draining") == Some(&Value::Bool(true));
-    out.push_str(&format!("mce top — serve ({source})\n"));
-    out.push_str(&format!(
-        "status   {}  pid {}  {}\n",
-        if draining { "draining" } else { "serving" },
-        serve_doc.get("pid").and_then(Value::as_u64).unwrap_or(0),
-        serve_doc.get("addr").and_then(Value::as_str).unwrap_or("?"),
-    ));
-    let mut counts = format!(
-        "jobs     total {}",
-        serve_doc.get("total").and_then(Value::as_u64).unwrap_or(0)
-    );
-    if let Some(Value::Object(map)) = serve_doc.get("jobs") {
-        for (state, n) in map {
-            counts.push_str(&format!("  {state} {}", n.as_u64().unwrap_or(0)));
-        }
-    }
-    counts.push('\n');
-    out.push_str(&counts);
-    // One progress line per job with a live-status file — the same fields
-    // the full dashboard leads with.
-    for (name, doc) in jobs {
-        let status = doc.get("status").and_then(Value::as_str).unwrap_or("?");
-        let phase = doc.get("phase").and_then(Value::as_str).unwrap_or("?");
-        let done = doc.get("archs_done").and_then(Value::as_u64).unwrap_or(0);
-        let total = doc.get("archs_total").and_then(Value::as_u64).unwrap_or(0);
-        let evals = doc
-            .get("evals")
-            .and_then(|e| e.get("per_second"))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        out.push_str(&format!(
-            "{name:<24} {status:<9} {phase:<7} archs {done}/{total}  {evals:.1} evals/s\n"
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -68,7 +68,6 @@ pub struct ExplorationSession {
     deadline: Option<Duration>,
     candidate_timeout: Option<Duration>,
     watch_interrupt: bool,
-    cancel_token: Option<CancelToken>,
     live_status_file: Option<PathBuf>,
     live_every: Duration,
     metrics_out: Option<PathBuf>,
@@ -118,7 +117,6 @@ impl ExplorationSession {
             deadline: None,
             candidate_timeout: None,
             watch_interrupt: false,
-            cancel_token: None,
             live_status_file: None,
             live_every: Duration::from_millis(500),
             metrics_out: None,
@@ -261,21 +259,6 @@ impl ExplorationSession {
         self
     }
 
-    /// Runs under a caller-owned [`CancelToken`] instead of building one
-    /// from [`deadline`](ExplorationSession::deadline) /
-    /// [`watch_interrupt`](ExplorationSession::watch_interrupt) — the
-    /// embedding (e.g. the `mce serve` job executor) encodes its own
-    /// deadline and interrupt policy in the token and can trip it
-    /// externally (job cancellation, drain). When set, this token wins
-    /// over both of those knobs. Truncation behaves exactly as with the
-    /// built-in token: stop at a safe point, force-checkpoint, return a
-    /// valid resumable result.
-    #[must_use]
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel_token = Some(token);
-        self
-    }
-
     /// Continuously publishes a live-status JSON snapshot
     /// ([`crate::live::LIVE_SCHEMA`]) to `path` while the run executes:
     /// written atomically at every committed Phase-I architecture and on
@@ -386,12 +369,10 @@ impl ExplorationSession {
         // bit-identical to a never-interrupted budgeted run.
         let budget = self.max_evals.map(|n| Arc::new(EvalBudget::limited(n)));
         let bounds = Bounds {
-            token: match &self.cancel_token {
-                Some(token) => token.clone(),
-                None if self.deadline.is_some() || self.watch_interrupt => {
-                    CancelToken::bounded(self.deadline, self.watch_interrupt)
-                }
-                None => CancelToken::never(),
+            token: if self.deadline.is_some() || self.watch_interrupt {
+                CancelToken::bounded(self.deadline, self.watch_interrupt)
+            } else {
+                CancelToken::never()
             },
             budget: budget.clone(),
             max_archs: self.max_archs,
