@@ -11,6 +11,12 @@
 //! a number of cycles from issue — a bus for a transfer's occupancy, or
 //! one data-phase slot of a split-transaction bus — so the table's
 //! operations take that `(resource, cycles)` pair directly.
+//!
+//! Links with round-robin or TDMA arbitration schedule through this table.
+//! Fixed-priority links keep only a busy-until cycle per slot, which gives
+//! the same start times because their requests never decrease
+//! ([`LinkState::transfer`](crate::LinkState::transfer)); the table stays
+//! the reference that path is tested against.
 
 use std::collections::VecDeque;
 
@@ -151,14 +157,6 @@ impl ReservationTable {
         }
     }
 
-    /// Clears all reservations.
-    pub fn clear(&mut self) {
-        for r in &mut self.resources {
-            r.clear();
-        }
-        self.horizon = 0;
-    }
-
     /// Total reserved busy cycles currently tracked (for utilization stats).
     pub fn busy_cycles(&self) -> u64 {
         self.resources
@@ -231,14 +229,6 @@ mod tests {
         // Old intervals pruned, future scheduling still correct.
         assert!(t.busy_cycles() < 100);
         assert_eq!(t.schedule(0, 2, 2000), 2000);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut t = ReservationTable::new(1);
-        t.schedule(0, 10, 0);
-        t.clear();
-        assert_eq!(t.earliest_start(0, 1, 0), 0);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Runtime (per-simulation) state of connectivity links.
 //!
-//! A [`LinkState`] couples a component's reservation table with its arbiter
+//! A [`LinkState`] couples a component's occupancy schedule with its arbiter
 //! so the system simulator can ask, transfer by transfer, *when does this
 //! move of N bytes start and finish* — with queueing delay from earlier
 //! transfers, arbitration delay from sharing, and the pipelining behaviour
 //! of the component all accounted for.
+//!
+//! Fixed-priority links keep one busy-until cycle per data-phase slot,
+//! which gives the start times a [`ReservationTable`] would (see
+//! [`LinkState::transfer`]); round-robin and TDMA links keep the table.
 
 use crate::arbiter::Arbiter;
 use crate::component::ConnComponent;
@@ -33,13 +37,27 @@ impl fmt::Display for TransferTiming {
     }
 }
 
+/// When each data-phase slot of a link is next free.
+#[derive(Debug, Clone)]
+enum Occupancy {
+    /// Per slot, the cycle its last reservation ends. Exact when requests
+    /// never decrease, which holds for a fixed-priority arbiter's constant
+    /// wait.
+    BusyUntil(Vec<u64>),
+    /// Round-robin and TDMA waits vary per call, so a later request can
+    /// start in a gap before an earlier reservation.
+    Table(ReservationTable),
+}
+
 /// Mutable per-link simulation state.
 #[derive(Debug, Clone)]
 pub struct LinkState {
     component: ConnComponent,
     ports: u32,
-    table: ReservationTable,
+    occupancy: Occupancy,
     arbiter: Arbiter,
+    /// Ready time of the previous call, for the nondecreasing contract.
+    last_ready: u64,
     transfers: u64,
     bytes: u64,
     busy_cycles: u64,
@@ -54,16 +72,25 @@ impl LinkState {
         Self::with_arbiter(component, ports, arbiter)
     }
 
-    /// Creates runtime state with an explicit arbitration policy.
+    /// Creates runtime state with an explicit arbitration policy. The
+    /// policy also picks the schedule: busy-until slots for fixed
+    /// priority, a reservation table otherwise.
     pub fn with_arbiter(component: ConnComponent, ports: u32, arbiter: Arbiter) -> Self {
         // Split-transaction components expose `outstanding` independent
         // data-phase slots; others a single occupancy resource.
-        let resources = component.params().outstanding.max(1) as usize;
+        let slots = component.params().outstanding.max(1) as usize;
+        let occupancy = match arbiter {
+            Arbiter::FixedPriority { .. } => Occupancy::BusyUntil(vec![0; slots]),
+            Arbiter::RoundRobin { .. } | Arbiter::Tdma { .. } => {
+                Occupancy::Table(ReservationTable::new(slots))
+            }
+        };
         LinkState {
             component,
             ports,
-            table: ReservationTable::new(resources),
+            occupancy,
             arbiter,
+            last_ready: 0,
             transfers: 0,
             bytes: 0,
             busy_cycles: 0,
@@ -105,9 +132,20 @@ impl LinkState {
     /// Schedules a transfer of `bytes` requested by `master`, ready to
     /// start at `ready`. Returns when it starts and completes.
     ///
-    /// Ready times must be nondecreasing across calls (trace order), which
-    /// is what the reservation table's pruning assumes.
+    /// Ready times must be nondecreasing across calls (trace order; the
+    /// simulator clamps each link's ready time to a floor). A fixed-priority
+    /// wait is constant per link, so requests (`ready + wait`) never
+    /// decrease either: every gap a slot's reservations leave lies before
+    /// the current request, and the earliest start on a slot is
+    /// `max(request, busy_until)` — what the reservation table's scan
+    /// returns, in O(1) per slot.
     pub fn transfer(&mut self, ready: u64, bytes: u64, master: usize) -> TransferTiming {
+        debug_assert!(
+            ready >= self.last_ready,
+            "link ready time went backwards: {ready} after {}",
+            self.last_ready
+        );
+        self.last_ready = ready;
         if bytes == 0 {
             return TransferTiming {
                 start: ready,
@@ -126,23 +164,30 @@ impl LinkState {
             beats * p.cycles_per_beat
         };
         let cycles = occupancy.max(1);
+        let request = ready + wait;
         // Split-transaction components may start a transfer on any free
         // data-phase slot: take the earliest (lowest slot on ties).
-        let start = if self.table.num_resources() > 1 {
-            self.table.advance_horizon(ready);
-            let mut best = u64::MAX;
-            let mut best_slot = 0;
-            for slot in 0..self.table.num_resources() {
-                let candidate = self.table.earliest_start(slot, cycles, ready + wait);
-                if candidate < best {
-                    best = candidate;
-                    best_slot = slot;
-                }
+        let start = match &mut self.occupancy {
+            Occupancy::BusyUntil(busy) => {
+                let (slot, start) = busy
+                    .iter()
+                    .map(|&until| request.max(until))
+                    .enumerate()
+                    .min_by_key(|&(_, start)| start)
+                    .expect("a link has at least one slot");
+                busy[slot] = start + cycles as u64;
+                start
             }
-            self.table.reserve(best_slot, cycles, best);
-            best
-        } else {
-            self.table.schedule(0, cycles, ready + wait)
+            Occupancy::Table(table) if table.num_resources() > 1 => {
+                table.advance_horizon(ready);
+                let (slot, start) = (0..table.num_resources())
+                    .map(|slot| (slot, table.earliest_start(slot, cycles, request)))
+                    .min_by_key(|&(_, start)| start)
+                    .expect("a link has at least one slot");
+                table.reserve(slot, cycles, start);
+                start
+            }
+            Occupancy::Table(table) => table.schedule(0, cycles, request),
         };
         // Completion adds the un-arbitrated transfer latency (arbitration
         // was already paid via the arbiter model).
@@ -151,14 +196,6 @@ impl LinkState {
         self.bytes += bytes;
         self.busy_cycles += occupancy as u64;
         TransferTiming { start, complete }
-    }
-
-    /// Clears all dynamic state.
-    pub fn reset(&mut self) {
-        self.table.clear();
-        self.transfers = 0;
-        self.bytes = 0;
-        self.busy_cycles = 0;
     }
 }
 
@@ -248,15 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let mut l = link(ConnComponentKind::AmbaAhb, 2);
-        l.transfer(0, 32, 0);
-        l.reset();
-        assert_eq!(l.transfers(), 0);
-        assert_eq!(l.transfer(0, 4, 0).start, 2); // only arbitration remains
-    }
-
-    #[test]
     fn latency_from_ready() {
         let t = TransferTiming {
             start: 5,
@@ -279,6 +307,38 @@ mod tests {
         let t = tdma_link.transfer(0, 4, 1);
         let f = fixed_link.transfer(0, 4, 1);
         assert!(t.start > f.start, "TDMA {t} vs fixed {f}");
+    }
+
+    #[test]
+    fn tdma_link_back_fills_a_gap_before_a_later_reservation() {
+        use crate::arbiter::ArbiterKind;
+        let mut params = ConnComponentKind::AmbaAsb.params();
+        params.arbiter = ArbiterKind::Tdma { slot_cycles: 8 };
+        let mut l = LinkState::new(
+            ConnComponent::with_params(ConnComponentKind::AmbaAsb, params),
+            2,
+        );
+        assert!(matches!(l.occupancy, Occupancy::Table(_)));
+        // Master 1 waits for its slot at cycle 8 and holds the bus [8, 10).
+        assert_eq!(l.transfer(0, 4, 1).start, 8);
+        // Master 0's slot is now: it starts in the gap before [8, 10).
+        // A busy-until schedule would have queued it behind, at 10.
+        assert_eq!(l.transfer(0, 4, 0).start, 0);
+    }
+
+    #[test]
+    fn fixed_priority_links_keep_busy_until_per_slot() {
+        let l = link(ConnComponentKind::AmbaAhb, 2);
+        assert!(matches!(&l.occupancy, Occupancy::BusyUntil(b) if b.len() == 4));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ready time went backwards")]
+    fn decreasing_ready_time_is_rejected() {
+        let mut l = link(ConnComponentKind::AmbaAsb, 1);
+        l.transfer(10, 4, 0);
+        l.transfer(9, 4, 0);
     }
 
     #[test]

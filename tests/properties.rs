@@ -323,6 +323,66 @@ proptest! {
     }
 
     #[test]
+    fn fixed_priority_links_schedule_like_the_reservation_table(
+        kind in proptest::sample::select(vec![
+            ConnComponentKind::Dedicated,
+            ConnComponentKind::Mux,
+            ConnComponentKind::AmbaApb,
+            ConnComponentKind::AmbaAsb,
+            ConnComponentKind::AmbaAhb,
+            ConnComponentKind::OffChipBus,
+        ]),
+        outstanding in 0u32..5,
+        ports in 1u32..5,
+        transfers in proptest::collection::vec((0u64..40, 0u64..200, 0usize..4), 1..150),
+    ) {
+        // A fixed-priority link's busy-until slots against a reservation
+        // table driven the way `LinkState::transfer` drives one for
+        // round-robin and TDMA links: `schedule` on one slot, or
+        // `advance_horizon` plus the earliest slot (lowest on ties) and
+        // `reserve` on several. `outstanding` 0 keeps the kind's own slots.
+        use memory_conex::connlib::{ArbiterKind, LinkState};
+        let mut params = kind.params();
+        params.arbiter = ArbiterKind::FixedPriority;
+        if outstanding > 0 {
+            params.outstanding = outstanding;
+        }
+        let component = ConnComponent::with_params(kind, params);
+        let mut link = LinkState::new(component, ports);
+        let mut table = ReservationTable::new(params.outstanding.max(1) as usize);
+        let wait = if ports > 1 { params.arbitration_cycles as u64 } else { 0 };
+        let mut ready = 0;
+        for (gap, bytes, master) in transfers {
+            ready += gap;
+            let t = link.transfer(ready, bytes, master % ports as usize);
+            if bytes == 0 {
+                prop_assert_eq!((t.start, t.complete), (ready, ready));
+                continue;
+            }
+            let beats = bytes.div_ceil(params.width_bytes as u64) as u32;
+            let occupancy = if params.pipelined {
+                beats
+            } else {
+                beats * params.cycles_per_beat
+            };
+            let cycles = occupancy.max(1);
+            let start = if table.num_resources() > 1 {
+                table.advance_horizon(ready);
+                let (slot, start) = (0..table.num_resources())
+                    .map(|slot| (slot, table.earliest_start(slot, cycles, ready + wait)))
+                    .min_by_key(|&(slot, start)| (start, slot))
+                    .unwrap();
+                table.reserve(slot, cycles, start);
+                start
+            } else {
+                table.schedule(0, cycles, ready + wait)
+            };
+            let complete = start + component.transfer_cycles(bytes, false) as u64;
+            prop_assert_eq!((t.start, t.complete), (start, complete), "{} ports {}", kind, ports);
+        }
+    }
+
+    #[test]
     fn conn_validation_is_total(
         n_channels in 1usize..6,
         assignments in proptest::collection::vec(0usize..4, 1..6),
