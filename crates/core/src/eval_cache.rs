@@ -10,13 +10,12 @@
 //! [`EvalCache::save`] / [`EvalCache::load`]) — is answered without
 //! simulating.
 //!
-//! The cache is N-way lock-striped: keys map to one of up to
-//! [`MAX_SHARDS`] shards, each an independently locked FIFO-bounded map,
-//! so concurrent readers rarely contend. Statistics are atomics,
-//! readable at any time without locking the shards. Zero dependencies
-//! beyond the standard library; the spill format is hand-written JSON
-//! read back with `mce_obs`'s parser, so it never drifts with a
-//! serialization framework.
+//! The cache is one FIFO-bounded map and its lifetime statistics under
+//! one lock: its traffic is serial (the engine's probe and populate
+//! loops), so there is nothing for lock striping to spread. Zero
+//! dependencies beyond the standard library; the spill format is
+//! hand-written JSON read back with `mce_obs`'s parser, so it never
+//! drifts with a serialization framework.
 //!
 //! Determinism: the evaluation engine probes and populates the cache
 //! serially (only the simulations between run in parallel), so hit/miss
@@ -28,13 +27,9 @@ use mce_error::MceError;
 use mce_obs::Fnv128;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Upper bound on the number of lock stripes.
-pub const MAX_SHARDS: usize = 16;
-
-/// Default capacity (total resident entries across all shards).
+/// Default capacity (resident entries).
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
 /// Version tag of the spill format. Version 2 added the per-entry
@@ -55,20 +50,17 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-struct Shard {
+struct Fifo {
     map: HashMap<CanonKey, Metrics>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<CanonKey>,
+    stats: CacheStats,
 }
 
-/// A sharded, capacity-bounded memoization cache of evaluated metrics.
+/// A capacity-bounded FIFO memoization cache of evaluated metrics.
 pub struct EvalCache {
-    shards: Vec<Mutex<Shard>>,
-    per_shard_cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
+    fifo: Mutex<Fifo>,
+    capacity: usize,
 }
 
 impl EvalCache {
@@ -77,47 +69,21 @@ impl EvalCache {
         Self::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// A cache holding at most `capacity` entries in total.
-    ///
-    /// The capacity is divided evenly across up to [`MAX_SHARDS`] lock
-    /// stripes (fewer when `capacity` is small); each stripe evicts its
-    /// oldest entry when its quota fills, so total residency never
-    /// exceeds `capacity`.
+    /// A cache holding at most `capacity` entries (at least one); once
+    /// full, each insert evicts the oldest entry.
     pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let shard_count = capacity.min(MAX_SHARDS);
-        let shards = (0..shard_count)
-            .map(|_| {
-                Mutex::new(Shard {
-                    map: HashMap::new(),
-                    order: VecDeque::new(),
-                })
-            })
-            .collect();
         EvalCache {
-            shards,
-            per_shard_cap: (capacity / shard_count).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            fifo: Mutex::new(Fifo {
+                map: HashMap::new(),
+                order: VecDeque::new(),
+                stats: CacheStats::default(),
+            }),
+            capacity: capacity.max(1),
         }
     }
 
-    fn shard(&self, key: CanonKey) -> &Mutex<Shard> {
-        // The key is already a high-quality hash; the high lane picks the
-        // stripe without further mixing.
-        &self.shards[(key.hi as usize) % self.shards.len()]
-    }
-
-    /// Looks up a key, counting a hit or miss.
-    pub fn get(&self, key: CanonKey) -> Option<Metrics> {
-        let found = self.peek(key);
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+    fn lock(&self) -> MutexGuard<'_, Fifo> {
+        self.fifo.lock().expect("eval cache lock poisoned")
     }
 
     /// Looks up a key without touching the hit/miss statistics.
@@ -129,47 +95,40 @@ impl EvalCache {
     /// leaves the lifetime statistics — which checkpoints persist —
     /// untouched.
     pub fn peek(&self, key: CanonKey) -> Option<Metrics> {
-        self.shard(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .map
-            .get(&key)
-            .copied()
+        self.lock().map.get(&key).copied()
     }
 
     /// Records the hit/miss outcomes of [`peek`](EvalCache::peek)ed
     /// probes after their batch committed.
     pub fn tally_probes(&self, hits: u64, misses: u64) {
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
+        let mut fifo = self.lock();
+        fifo.stats.hits += hits;
+        fifo.stats.misses += misses;
     }
 
     /// Stores an evaluation. Returns `false` (and changes nothing) if the
-    /// key was already present; evicts the shard's oldest entry when its
-    /// quota is full.
+    /// key was already present; evicts the oldest entry when the cache is
+    /// full.
     pub fn insert(&self, key: CanonKey, metrics: Metrics) -> bool {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        if shard.map.contains_key(&key) {
+        let mut fifo = self.lock();
+        if fifo.map.contains_key(&key) {
             return false;
         }
-        if shard.order.len() >= self.per_shard_cap {
-            if let Some(oldest) = shard.order.pop_front() {
-                shard.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+        if fifo.order.len() >= self.capacity {
+            if let Some(oldest) = fifo.order.pop_front() {
+                fifo.map.remove(&oldest);
+                fifo.stats.evictions += 1;
             }
         }
-        shard.map.insert(key, metrics);
-        shard.order.push_back(key);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        fifo.map.insert(key, metrics);
+        fifo.order.push_back(key);
+        fifo.stats.inserts += 1;
         true
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
-            .sum()
+        self.lock().map.len()
     }
 
     /// True if nothing is cached.
@@ -177,41 +136,28 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// Total capacity (entries) across all shards.
+    /// Capacity (resident entries).
     pub fn capacity(&self) -> usize {
-        self.per_shard_cap * self.shards.len()
+        self.capacity
     }
 
     /// A snapshot of the lifetime statistics.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.lock().stats
     }
 
     // -- checkpoint support ------------------------------------------------
 
-    /// Every resident entry in exact insertion (FIFO) order: shards in
-    /// stripe order, each shard's queue oldest-first.
+    /// Every resident entry in exact insertion (FIFO) order, oldest
+    /// first.
     ///
     /// Feeding this to [`EvalCache::from_entries_fifo`] with the same
     /// capacity reconstructs an identical cache — same membership *and*
     /// same future eviction order — which checkpoint/resume relies on to
     /// keep a resumed run's hit/miss/eviction sequence bit-identical.
     pub fn entries_fifo(&self) -> Vec<(CanonKey, Metrics)> {
-        let mut entries = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            for key in &shard.order {
-                if let Some(m) = shard.map.get(key) {
-                    entries.push((*key, *m));
-                }
-            }
-        }
-        entries
+        let fifo = self.lock();
+        fifo.order.iter().map(|key| (*key, fifo.map[key])).collect()
     }
 
     /// Rebuilds a cache from [`EvalCache::entries_fifo`] output.
@@ -232,10 +178,7 @@ impl EvalCache {
 
     /// Overwrites the lifetime statistics (checkpoint restore).
     pub fn restore_stats(&self, stats: CacheStats) {
-        self.hits.store(stats.hits, Ordering::Relaxed);
-        self.misses.store(stats.misses, Ordering::Relaxed);
-        self.inserts.store(stats.inserts, Ordering::Relaxed);
-        self.evictions.store(stats.evictions, Ordering::Relaxed);
+        self.lock().stats = stats;
     }
 
     // -- spill / warm-start ------------------------------------------------
@@ -247,13 +190,10 @@ impl EvalCache {
     /// carries an FNV-1a checksum over its other four fields, so a
     /// corrupted entry (a flipped bit inside a hex digit still parses) is
     /// detected rather than silently wrong. Entries are sorted by key, so
-    /// the output is byte-stable regardless of insertion or shard order.
+    /// the output is byte-stable regardless of insertion order.
     pub fn to_spill_json(&self) -> String {
-        let mut entries: Vec<(CanonKey, Metrics)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            entries.extend(shard.map.iter().map(|(k, m)| (*k, *m)));
-        }
+        let mut entries: Vec<(CanonKey, Metrics)> =
+            self.lock().map.iter().map(|(k, m)| (*k, *m)).collect();
         entries.sort_unstable_by_key(|(k, _)| *k);
         let mut out = String::with_capacity(64 + entries.len() * 116);
         out.push_str("{\"version\":");
@@ -483,11 +423,18 @@ mod tests {
     }
 
     #[test]
-    fn get_after_insert_round_trips() {
+    fn peek_after_insert_round_trips() {
         let cache = EvalCache::with_capacity(64);
-        assert_eq!(cache.get(key(1)), None);
+        assert_eq!(cache.peek(key(1)), None);
         assert!(cache.insert(key(1), metrics(1)));
-        assert_eq!(cache.get(key(1)), Some(metrics(1)));
+        assert_eq!(cache.peek(key(1)), Some(metrics(1)));
+        let s = cache.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.inserts),
+            (0, 0, 1),
+            "peeks tally nothing"
+        );
+        cache.tally_probes(1, 1);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
     }
@@ -497,7 +444,7 @@ mod tests {
         let cache = EvalCache::with_capacity(64);
         assert!(cache.insert(key(1), metrics(1)));
         assert!(!cache.insert(key(1), metrics(2)));
-        assert_eq!(cache.get(key(1)), Some(metrics(1)), "first value wins");
+        assert_eq!(cache.peek(key(1)), Some(metrics(1)), "first value wins");
         assert_eq!(cache.len(), 1);
     }
 
@@ -519,15 +466,24 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_fifo_within_a_shard() {
-        // Capacity 1 → a single shard with quota 1: each insert evicts
-        // the previous entry.
-        let cache = EvalCache::with_capacity(1);
-        cache.insert(key(1), metrics(1));
-        cache.insert(key(2), metrics(2));
-        assert_eq!(cache.get(key(1)), None, "oldest evicted");
-        assert_eq!(cache.get(key(2)), Some(metrics(2)));
-        assert_eq!(cache.len(), 1);
+    fn capacity_is_exact_and_eviction_is_globally_fifo() {
+        for capacity in [1, 17, 100] {
+            assert_eq!(EvalCache::with_capacity(capacity).capacity(), capacity);
+        }
+        // Nothing is evicted before the cache is full…
+        let cache = EvalCache::with_capacity(100);
+        for i in 0..100 {
+            cache.insert(key(i), metrics(i));
+        }
+        assert_eq!(cache.len(), 100);
+        assert_eq!(cache.stats().evictions, 0);
+        // …and then each insert evicts the oldest entry overall.
+        cache.insert(key(100), metrics(100));
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.peek(key(0)), None, "oldest evicted");
+        assert_eq!(cache.peek(key(1)), Some(metrics(1)));
+        let order: Vec<CanonKey> = cache.entries_fifo().iter().map(|(k, _)| *k).collect();
+        assert_eq!(order, (1..=100).map(key).collect::<Vec<_>>());
     }
 
     #[test]
@@ -558,7 +514,7 @@ mod tests {
         let back = EvalCache::from_spill_json(&spill, 64).unwrap();
         assert_eq!(back.len(), 3);
         for (k, m) in values {
-            let got = back.get(k).expect("entry survived");
+            let got = back.peek(k).expect("entry survived");
             assert_eq!(got.cost_gates, m.cost_gates);
             assert_eq!(got.latency_cycles.to_bits(), m.latency_cycles.to_bits());
             assert_eq!(got.energy_nj.to_bits(), m.energy_nj.to_bits());
@@ -585,7 +541,7 @@ mod tests {
         cache.save(&path).unwrap();
         let back = EvalCache::load(&path, 16).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(back.get(key(7)), Some(metrics(7)));
+        assert_eq!(back.peek(key(7)), Some(metrics(7)));
     }
 
     #[test]
@@ -670,7 +626,7 @@ mod tests {
         let (back, dropped) = EvalCache::from_spill_json_salvage(&tampered, 16).unwrap();
         assert_eq!(dropped, 1);
         assert_eq!(back.len(), 1);
-        assert_eq!(back.get(key(2)), Some(metrics(2)));
+        assert_eq!(back.peek(key(2)), Some(metrics(2)));
         // Salvage never rescues document-level damage.
         assert!(EvalCache::from_spill_json_salvage("{nope", 16).is_err());
         assert!(
@@ -681,9 +637,8 @@ mod tests {
 
     #[test]
     fn entries_fifo_round_trips_order_and_stats() {
-        // Capacity 2 → one or two shards with tiny quotas; insert enough
-        // to exercise eviction, then rebuild and check the clone evicts
-        // identically.
+        // Insert enough to exercise eviction, then rebuild and check the
+        // clone evicts identically.
         let cache = EvalCache::with_capacity(4);
         for i in 0..6 {
             cache.insert(key(i), metrics(i));
@@ -717,7 +672,7 @@ mod tests {
                     for i in 0..200u64 {
                         let k = key(t * 1000 + i);
                         cache.insert(k, metrics(i));
-                        let _ = cache.get(k);
+                        let _ = cache.peek(k);
                     }
                 })
             })

@@ -1,4 +1,4 @@
-//! Lock-striped, mergeable latency histograms.
+//! Mergeable latency histograms with a deterministic bucket layout.
 //!
 //! A [`Histogram`] counts `u64` samples (the recorder uses microseconds)
 //! into a **deterministic fixed-bucket layout**: bucket 0 holds the value
@@ -10,14 +10,12 @@
 //! interpolate linearly inside a bucket and clamp to the observed min/max,
 //! which keeps them a pure function of the bucket counts.
 //!
-//! [`HistRegistry`] is the recorder-side store: a fixed set of mutex
-//! stripes keyed by name hash, so worker threads recording into *different*
-//! histograms rarely contend, while recording into the *same* histogram
-//! stays a simple serialized bucket increment. The registry is wired into
+//! [`HistRegistry`] is the recorder-side store: one mutex-guarded map
+//! from name to histogram, where a record is a serialized bucket
+//! increment. The registry is wired into
 //! the global recorder as [`histogram_record`](crate::histogram_record) /
 //! [`time_scope`](crate::time_scope); this module is the pure data layer.
 
-use crate::fnv::Fnv128;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
@@ -126,11 +124,6 @@ impl Histogram {
         self.sum
     }
 
-    /// The per-bucket counts (fixed layout; see [`bucket_bounds`]).
-    pub fn bucket_counts(&self) -> &[u64; BUCKET_COUNT] {
-        &self.buckets
-    }
-
     /// Estimates the `q`-quantile (`q` in `[0, 1]`) from the bucket
     /// counts: find the bucket holding the target rank, interpolate
     /// linearly inside it, and clamp to the observed min/max. A pure
@@ -171,79 +164,46 @@ impl Histogram {
     }
 }
 
-/// Stripes in a [`HistRegistry`]. A histogram's name picks its stripe, so
-/// threads recording into different histograms usually take different
-/// locks; the count is a fixed power of two to keep stripe selection a
-/// mask.
-const STRIPES: usize = 8;
-
-/// FNV-1a over the name, reduced to a stripe index.
-fn stripe_of(name: &str) -> usize {
-    let mut h = Fnv128::default();
-    h.bytes(name.as_bytes());
-    (h.lanes().0 as usize) & (STRIPES - 1)
-}
-
-/// The recorder's named-histogram store: `STRIPES` mutex-guarded maps,
-/// keyed by name hash.
-#[derive(Debug)]
+/// The recorder's named-histogram store: one mutex-guarded map. Its
+/// writers are per-candidate time scopes — one record per simulation,
+/// each milliseconds apart — so a single lock never contends in practice.
+#[derive(Debug, Default)]
 pub struct HistRegistry {
-    stripes: [Mutex<BTreeMap<&'static str, Histogram>>; STRIPES],
-}
-
-impl Default for HistRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
+    map: Mutex<BTreeMap<&'static str, Histogram>>,
 }
 
 impl HistRegistry {
     /// An empty registry.
     pub fn new() -> Self {
-        HistRegistry {
-            stripes: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
-        }
+        Self::default()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<&'static str, Histogram>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Records `value` into the named histogram (creating it on first
     /// use). Safe to call from worker threads; totals are commutative.
     pub fn record(&self, name: &'static str, value: u64) {
-        let mut map = self.stripes[stripe_of(name)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        map.entry(name).or_default().record(value);
+        self.lock().entry(name).or_default().record(value);
     }
 
     /// A copy of the named histogram, if any samples were recorded.
     pub fn get(&self, name: &str) -> Option<Histogram> {
-        self.stripes[stripe_of(name)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-            .cloned()
+        self.lock().get(name).cloned()
     }
 
-    /// Every histogram, in name order (stripes hold disjoint names, so
-    /// collecting them into one map is a plain union).
+    /// Every histogram, in name order.
     pub fn snapshot(&self) -> Vec<(&'static str, Histogram)> {
-        let mut all: BTreeMap<&'static str, Histogram> = BTreeMap::new();
-        for stripe in &self.stripes {
-            let map = stripe.lock().unwrap_or_else(PoisonError::into_inner);
-            for (&name, hist) in map.iter() {
-                all.insert(name, hist.clone());
-            }
-        }
-        all.into_iter().collect()
+        self.lock()
+            .iter()
+            .map(|(&name, hist)| (name, hist.clone()))
+            .collect()
     }
 
     /// Removes every histogram.
     pub fn clear(&self) {
-        for stripe in &self.stripes {
-            stripe
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clear();
-        }
+        self.lock().clear();
     }
 }
 

@@ -16,7 +16,7 @@
 //!   emits the totals as events at phase boundaries, where they are
 //!   deterministic.
 //! * **Histograms** ([`histogram_record`], [`time_scope`]) are
-//!   lock-striped, mergeable latency distributions with a deterministic
+//!   mergeable latency distributions with a deterministic
 //!   power-of-two bucket layout ([`hist`]): per-candidate simulate latency,
 //!   cache-probe latency and per-worker occupancy get p50/p90/p99
 //!   summaries, not just totals. Spans feed their durations in
@@ -101,6 +101,5 @@ pub use sink::{
     ProgressReporter, Sink,
 };
 pub use timeseries::{
-    logical_mark, logical_series, series_capacity, set_series_capacity, wall_sample, wall_series,
-    Sampler, SeriesPoint, DEFAULT_SERIES_CAPACITY,
+    logical_mark, logical_series, wall_sample, wall_series, Sampler, SeriesPoint, SERIES_CAPACITY,
 };

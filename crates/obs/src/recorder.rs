@@ -277,7 +277,7 @@ pub fn gauge_restore(name: &str, value: u64) {
 
 /// Records `value` into the named histogram (see [`crate::hist`] for the
 /// deterministic bucket layout). Worker threads may call this
-/// concurrently: the registry is lock-striped by name, and bucket totals
+/// concurrently: records serialize on the registry lock, and bucket totals
 /// are commutative, so the histograms read at phase boundaries hold the
 /// same counts for any thread count.
 pub fn histogram_record(name: &'static str, value: u64) {

@@ -127,24 +127,6 @@ impl ChromeTraceSink {
             .clone();
         render_chrome_trace(&events)
     }
-
-    /// Writes the rendered trace to `path` atomically (temp file in the
-    /// same directory, then rename), so a crash mid-write never leaves a
-    /// truncated trace behind.
-    pub fn write_to_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut tmp_name = path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_else(|| std::ffi::OsString::from("trace"));
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        let write =
-            std::fs::write(&tmp, self.to_chrome_json()).and_then(|()| std::fs::rename(&tmp, path));
-        if write.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        write
-    }
 }
 
 impl Sink for ChromeTraceSink {

@@ -29,14 +29,14 @@
 use crate::hist::HistogramSummary;
 use crate::recorder;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
-/// Default per-series ring capacity: enough for four minutes of
-/// one-second wall samples, or a few hundred Phase-I architectures,
-/// while bounding live-status files to a few tens of kilobytes.
-pub const DEFAULT_SERIES_CAPACITY: usize = 240;
+/// Per-series ring capacity: enough for four minutes of one-second wall
+/// samples, or a few hundred Phase-I architectures, while bounding
+/// live-status files to a few tens of kilobytes.
+pub const SERIES_CAPACITY: usize = 240;
 
 /// One sampled point of a series: `at` is the logical tick
 /// (architectures done) on the logical channel, or microseconds since
@@ -51,7 +51,6 @@ pub struct SeriesPoint {
 
 /// The registry: name → bounded ring, one map per channel.
 struct Registry {
-    capacity: AtomicUsize,
     logical: Mutex<BTreeMap<&'static str, VecDeque<SeriesPoint>>>,
     wall: Mutex<BTreeMap<&'static str, VecDeque<SeriesPoint>>>,
     /// Derived per-histogram wall series need owned names
@@ -62,44 +61,20 @@ struct Registry {
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| Registry {
-        capacity: AtomicUsize::new(DEFAULT_SERIES_CAPACITY),
         logical: Mutex::new(BTreeMap::new()),
         wall: Mutex::new(BTreeMap::new()),
         hist_names: Mutex::new(BTreeMap::new()),
     })
 }
 
-/// Sets the per-series ring capacity (minimum 2, so every series keeps at
-/// least a first and a latest point). Existing series are trimmed from
-/// the front to the new bound.
-pub fn set_series_capacity(capacity: usize) {
-    let r = registry();
-    let capacity = capacity.max(2);
-    r.capacity.store(capacity, Ordering::SeqCst);
-    for channel in [&r.logical, &r.wall] {
-        let mut map = channel.lock().unwrap_or_else(PoisonError::into_inner);
-        for ring in map.values_mut() {
-            while ring.len() > capacity {
-                ring.pop_front();
-            }
-        }
-    }
-}
-
-/// The configured per-series ring capacity.
-pub fn series_capacity() -> usize {
-    registry().capacity.load(Ordering::SeqCst)
-}
-
 fn push(
     channel: &Mutex<BTreeMap<&'static str, VecDeque<SeriesPoint>>>,
-    capacity: usize,
     name: &'static str,
     point: SeriesPoint,
 ) {
     let mut map = channel.lock().unwrap_or_else(PoisonError::into_inner);
     let ring = map.entry(name).or_default();
-    if ring.len() >= capacity {
+    if ring.len() >= SERIES_CAPACITY {
         ring.pop_front();
     }
     ring.push_back(point);
@@ -117,15 +92,14 @@ pub fn logical_mark(tick: u64) {
         return;
     }
     let r = registry();
-    let capacity = r.capacity.load(Ordering::SeqCst);
     for (name, value) in recorder::counters_snapshot() {
         if name.starts_with("budget.") {
             continue;
         }
-        push(&r.logical, capacity, name, SeriesPoint { at: tick, value });
+        push(&r.logical, name, SeriesPoint { at: tick, value });
     }
     for (name, value) in recorder::gauges_snapshot() {
-        push(&r.logical, capacity, name, SeriesPoint { at: tick, value });
+        push(&r.logical, name, SeriesPoint { at: tick, value });
     }
 }
 
@@ -140,20 +114,18 @@ pub fn wall_sample() {
         return;
     }
     let r = registry();
-    let capacity = r.capacity.load(Ordering::SeqCst);
     let t_us = recorder::now_us();
     for (name, value) in recorder::counters_snapshot() {
-        push(&r.wall, capacity, name, SeriesPoint { at: t_us, value });
+        push(&r.wall, name, SeriesPoint { at: t_us, value });
     }
     for (name, value) in recorder::gauges_snapshot() {
-        push(&r.wall, capacity, name, SeriesPoint { at: t_us, value });
+        push(&r.wall, name, SeriesPoint { at: t_us, value });
     }
     for (name, hist) in recorder::histograms_snapshot() {
         let HistogramSummary { p90, .. } = hist.summary();
         let series = intern_hist_name(name);
         push(
             &r.wall,
-            capacity,
             series,
             SeriesPoint {
                 at: t_us,
@@ -203,7 +175,7 @@ pub fn wall_series() -> Vec<(&'static str, Vec<SeriesPoint>)> {
 /// Clears both channels (done automatically by
 /// [`install`](crate::install), alongside the counter, gauge and
 /// histogram registries), so back-to-back sessions never report stale
-/// series. The configured capacity is kept.
+/// series.
 pub fn clear() {
     let r = registry();
     r.logical
@@ -369,25 +341,39 @@ mod tests {
     }
 
     #[test]
-    fn rings_are_bounded_and_capacity_trims() {
-        with_recorder(|| {
-            set_series_capacity(4);
+    fn logical_rings_keep_the_newest_points() {
+        let series = with_recorder(|| {
             counter_add("ts.ring", 1);
-            for tick in 0..10 {
+            for tick in 0..SERIES_CAPACITY as u64 + 10 {
                 logical_mark(tick);
             }
-            let series: BTreeMap<_, _> = logical_series().into_iter().collect();
-            let points = &series["ts.ring"];
-            assert_eq!(points.len(), 4, "ring bounded at capacity");
-            assert_eq!(points[0].at, 6, "oldest points evicted first");
-            assert_eq!(points[3].at, 9);
-            // Shrinking trims existing rings from the front.
-            set_series_capacity(2);
-            let series: BTreeMap<_, _> = logical_series().into_iter().collect();
-            assert_eq!(series["ts.ring"].len(), 2);
-            assert_eq!(series["ts.ring"][0].at, 8);
-            set_series_capacity(DEFAULT_SERIES_CAPACITY);
+            logical_series()
         });
+        let series: BTreeMap<_, _> = series.into_iter().collect();
+        let points = &series["ts.ring"];
+        assert_eq!(points.len(), SERIES_CAPACITY, "ring bounded at capacity");
+        assert_eq!(points[0].at, 10, "oldest points evicted first");
+        assert_eq!(points[SERIES_CAPACITY - 1].at, SERIES_CAPACITY as u64 + 9);
+    }
+
+    #[test]
+    fn wall_rings_are_bounded() {
+        let series = with_recorder(|| {
+            counter_add("ts.ring", 1);
+            histogram_record("ts.ring_us", 5);
+            for _ in 0..SERIES_CAPACITY + 3 {
+                wall_sample();
+            }
+            wall_series()
+        });
+        for (name, points) in &series {
+            assert_eq!(points.len(), SERIES_CAPACITY, "{name} bounded at capacity");
+            assert!(
+                points.windows(2).all(|w| w[0].at <= w[1].at),
+                "{name} keeps sample order"
+            );
+        }
+        assert!(series.iter().any(|(name, _)| *name == "ts.ring_us.p90"));
     }
 
     #[test]

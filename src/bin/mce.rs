@@ -14,15 +14,17 @@
 //!              [--live-status FILE] [--live-every MS] [--metrics-out FILE]
 //!              [--out-dir DIR] [--progress]
 //!                                              full APEX + ConEx exploration
-//! mce top      <status.json> [--interval MS] [--once]
+//! mce top      <report.json> [--interval MS] [--once]
 //!                                              watch a --live-status file
-//!                                              as a dashboard
+//!                                              (or any run report) as a
+//!                                              dashboard
 //! mce report   <report.json>... [--out FILE] [--html]
 //!                                              render run reports as
 //!                                              markdown/HTML summaries
-//! mce export-metrics <status-or-report.json> [--out FILE]
-//!                                              render a live-status or
-//!                                              run-report file as OpenMetrics
+//! mce export-metrics <report.json> [--out FILE]
+//!                                              render a run report (or a
+//!                                              live-status file) as
+//!                                              OpenMetrics
 //! mce cache-check <spill.json> [--capacity N] [--repair]
 //!                                              validate (and optionally
 //!                                              repair) an eval-cache spill
@@ -83,17 +85,18 @@
 //! `"truncated"`, and the process still exits 0 with a distinct
 //! `exploration truncated (...)` status line.
 //!
-//! `--live-status FILE` continuously publishes a schema-versioned JSON
-//! snapshot of the running exploration (phase, candidate funnel,
-//! evaluation rate, cache hit rate, remaining budget, ETA, frontier
-//! hypervolume, full registries and time series), rewritten atomically
-//! every committed architecture and every `--live-every MS` (default
-//! 500). Watch it with `mce top FILE` — a refreshing dashboard on a TTY,
-//! a single plain-text snapshot otherwise or with `--once`. Publishing
-//! is best-effort: a failed write never fails the run, and results are
+//! `--live-status FILE` continuously publishes a run-report snapshot of
+//! the running exploration (`"status": "running"`, what is committed so
+//! far, plus architecture progress and remaining budget under
+//! `wall_clock.live`), rewritten atomically every committed architecture
+//! and every `--live-every MS` (default 500); the last snapshot is the
+//! final report. Watch it with `mce top FILE` — a refreshing dashboard on
+//! a TTY, a single plain-text snapshot otherwise or with `--once`; phase,
+//! rates and ETA are derived from the document. Publishing is
+//! best-effort: a failed write never fails the run, and results are
 //! bit-identical with live status on or off. `--metrics-out FILE` writes
-//! the end-of-run registries as OpenMetrics text; `mce export-metrics`
-//! renders the same format from any live-status or run-report file.
+//! the final report as OpenMetrics text, byte for byte what `mce
+//! export-metrics` renders from the run's report.
 //!
 //! All file outputs (`--out`, `--report-out`, `--trace-out`, eval-cache
 //! spills, checkpoints, experiment logs, live-status snapshots) are
@@ -158,9 +161,9 @@ const USAGE: &str = "usage:
                [--deadline SECS] [--candidate-timeout MS]
                [--live-status FILE] [--live-every MS] [--metrics-out FILE]
                [--out-dir DIR] [--progress]
-  mce top      <status.json> [--interval MS] [--once]
+  mce top      <report.json> [--interval MS] [--once]
   mce report   <report.json>... [--out FILE] [--html]
-  mce export-metrics <status-or-report.json> [--out FILE]
+  mce export-metrics <report.json> [--out FILE]
   mce cache-check <spill.json> [--capacity N] [--repair]
   mce runs     add <report.json> | list | show <digest> | gc [--keep N]
                [--archive DIR]
@@ -194,13 +197,13 @@ explore options:
   --candidate-timeout MS reclaim any single evaluation running longer
                    than MS milliseconds by degrading it to its estimate
                    (tagged in the report's wall_clock.degraded section)
-  --live-status FILE continuously publish a live-status JSON snapshot
-                   to FILE (atomic rewrites; watch it with `mce top`);
+  --live-status FILE continuously publish a run-report snapshot to FILE
+                   (atomic rewrites; watch it with `mce top`);
                    best-effort, never changes results or fails the run
   --live-every MS  live-status / time-series sampling cadence in
                    milliseconds (default 500, MS >= 10; requires
                    --live-status)
-  --metrics-out FILE write the end-of-run counters/gauges/histograms
+  --metrics-out FILE write the final report's counters/gauges/histograms
                    as OpenMetrics text to FILE
   --explain        capture frontier provenance: why each Phase-I point
                    survived or was pruned, and where its metrics came
@@ -239,8 +242,9 @@ runs subcommands (content-addressed run archive, default DIR target/mce-runs):
                    orphaned objects
 
 diff options:
-  <A> <B>          run-report files, live-status files, or archived run
-                   digests (paths are tried first, then the archive);
+  <A> <B>          run-report files (a live-status file is one) or
+                   archived run digests (paths are tried first, then
+                   the archive);
                    exits 0 iff the deterministic sections are identical,
                    1 when they differ
   --html           render a self-contained HTML document instead of markdown
@@ -532,7 +536,7 @@ impl ObsSession {
             obs::uninstall();
         }
         if let Some((sink, path)) = self.chrome {
-            sink.write_to_file(std::path::Path::new(&path))
+            atomic_write(&path, sink.to_chrome_json().as_bytes())
                 .map_err(|e| format!("cannot write trace file `{path}`: {e}"))?;
             eprintln!("wrote trace {path}");
         }
@@ -753,12 +757,7 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
     }
     let mut reports = Vec::new();
     for path in files {
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read report file `{path}`: {e}"))?;
-        let value = obs::json::parse(&body)
-            .map_err(|e| format!("report file `{path}` is not valid JSON: {e}"))?;
-        report::check_report_schema(&value).map_err(|e| format!("report file `{path}`: {e}"))?;
-        reports.push((path.to_owned(), value));
+        reports.push((path.to_owned(), load_report(path)?));
     }
     let markdown = report::render_markdown(&reports);
     let rendered = if html {
@@ -777,20 +776,15 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Loads and schema-checks one live-status file.
-fn load_live_status(path: &str) -> Result<obs::json::Value, CliError> {
+/// Loads and schema-checks one run report — a `--report-out` file or a
+/// `--live-status` snapshot.
+fn load_report(path: &str) -> Result<obs::json::Value, CliError> {
     let body = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read status file `{path}`: {e}"))?;
+        .map_err(|e| format!("cannot read report file `{path}`: {e}"))?;
     let doc = obs::json::parse(&body)
-        .map_err(|e| format!("status file `{path}` is not valid JSON: {e}"))?;
-    match doc.get("live_schema").and_then(obs::json::Value::as_u64) {
-        Some(live::LIVE_SCHEMA) => Ok(doc),
-        found => Err(format!(
-            "status file `{path}` has unsupported live_schema {found:?} (expected {})",
-            live::LIVE_SCHEMA
-        )
-        .into()),
-    }
+        .map_err(|e| format!("report file `{path}` is not valid JSON: {e}"))?;
+    report::check_report_schema(&doc).map_err(|e| format!("report file `{path}`: {e}"))?;
+    Ok(doc)
 }
 
 /// The terminal's column count, re-queried on demand so a resize takes
@@ -813,10 +807,11 @@ fn terminal_width() -> usize {
     width.unwrap_or(80).max(20)
 }
 
-/// `mce top`: watches a `--live-status` file. On a TTY it refreshes a
-/// full-screen dashboard every `--interval` until the run leaves the
-/// `running` state; with `--once` or a non-TTY stdout it prints a single
-/// plain-text snapshot, so scripts and CI can capture it.
+/// `mce top`: watches a `--live-status` file — or renders any run
+/// report, running or finished. On a TTY it refreshes a full-screen
+/// dashboard every `--interval` until the run leaves the `running`
+/// state; with `--once` or a non-TTY stdout it prints a single plain-text
+/// snapshot, so scripts and CI can capture it.
 ///
 /// The status file is rewritten atomically by the exploring process, so
 /// every read sees a complete document. A *missing* file is transient —
@@ -830,13 +825,13 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
 
     let path = *check_flags("top", args, "[--interval MS] [--once]")?
         .first()
-        .ok_or("top needs a live-status file argument")?;
+        .ok_or("top needs a live-status or run-report file argument")?;
     let file = std::path::Path::new(path);
     if file.is_dir() {
         return Err(MceError::invalid_arg(
             path,
-            "is a directory; top takes a live-status file",
-            "mce top <status.json> [--interval MS] [--once]",
+            "is a directory; top takes a live-status or run-report file",
+            "mce top <report.json> [--interval MS] [--once]",
         )
         .into());
     }
@@ -844,7 +839,7 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
         numeric_flag::<u64>(args, "--interval", 50, "--interval MS (MS >= 50)")?.unwrap_or(500);
     let once = args.iter().any(|a| a == "--once");
     let render = |width: usize| -> Result<(String, bool), CliError> {
-        let doc = load_live_status(path)?;
+        let doc = load_report(path)?;
         let active = doc.get("status").and_then(obs::json::Value::as_str) == Some("running");
         Ok((live::render_dashboard_with_width(path, &doc, width), active))
     };
@@ -888,18 +883,14 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// `mce export-metrics`: renders a live-status or run-report JSON file
-/// as OpenMetrics text (to stdout or `--out FILE`), so any
+/// `mce export-metrics`: renders a run report — finished or a live-status
+/// snapshot — as OpenMetrics text (to stdout or `--out FILE`), so any
 /// Prometheus-compatible scraper can ingest a run's registries.
 fn cmd_export_metrics(args: &[String]) -> Result<(), CliError> {
     let path = *check_flags("export-metrics", args, "[--out FILE]")?
         .first()
-        .ok_or("export-metrics needs a live-status or run-report JSON file")?;
-    let body = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read metrics source `{path}`: {e}"))?;
-    let doc = obs::json::parse(&body)
-        .map_err(|e| format!("metrics source `{path}` is not valid JSON: {e}"))?;
-    let text = live::openmetrics_from_value(&doc).map_err(|e| format!("`{path}`: {e}"))?;
+        .ok_or("export-metrics needs a run-report JSON file")?;
+    let text = live::openmetrics_from_value(&load_report(path)?)?;
     match flag_value(args, "--out") {
         Some(out) => {
             atomic_write(out, text.as_bytes())
@@ -1055,8 +1046,8 @@ fn resolve_diff_operand(
     }
 }
 
-/// `mce diff`: structural comparison of two runs — report files,
-/// live-status files, or archived digests. Exits 0 iff the
+/// `mce diff`: structural comparison of two runs — report files
+/// (live-status snapshots included) or archived digests. Exits 0 iff the
 /// deterministic sections are byte-identical (wall clock, cache state
 /// and provenance never affect the verdict), 1 when they differ.
 fn cmd_diff(args: &[String]) -> Result<u8, CliError> {
@@ -1383,19 +1374,23 @@ mod tests {
     #[test]
     fn top_validates_its_input() {
         let err = cmd_top(&s(&["--once"])).unwrap_err();
-        assert!(err.to_string().contains("status file"), "{err}");
+        assert!(err.to_string().contains("run-report file"), "{err}");
         let err = cmd_top(&s(&["/nonexistent/status.json", "--once"])).unwrap_err();
         assert!(err.to_string().contains("cannot read"), "{err}");
         let dir = std::env::temp_dir();
         let bad = dir.join(format!("mce_top_bad_{}.json", std::process::id()));
-        std::fs::write(&bad, "{\"live_schema\": 99}").unwrap();
+        std::fs::write(&bad, "{\"schema\": 99}").unwrap();
         let err = cmd_top(&s(&[bad.to_str().unwrap(), "--once"])).unwrap_err();
         std::fs::remove_file(&bad).ok();
-        assert!(err.to_string().contains("unsupported live_schema"), "{err}");
+        assert!(
+            err.to_string().contains("unsupported run report schema"),
+            "{err}"
+        );
         // A directory is rejected up front, not read or watched.
         let err = cmd_top(&s(&[dir.to_str().unwrap(), "--once"])).unwrap_err();
         assert!(
-            err.to_string().contains("takes a live-status file"),
+            err.to_string()
+                .contains("takes a live-status or run-report file"),
             "{err}"
         );
     }

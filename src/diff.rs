@@ -1,9 +1,11 @@
 //! Structural comparison of exploration artifacts — `mce diff`.
 //!
 //! Replaces ad-hoc `diff`/python prefix comparisons with a comparison
-//! that understands the artifact: two run reports (or two live-status
-//! snapshots) are compared section by section, and the verdict is based
-//! only on the *deterministic, machine-independent* content.
+//! that understands the artifact: two run reports are compared section by
+//! section, and the verdict is based only on the *deterministic,
+//! machine-independent* content. A live-status file is a run report
+//! snapshot, so it diffs like any report — the final snapshot of a run
+//! compares identical to the run's `--report-out`.
 //!
 //! ## What counts as "identical"
 //!
@@ -33,20 +35,9 @@ use mce_error::MceError;
 use mce_obs::json::{self, Value};
 use std::collections::BTreeSet;
 
-/// What kind of artifacts were compared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiffKind {
-    /// Two run reports (`"schema"` key).
-    Report,
-    /// Two live-status snapshots (`"live_schema"` key).
-    Live,
-}
-
 /// Result of a structural comparison.
 #[derive(Debug, Clone)]
 pub struct DiffOutcome {
-    /// What was compared.
-    pub kind: DiffKind,
     /// True when the deterministic views are byte-identical — the CLI
     /// exits 0 exactly then.
     pub identical: bool,
@@ -54,14 +45,12 @@ pub struct DiffOutcome {
     pub markdown: String,
 }
 
-/// Compares two serialized artifacts, inferring their kind from the
-/// schema key. Both must be of the same kind.
+/// Compares two serialized run reports.
 ///
 /// # Errors
 ///
 /// [`MceError::Json`] on unparseable input, [`MceError::SchemaVersion`]
-/// on unknown schema versions, [`MceError::InvalidInput`] when the two
-/// sides are different kinds of artifact (or neither kind).
+/// when either side is not a supported run report.
 pub fn diff_texts(
     label_a: &str,
     text_a: &str,
@@ -70,29 +59,11 @@ pub fn diff_texts(
 ) -> Result<DiffOutcome, MceError> {
     let doc_a = parse(label_a, text_a)?;
     let doc_b = parse(label_b, text_b)?;
-    match (kind_of(&doc_a), kind_of(&doc_b)) {
-        (Some(DiffKind::Report), Some(DiffKind::Report)) => {
-            report::check_report_schema(&doc_a)?;
-            report::check_report_schema(&doc_b)?;
-            Ok(diff_reports(
-                label_a, text_a, &doc_a, label_b, text_b, &doc_b,
-            ))
-        }
-        (Some(DiffKind::Live), Some(DiffKind::Live)) => {
-            check_live_schema(label_a, &doc_a)?;
-            check_live_schema(label_b, &doc_b)?;
-            Ok(diff_live(label_a, &doc_a, label_b, &doc_b))
-        }
-        (Some(a), Some(b)) if a != b => Err(MceError::invalid_input(format!(
-            "cannot diff a {} against a {}",
-            kind_name(a),
-            kind_name(b)
-        ))),
-        _ => Err(MceError::invalid_input(
-            "inputs are neither run reports (`schema`) nor live-status \
-             snapshots (`live_schema`)",
-        )),
-    }
+    report::check_report_schema(&doc_a)?;
+    report::check_report_schema(&doc_b)?;
+    Ok(diff_reports(
+        label_a, text_a, &doc_a, label_b, text_b, &doc_b,
+    ))
 }
 
 /// Metric-name prefixes that measure execution *effort* — how much work
@@ -140,34 +111,6 @@ fn parse(label: &str, text: &str) -> Result<Value, MceError> {
     json::parse(text).map_err(|e| MceError::json(label.to_owned(), e.to_string()))
 }
 
-fn kind_of(doc: &Value) -> Option<DiffKind> {
-    if doc.get("live_schema").is_some() {
-        Some(DiffKind::Live)
-    } else if doc.get("schema").is_some() {
-        Some(DiffKind::Report)
-    } else {
-        None
-    }
-}
-
-fn kind_name(k: DiffKind) -> &'static str {
-    match k {
-        DiffKind::Report => "run report",
-        DiffKind::Live => "live-status snapshot",
-    }
-}
-
-fn check_live_schema(label: &str, doc: &Value) -> Result<(), MceError> {
-    match doc.get("live_schema").and_then(Value::as_u64) {
-        Some(v) if (1..=crate::live::LIVE_SCHEMA).contains(&v) => Ok(()),
-        found => Err(MceError::schema_version(
-            format!("live status ({label})"),
-            found.map_or_else(|| "none".to_owned(), |v| v.to_string()),
-            crate::live::LIVE_SCHEMA,
-        )),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Run-report diff
 // ---------------------------------------------------------------------------
@@ -188,8 +131,8 @@ fn diff_reports(
     for key in ["workload", "workload_digest", "status", "stop_reason"] {
         md.push_str(&format!(
             "| {key} | {} | {} |\n",
-            scalar_at(doc_a, key),
-            scalar_at(doc_b, key)
+            scalar(doc_a.get(key)),
+            scalar(doc_b.get(key))
         ));
     }
     md.push('\n');
@@ -223,14 +166,14 @@ fn diff_reports(
     md.push_str(&provenance_note(doc_a, doc_b));
     md.push_str(&wall_clock_context(doc_a, doc_b));
     DiffOutcome {
-        kind: DiffKind::Report,
         identical,
         markdown: md,
     }
 }
 
-fn scalar_at(doc: &Value, key: &str) -> String {
-    match doc.get(key) {
+/// A scalar as a markdown table cell: `—` when absent or null.
+fn scalar(v: Option<&Value>) -> String {
+    match v {
         None | Some(Value::Null) => "—".to_owned(),
         Some(Value::String(s)) => s.clone(),
         Some(Value::Number(n)) => format!("{n}"),
@@ -261,8 +204,8 @@ fn object_delta_table(
         .collect();
     let mut rows = String::new();
     for key in keys {
-        let va = a.and_then(|v| scalar_opt(v, key));
-        let vb = b.and_then(|v| scalar_opt(v, key));
+        let va = a.and_then(|v| v.get(key));
+        let vb = b.and_then(|v| v.get(key));
         if va != vb {
             let note = if informational.iter().any(|p| key.starts_with(p)) {
                 " (informational)"
@@ -271,8 +214,8 @@ fn object_delta_table(
             };
             rows.push_str(&format!(
                 "| {key}{note} | {} | {} |\n",
-                va.unwrap_or_else(|| "—".to_owned()),
-                vb.unwrap_or_else(|| "—".to_owned()),
+                scalar(va),
+                scalar(vb),
             ));
         }
     }
@@ -281,17 +224,6 @@ fn object_delta_table(
     } else {
         format!("## {title}\n\n| key | A | B |\n|---|---|---|\n{rows}\n")
     }
-}
-
-fn scalar_opt(doc: &Value, key: &str) -> Option<String> {
-    doc.get(key).map(|v| match v {
-        Value::Null => "null".to_owned(),
-        Value::String(s) => s.clone(),
-        Value::Number(n) => format!("{n}"),
-        Value::Int(n) => n.to_string(),
-        Value::Bool(b) => b.to_string(),
-        _ => "…".to_owned(),
-    })
 }
 
 fn front_points(doc: &Value) -> Vec<String> {
@@ -384,11 +316,7 @@ fn provenance_note(doc_a: &Value, doc_b: &Value) -> String {
 /// Wall-clock context: elapsed time, threads, peak RSS, degraded
 /// evaluation counts. Informational only.
 fn wall_clock_context(doc_a: &Value, doc_b: &Value) -> String {
-    let wc = |doc: &Value, k: &str| {
-        doc.get("wall_clock")
-            .and_then(|w| w.get(k))
-            .map_or_else(|| "—".to_owned(), scalar_at_value)
-    };
+    let wc = |doc: &Value, k: &str| scalar(doc.get("wall_clock").and_then(|w| w.get(k)));
     let mut out =
         String::from("## Wall-clock context (informational)\n\n| | A | B |\n|---|---|---|\n");
     for key in ["elapsed_s", "threads", "resumed", "peak_rss_bytes"] {
@@ -400,75 +328,6 @@ fn wall_clock_context(doc_a: &Value, doc_b: &Value) -> String {
     }
     out.push('\n');
     out
-}
-
-fn scalar_at_value(v: &Value) -> String {
-    match v {
-        Value::Null => "—".to_owned(),
-        Value::String(s) => s.clone(),
-        Value::Number(n) => format!("{n}"),
-        Value::Int(n) => n.to_string(),
-        Value::Bool(b) => b.to_string(),
-        _ => "…".to_owned(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Live-status diff
-// ---------------------------------------------------------------------------
-
-/// The deterministic slice of a live-status snapshot: progress and
-/// funnel state, no timings or worker occupancy.
-fn live_view(doc: &Value) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for key in [
-        "workload",
-        "status",
-        "stop_reason",
-        "phase",
-        "archs_done",
-        "archs_total",
-    ] {
-        out.push((key.to_owned(), scalar_at(doc, key)));
-    }
-    for (section, fields) in [
-        ("candidates", &["enumerated", "estimated", "simulated"][..]),
-        ("frontier", &["size", "hypervolume"][..]),
-    ] {
-        for f in fields {
-            let v = doc
-                .get(section)
-                .and_then(|s| s.get(f))
-                .map_or_else(|| "—".to_owned(), scalar_at_value);
-            out.push((format!("{section}.{f}"), v));
-        }
-    }
-    out
-}
-
-fn diff_live(label_a: &str, doc_a: &Value, label_b: &str, doc_b: &Value) -> DiffOutcome {
-    let (va, vb) = (live_view(doc_a), live_view(doc_b));
-    let identical = va == vb;
-    let mut md = String::from("# Live-status diff\n\n");
-    md.push_str(&format!(
-        "Comparing `{label_a}` (A) against `{label_b}` (B).\n\n"
-    ));
-    if identical {
-        md.push_str("**Deterministic sections identical.**\n\n");
-    } else {
-        md.push_str("**Deterministic sections differ.**\n\n");
-    }
-    md.push_str("| key | A | B |\n|---|---|---|\n");
-    for ((k, a), (_, b)) in va.iter().zip(vb.iter()) {
-        let marker = if a == b { "" } else { " ≠" };
-        md.push_str(&format!("| {k}{marker} | {a} | {b} |\n"));
-    }
-    md.push('\n');
-    DiffOutcome {
-        kind: DiffKind::Live,
-        identical,
-        markdown: md,
-    }
 }
 
 #[cfg(test)]
@@ -499,7 +358,6 @@ mod tests {
         let a = report("vocoder", 120, 0, 1.5);
         let b = report("vocoder", 120, 50, 9.0);
         let out = diff_texts("a.json", &a, "b.json", &b).unwrap();
-        assert_eq!(out.kind, DiffKind::Report);
         assert!(out.identical, "{}", out.markdown);
         assert!(out.markdown.contains("Deterministic sections identical"));
         // Cache-stat movement still surfaces as informational context.
@@ -572,43 +430,20 @@ mod tests {
     #[test]
     fn mixed_kinds_and_garbage_are_typed_errors() {
         let r = report("vocoder", 120, 0, 1.5);
-        let live = "{\"live_schema\": 1, \"workload\": \"vocoder\", \"status\": \"running\"}";
-        assert!(matches!(
-            diff_texts("a", &r, "b", live).unwrap_err(),
-            MceError::InvalidInput { .. }
-        ));
         assert!(matches!(
             diff_texts("a", "nope", "b", &r).unwrap_err(),
             MceError::Json { .. }
         ));
-        assert!(matches!(
-            diff_texts("a", "{}", "b", "{}").unwrap_err(),
-            MceError::InvalidInput { .. }
-        ));
-        assert!(matches!(
-            diff_texts("a", "{\"schema\": 99}", "b", &r).unwrap_err(),
-            MceError::SchemaVersion { .. }
-        ));
-    }
-
-    #[test]
-    fn live_snapshots_compare_on_progress_not_timing() {
-        let a = "{\"live_schema\": 1, \"workload\": \"vocoder\", \"status\": \"running\", \
-                 \"phase\": \"phase1\", \"archs_done\": 3, \"archs_total\": 10, \
-                 \"candidates\": {\"enumerated\": 100, \"estimated\": 40, \"simulated\": 0}, \
-                 \"frontier\": {\"size\": 5, \"hypervolume\": 0.3}, \"elapsed_s\": 2.0}";
-        let b = a.replace("\"elapsed_s\": 2.0", "\"elapsed_s\": 99.0");
-        let out = diff_texts("a", a, "b", &b).unwrap();
-        assert_eq!(out.kind, DiffKind::Live);
-        assert!(out.identical);
-
-        let c = a.replace("\"archs_done\": 3", "\"archs_done\": 7");
-        let out = diff_texts("a", a, "c", &c).unwrap();
-        assert!(!out.identical);
-        assert!(
-            out.markdown.contains("| archs_done ≠ | 3 | 7 |"),
+        // Anything that is not a supported run report is refused.
+        for foreign in [
             "{}",
-            out.markdown
-        );
+            "{\"schema\": 99}",
+            "{\"version\": 2, \"entries\": []}",
+        ] {
+            assert!(matches!(
+                diff_texts("a", foreign, "b", &r).unwrap_err(),
+                MceError::SchemaVersion { .. }
+            ));
+        }
     }
 }

@@ -63,8 +63,8 @@ pub mod session;
 
 pub use archive::{AddOutcome, ArchiveEntry, GcStats, RunArchive, ARCHIVE_SCHEMA};
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
-pub use diff::{DiffKind, DiffOutcome};
-pub use live::{LiveShared, LIVE_SCHEMA};
+pub use diff::DiffOutcome;
+pub use live::LiveShared;
 pub use mce_apex as apex;
 pub use mce_appmodel as appmodel;
 pub use mce_budget as budget;

@@ -2,134 +2,93 @@
 //! --live-status`, the `mce top` dashboard, and the OpenMetrics text
 //! exporter behind `mce export-metrics` / `--metrics-out`.
 //!
-//! A live-status file is a schema-versioned JSON snapshot of a running
-//! exploration — phase, candidate funnel, evaluation rate, cache hit
-//! rate, remaining budget, a [`StopReason`](mce_budget::StopReason)-aware
-//! ETA, frontier hypervolume — plus the full counter/gauge/histogram
-//! registries and both time-series channels from
-//! [`mce_obs::timeseries`]. It is rewritten atomically (temp sibling +
-//! rename) on a wall-clock cadence by the session's background sampler
-//! and at every per-architecture boundary, so a reader always sees a
-//! complete, parseable document: either the previous snapshot or the
-//! next one, never a torn file.
+//! A live-status file is a run report ([`RunReport`]) snapshot: the same
+//! schema, written by the same [`RunReport::to_json`]. While the run is
+//! in flight its `status` is `"running"` and its stable prefix holds what
+//! is committed so far — config, counters, gauges, eval-cache stats, the
+//! Phase-I frontier evolution and provenance, and an empty `pareto` until
+//! Phase II lands. The live-only raw facts (architecture progress,
+//! remaining budget, the write tally) ride in `wall_clock.live`
+//! ([`LiveProgress`]); everything a dashboard shows — phase, evaluation
+//! rate, cache hit rate, ETA — is derived from the document by
+//! [`render_dashboard`]. The final snapshot is the run's report plus that
+//! object, so it `mce diff`s identical to the run's `--report-out`.
 //!
-//! Publishing is strictly best-effort and strictly read-only with
-//! respect to the exploration: a failed write bumps a failure tally in
-//! the next snapshot but never surfaces as a run error, and everything
-//! in the file is derived from registries the instrumentation layer
-//! already maintains — results are bit-identical with `--live-status`
-//! on or off. Wall-clock-derived fields (rates, ETA, wall series) are
-//! inherently nondeterministic and never feed anything deterministic;
-//! the deterministic logical series carried here are the same ones the
-//! run report embeds.
+//! The file is rewritten atomically (temp sibling + rename) on a
+//! wall-clock cadence by the session's background sampler and at every
+//! per-architecture boundary, so a reader always sees a complete,
+//! parseable document: either the previous snapshot or the next one,
+//! never a torn file. Publishing is strictly best-effort and strictly
+//! read-only with respect to the exploration: a failed write bumps a
+//! failure tally in the next snapshot but never surfaces as a run error,
+//! and results are bit-identical with `--live-status` on or off.
 
-use crate::report::{fmt_f64, histograms_array, owned_series, series_object, u64_object};
+use crate::report::{check_report_schema, LiveProgress, RunReport};
 use mce_budget::EvalBudget;
-use mce_conex::explore::Phase1State;
-use mce_error::atomic_write;
-use mce_obs as obs;
+use mce_error::{atomic_write, MceError};
 use mce_obs::json::Value;
-use mce_obs::{escape_json, HistogramSummary};
-use std::collections::BTreeMap;
+use mce_obs::HistogramSummary;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::sync::Arc;
 
-/// Version of the live-status JSON layout, carried as the file's first
-/// key (`"live_schema"`). `mce top` and `mce export-metrics` refuse
-/// files with a different version rather than misrendering them.
-pub const LIVE_SCHEMA: u64 = 1;
-
-/// The shared progress state behind one run's live-status file: updated
-/// by the session at per-architecture boundaries, read by the
-/// wall-clock sampler hook, serialized by [`LiveShared::to_json`].
-///
-/// All updates are lock-free or short-lived-lock stores; nothing here
-/// sits on the exploration's hot path.
+/// The progress state behind one run's live-status file: the budget to
+/// read the remaining evaluations from, the Phase-I architecture totals
+/// and the write tally. Updated by the session at per-architecture
+/// boundaries, read by every [`publish`](LiveShared::publish).
 #[derive(Debug)]
 pub struct LiveShared {
-    workload: String,
-    threads: usize,
     max_evals: Option<u64>,
     deadline_s: Option<f64>,
     budget: Option<Arc<EvalBudget>>,
-    started: Instant,
-    archs_total: AtomicUsize,
+    archs_total: usize,
     archs_done: AtomicUsize,
-    frontier_size: AtomicUsize,
-    hypervolume_bits: AtomicU64,
-    outcome: Mutex<Outcome>,
     writes_attempted: AtomicU64,
     writes_failed: AtomicU64,
 }
 
-#[derive(Debug, Clone)]
-struct Outcome {
-    status: &'static str,
-    stop_reason: Option<String>,
-}
-
 impl LiveShared {
-    /// A fresh progress state for a run over `workload`.
+    /// A fresh progress state for a run over `archs_total` Phase-I
+    /// architectures under the given bounds.
     pub fn new(
-        workload: &str,
-        threads: usize,
+        archs_total: usize,
         max_evals: Option<u64>,
         deadline_s: Option<f64>,
         budget: Option<Arc<EvalBudget>>,
     ) -> Self {
         LiveShared {
-            workload: workload.to_owned(),
-            threads,
             max_evals,
             deadline_s,
             budget,
-            started: Instant::now(),
-            archs_total: AtomicUsize::new(0),
+            archs_total,
             archs_done: AtomicUsize::new(0),
-            frontier_size: AtomicUsize::new(0),
-            hypervolume_bits: AtomicU64::new(0f64.to_bits()),
-            outcome: Mutex::new(Outcome {
-                status: "running",
-                stop_reason: None,
-            }),
             writes_attempted: AtomicU64::new(0),
             writes_failed: AtomicU64::new(0),
         }
     }
 
-    /// Sets the Phase-I architecture total (known once APEX has selected).
-    pub fn set_archs_total(&self, total: usize) {
-        self.archs_total.store(total, Ordering::SeqCst);
-    }
-
     /// Records a committed Phase-I architecture boundary.
-    pub fn record_arch(&self, state: &Phase1State) {
-        self.archs_done.store(state.archs_done, Ordering::SeqCst);
-        if let Some(last) = state.frontier_evolution.last() {
-            self.frontier_size
-                .store(last.frontier_size, Ordering::SeqCst);
-            self.hypervolume_bits
-                .store(last.hypervolume.to_bits(), Ordering::SeqCst);
-        }
+    pub fn record_arch(&self, archs_done: usize) {
+        self.archs_done.store(archs_done, Ordering::SeqCst);
     }
 
-    /// Marks the run finished (`"complete"` or `"truncated"` + reason).
-    pub fn finish(&self, truncated: bool, stop_reason: Option<&str>) {
-        let mut outcome = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
-        outcome.status = if truncated { "truncated" } else { "complete" };
-        outcome.stop_reason = stop_reason.map(str::to_owned);
-    }
-
-    /// Atomically publishes the current snapshot to `path`. Best-effort
-    /// by contract: a failed write is tallied into the *next* snapshot's
-    /// `"writes"` section and reported as `false`, never an error — live
-    /// monitoring must not be able to fail a run.
-    pub fn publish(&self, path: &Path) -> bool {
-        self.writes_attempted.fetch_add(1, Ordering::SeqCst);
-        let body = self.to_json();
-        match atomic_write(path, body.as_bytes()) {
+    /// Atomically publishes `report` to `path` with this state attached
+    /// as `wall_clock.live`. Best-effort by contract: a failed write is
+    /// tallied into the *next* snapshot's `writes` and reported as
+    /// `false`, never an error — live monitoring must not be able to fail
+    /// a run.
+    pub fn publish(&self, path: &Path, mut report: RunReport) -> bool {
+        let attempted = self.writes_attempted.fetch_add(1, Ordering::SeqCst) + 1;
+        report.wall_clock.live = Some(LiveProgress {
+            archs_done: self.archs_done.load(Ordering::SeqCst),
+            archs_total: self.archs_total,
+            max_evals: self.max_evals,
+            evals_remaining: self.budget.as_ref().and_then(|b| b.remaining()),
+            deadline_s: self.deadline_s,
+            writes_attempted: attempted,
+            writes_failed: self.writes_failed.load(Ordering::SeqCst),
+        });
+        match atomic_write(path, report.to_json().as_bytes()) {
             Ok(()) => true,
             Err(_) => {
                 self.writes_failed.fetch_add(1, Ordering::SeqCst);
@@ -137,184 +96,6 @@ impl LiveShared {
             }
         }
     }
-
-    /// The ETA in seconds plus the basis it was projected from — the
-    /// *soonest* projected stop across every active bound: remaining
-    /// Phase-I architectures at the observed per-architecture rate
-    /// (`"archs"`), remaining evaluation budget at the observed
-    /// evaluation rate (`"max-evals"`), or remaining wall time to the
-    /// deadline (`"deadline"`). `None` until there is enough progress to
-    /// project from.
-    pub fn eta(&self) -> Option<(f64, &'static str)> {
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let mut best: Option<(f64, &'static str)> = None;
-        let mut consider = |eta: f64, basis: &'static str| {
-            if eta.is_finite() && (best.is_none() || eta < best.expect("checked").0) {
-                best = Some((eta, basis));
-            }
-        };
-        let done = self.archs_done.load(Ordering::SeqCst);
-        let total = self.archs_total.load(Ordering::SeqCst);
-        if done > 0 && total > done && elapsed > 0.0 {
-            consider((total - done) as f64 * elapsed / done as f64, "archs");
-        }
-        if let (Some(max), Some(budget)) = (self.max_evals, &self.budget) {
-            if let Some(remaining) = budget.remaining() {
-                let consumed = max.saturating_sub(remaining);
-                if consumed > 0 && elapsed > 0.0 {
-                    consider(remaining as f64 * elapsed / consumed as f64, "max-evals");
-                }
-            }
-        }
-        if let Some(deadline) = self.deadline_s {
-            consider((deadline - elapsed).max(0.0), "deadline");
-        }
-        best
-    }
-
-    /// Serializes the snapshot as the live-status JSON document. Reads
-    /// the counter/gauge/histogram registries and both time-series
-    /// channels when tracing is enabled; with no sink installed those
-    /// sections are empty, the progress fields still publish.
-    pub fn to_json(&self) -> String {
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let outcome = self
-            .outcome
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let (counters, gauges, histograms) = registries_snapshot();
-        let by_name: BTreeMap<&str, u64> = counters.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        let counter = |name: &str| by_name.get(name).copied().unwrap_or(0);
-        let done = self.archs_done.load(Ordering::SeqCst);
-        let total = self.archs_total.load(Ordering::SeqCst);
-        let phase = if outcome.status != "running" {
-            "done"
-        } else if total > 0 && done >= total {
-            "phase2"
-        } else {
-            "phase1"
-        };
-        let (hits, misses) = (counter("eval_cache.hits"), counter("eval_cache.misses"));
-        let evals = hits + misses;
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"live_schema\": {LIVE_SCHEMA},\n"));
-        s.push_str(&format!(
-            "  \"workload\": \"{}\",\n",
-            escape_json(&self.workload)
-        ));
-        s.push_str(&format!("  \"status\": \"{}\",\n", outcome.status));
-        match &outcome.stop_reason {
-            Some(r) => s.push_str(&format!("  \"stop_reason\": \"{}\",\n", escape_json(r))),
-            None => s.push_str("  \"stop_reason\": null,\n"),
-        }
-        s.push_str(&format!("  \"phase\": \"{phase}\",\n"));
-        s.push_str(&format!("  \"archs_done\": {done},\n"));
-        s.push_str(&format!("  \"archs_total\": {total},\n"));
-        s.push_str(&format!(
-            "  \"candidates\": {{\"enumerated\": {}, \"estimated\": {}, \"simulated\": {}}},\n",
-            counter("conex.candidates_enumerated"),
-            counter("conex.candidates_estimated"),
-            counter("conex.simulated"),
-        ));
-        s.push_str(&format!(
-            "  \"evals\": {{\"total\": {evals}, \"per_second\": {}}},\n",
-            fmt_f64(if elapsed > 0.0 {
-                evals as f64 / elapsed
-            } else {
-                0.0
-            })
-        ));
-        s.push_str(&format!(
-            "  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {}}},\n",
-            fmt_f64(if evals > 0 {
-                hits as f64 / evals as f64
-            } else {
-                0.0
-            })
-        ));
-        let remaining = self.budget.as_ref().and_then(|b| b.remaining());
-        s.push_str(&format!(
-            "  \"budget\": {{\"max_evals\": {}, \"evals_remaining\": {}, \"deadline_s\": {}, \
-             \"timeouts\": {}, \"degraded\": {}}},\n",
-            opt_u64(self.max_evals),
-            opt_u64(remaining),
-            self.deadline_s.map_or_else(|| "null".to_owned(), fmt_f64),
-            counter("budget.timeouts"),
-            counter("budget.degraded_evals"),
-        ));
-        s.push_str(&format!(
-            "  \"frontier\": {{\"size\": {}, \"hypervolume\": {}}},\n",
-            self.frontier_size.load(Ordering::SeqCst),
-            fmt_f64(f64::from_bits(self.hypervolume_bits.load(Ordering::SeqCst))),
-        ));
-        match self.eta() {
-            Some((eta, basis)) => s.push_str(&format!(
-                "  \"eta\": {{\"seconds\": {}, \"basis\": \"{basis}\"}},\n",
-                fmt_f64(eta)
-            )),
-            None => s.push_str("  \"eta\": null,\n"),
-        }
-        s.push_str(&format!("  \"elapsed_s\": {},\n", fmt_f64(elapsed)));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!(
-            "  \"writes\": {{\"attempted\": {}, \"failed\": {}}},\n",
-            self.writes_attempted.load(Ordering::SeqCst),
-            self.writes_failed.load(Ordering::SeqCst),
-        ));
-        s.push_str(&u64_object("counters", &counters, "  "));
-        s.push_str(&u64_object("gauges", &gauges, "  "));
-        s.push_str(&histograms_array(&histograms, "  "));
-        s.push_str(",\n");
-        let (logical, wall) = if obs::tracing_enabled() {
-            (
-                owned_series(obs::logical_series()),
-                owned_series(obs::wall_series()),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        s.push_str("  \"series\": {\n");
-        s.push_str(&series_object("logical", &logical, "    "));
-        s.push_str(",\n");
-        s.push_str(&series_object("wall", &wall, "    "));
-        s.push_str("\n  }\n}\n");
-        s
-    }
-}
-
-/// Counter, gauge and histogram registry snapshots, in that order
-/// (empty when tracing is disabled).
-type Registries = (
-    Vec<(String, u64)>,
-    Vec<(String, u64)>,
-    Vec<(String, HistogramSummary)>,
-);
-
-/// Counter, gauge and histogram registries as owned snapshots (empty
-/// when tracing is disabled).
-fn registries_snapshot() -> Registries {
-    if !obs::tracing_enabled() {
-        return (Vec::new(), Vec::new(), Vec::new());
-    }
-    (
-        obs::counters_snapshot()
-            .into_iter()
-            .map(|(n, v)| (n.to_owned(), v))
-            .collect(),
-        obs::gauges_snapshot()
-            .into_iter()
-            .map(|(n, v)| (n.to_owned(), v))
-            .collect(),
-        obs::histograms_snapshot()
-            .into_iter()
-            .map(|(n, h)| (n.to_owned(), h.summary()))
-            .collect(),
-    )
-}
-
-fn opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_owned(), |n| n.to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -368,57 +149,28 @@ pub fn render_openmetrics(
     out
 }
 
-/// OpenMetrics text straight from the process-global registries (empty
-/// families — just the terminator — when tracing is disabled). The
-/// session writes this to `--metrics-out` at end of run.
-pub fn openmetrics_from_registries() -> String {
-    let (counters, gauges, histograms) = registries_snapshot();
-    render_openmetrics(&counters, &gauges, &histograms)
-}
-
-/// OpenMetrics text from a parsed live-status file (`"live_schema"`) or
-/// run-report file (`"schema"`): one exporter, both artifacts. Report
-/// files contribute their quarantined `wall_clock.budget` counters too.
+/// OpenMetrics text from a parsed run report — a finished
+/// `--report-out` file or a `--live-status` snapshot alike. The report's
+/// quarantined `wall_clock.budget` counters export alongside its
+/// deterministic ones. `--metrics-out` renders the final report through
+/// this same function, so its bytes equal `mce export-metrics` of the
+/// run's report.
 ///
 /// # Errors
 ///
-/// Returns a message when the document carries neither schema marker or
-/// an unsupported version.
-pub fn openmetrics_from_value(doc: &Value) -> Result<String, String> {
-    let (counters_v, gauges_v, hists_v) = if let Some(v) = doc.get("live_schema") {
-        match v.as_u64() {
-            Some(LIVE_SCHEMA) => {}
-            found => return Err(format!("unsupported live_schema {found:?}")),
-        }
-        (
-            doc.get("counters"),
-            doc.get("gauges"),
-            doc.get("histograms"),
-        )
-    } else if let Some(v) = doc.get("schema") {
-        match v.as_u64() {
-            Some(crate::report::REPORT_SCHEMA) => {}
-            found => return Err(format!("unsupported report schema {found:?}")),
-        }
-        (
-            doc.get("counters"),
-            doc.get("gauges"),
-            doc.get("wall_clock").and_then(|w| w.get("histograms")),
-        )
-    } else {
-        return Err(
-            "not a live-status or run-report file (no `live_schema` or `schema` key)".to_owned(),
-        );
-    };
-    let mut counters = u64_entries(counters_v);
-    if doc.get("live_schema").is_none() {
-        counters.extend(u64_entries(
-            doc.get("wall_clock").and_then(|w| w.get("budget")),
-        ));
-    }
-    let gauges = u64_entries(gauges_v);
+/// [`MceError::SchemaVersion`] when the document is not a supported run
+/// report.
+pub fn openmetrics_from_value(doc: &Value) -> Result<String, MceError> {
+    check_report_schema(doc)?;
+    let wall = doc.get("wall_clock");
+    let mut counters = u64_entries(doc.get("counters"));
+    counters.extend(u64_entries(wall.and_then(|w| w.get("budget"))));
+    let gauges = u64_entries(doc.get("gauges"));
     let mut histograms = Vec::new();
-    if let Some(items) = hists_v.and_then(Value::as_array) {
+    if let Some(items) = wall
+        .and_then(|w| w.get("histograms"))
+        .and_then(Value::as_array)
+    {
         for h in items {
             let name = h.get("name").and_then(Value::as_str).unwrap_or("unnamed");
             let u = |k: &str| h.get(k).and_then(Value::as_u64).unwrap_or(0);
@@ -537,11 +289,45 @@ fn progress_bar(done: u64, total: u64, width: usize) -> String {
     )
 }
 
-/// Renders one parsed live-status snapshot as the `mce top` dashboard:
-/// header, progress bar, funnel, cache/budget lines, wall-series
-/// sparklines and the per-worker occupancy summary. Plain text — the
-/// caller adds screen-clearing escapes in TTY refresh mode, and the
-/// same output doubles as the non-TTY single-snapshot mode.
+/// The ETA in seconds plus the basis it was projected from — the
+/// *soonest* projected stop across every active bound in a snapshot's
+/// `wall_clock.live` object: remaining Phase-I architectures at the
+/// observed per-architecture rate (`"archs"`), remaining evaluation
+/// budget at the observed evaluation rate (`"max-evals"`), or remaining
+/// wall time to the deadline (`"deadline"`). `None` until there is
+/// enough progress to project from.
+fn eta(elapsed_s: f64, live: &Value) -> Option<(f64, &'static str)> {
+    let u = |k: &str| live.get(k).and_then(Value::as_u64);
+    let mut best: Option<(f64, &'static str)> = None;
+    let mut consider = |eta: f64, basis: &'static str| {
+        if eta.is_finite() && best.is_none_or(|(b, _)| eta < b) {
+            best = Some((eta, basis));
+        }
+    };
+    if let (Some(done), Some(total)) = (u("archs_done"), u("archs_total")) {
+        if done > 0 && total > done && elapsed_s > 0.0 {
+            consider((total - done) as f64 * elapsed_s / done as f64, "archs");
+        }
+    }
+    if let (Some(max), Some(remaining)) = (u("max_evals"), u("evals_remaining")) {
+        let consumed = max.saturating_sub(remaining);
+        if consumed > 0 && elapsed_s > 0.0 {
+            consider(remaining as f64 * elapsed_s / consumed as f64, "max-evals");
+        }
+    }
+    if let Some(deadline) = live.get("deadline_s").and_then(Value::as_f64) {
+        consider((deadline - elapsed_s).max(0.0), "deadline");
+    }
+    best
+}
+
+/// Renders one parsed run report — a live-status snapshot or a finished
+/// report — as the `mce top` dashboard: header, progress bar, funnel,
+/// cache/budget lines, wall-series sparklines and the per-worker
+/// occupancy summary. Phase, evaluation rate and ETA are derived from the
+/// document. Plain text — the caller adds screen-clearing escapes in TTY
+/// refresh mode, and the same output doubles as the non-TTY
+/// single-snapshot mode.
 ///
 /// Rendered for an 80-column terminal; `mce top` re-measures each
 /// refresh and calls [`render_dashboard_with_width`].
@@ -558,81 +344,87 @@ pub fn render_dashboard_with_width(source: &str, doc: &Value, width: usize) -> S
     // narrow ones shrink it down to a floor of 8.
     let bar_width = width.saturating_sub(56).clamp(8, 48);
     let spark_width = width.saturating_sub(40).clamp(8, 120);
-    let str_of = |k: &str| doc.get(k).and_then(Value::as_str).unwrap_or("?");
-    let u64_of = |k: &str| doc.get(k).and_then(Value::as_u64).unwrap_or(0);
-    let nested = |a: &str, b: &str| {
-        doc.get(a)
-            .and_then(|v| v.get(b))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0)
+    let num = |v: Option<&Value>, k: &str| v.and_then(|v| v.get(k)).and_then(Value::as_f64);
+    let wall = doc.get("wall_clock");
+    let live = wall.and_then(|w| w.get("live"));
+    let counter = |name: &str| num(doc.get("counters"), name).unwrap_or(0.0);
+    let frontier = doc
+        .get("frontier_evolution")
+        .and_then(Value::as_array)
+        .and_then(<[Value]>::last);
+    let status = doc.get("status").and_then(Value::as_str).unwrap_or("?");
+    let elapsed = num(wall, "elapsed_s").unwrap_or(0.0);
+    // A finished report without the live object has committed every
+    // architecture its frontier evolution records.
+    let committed = num(frontier, "archs_explored").unwrap_or(0.0) as u64;
+    let arch = |k: &str| num(live, k).map_or(committed, |v| v as u64);
+    let (done, total) = (arch("archs_done"), arch("archs_total"));
+    let phase = if status != "running" {
+        "done"
+    } else if total > 0 && done >= total {
+        "phase2"
+    } else {
+        "phase1"
     };
-    let mut out = String::new();
-    out.push_str(&format!("mce top — `{}` ({source})\n", str_of("workload")));
-    let status = str_of("status");
-    let mut line = format!(
-        "status   {status} ({})  elapsed {:.1}s",
-        str_of("phase"),
-        doc.get("elapsed_s").and_then(Value::as_f64).unwrap_or(0.0)
+    let mut out = format!(
+        "mce top — `{}` ({source})\n",
+        doc.get("workload").and_then(Value::as_str).unwrap_or("?")
     );
+    let mut line = format!("status   {status} ({phase})  elapsed {elapsed:.1}s");
     if let Some(reason) = doc.get("stop_reason").and_then(Value::as_str) {
         line.push_str(&format!("  stop_reason {reason}"));
     }
-    if let Some(eta) = doc.get("eta").filter(|v| **v != Value::Null) {
-        let secs = eta.get("seconds").and_then(Value::as_f64).unwrap_or(0.0);
-        let basis = eta.get("basis").and_then(Value::as_str).unwrap_or("?");
+    if let Some((secs, basis)) = live
+        .filter(|_| status == "running")
+        .and_then(|l| eta(elapsed, l))
+    {
         line.push_str(&format!("  eta ~{secs:.0}s ({basis})"));
     }
     out.push_str(&line);
     out.push('\n');
-    let (done, total) = (u64_of("archs_done"), u64_of("archs_total"));
     out.push_str(&format!(
         "archs    {} {done}/{total}\n",
         progress_bar(done, total, bar_width)
     ));
+    let cache = doc.get("eval_cache");
+    let evals = num(cache, "hits").unwrap_or(0.0) + num(cache, "misses").unwrap_or(0.0);
     out.push_str(&format!(
-        "evals    {:.0} total, {:.1}/s   cache {:.1}% hit\n",
-        nested("evals", "total"),
-        nested("evals", "per_second"),
-        nested("cache", "hit_rate") * 100.0,
+        "evals    {evals:.0} total, {:.1}/s   cache {:.1}% hit\n",
+        if elapsed > 0.0 { evals / elapsed } else { 0.0 },
+        num(cache, "hit_rate").unwrap_or(0.0) * 100.0,
     ));
     out.push_str(&format!(
         "funnel   enumerated {:.0} → estimated {:.0} → simulated {:.0}\n",
-        nested("candidates", "enumerated"),
-        nested("candidates", "estimated"),
-        nested("candidates", "simulated"),
+        counter("conex.candidates_enumerated"),
+        counter("conex.candidates_estimated"),
+        counter("conex.simulated"),
     ));
     out.push_str(&format!(
         "frontier size {:.0}  hypervolume {:.4}\n",
-        nested("frontier", "size"),
-        nested("frontier", "hypervolume"),
+        num(frontier, "frontier_size").unwrap_or(0.0),
+        num(frontier, "hypervolume").unwrap_or(0.0),
     ));
-    if let Some(budget) = doc.get("budget") {
-        let mut parts = Vec::new();
-        if let Some(rem) = budget.get("evals_remaining").and_then(Value::as_u64) {
-            match budget.get("max_evals").and_then(Value::as_u64) {
-                Some(max) => parts.push(format!("evals left {rem}/{max}")),
-                None => parts.push(format!("evals left {rem}")),
-            }
+    let mut budget = Vec::new();
+    if let Some(rem) = num(live, "evals_remaining") {
+        match num(live, "max_evals") {
+            Some(max) => budget.push(format!("evals left {rem:.0}/{max:.0}")),
+            None => budget.push(format!("evals left {rem:.0}")),
         }
-        if let Some(d) = budget.get("deadline_s").and_then(Value::as_f64) {
-            parts.push(format!("deadline {d:.1}s"));
-        }
-        parts.push(format!(
-            "timeouts {:.0}",
-            budget
-                .get("timeouts")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0)
-        ));
-        parts.push(format!(
-            "degraded {:.0}",
-            budget
-                .get("degraded")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0)
-        ));
-        out.push_str(&format!("budget   {}\n", parts.join("  ")));
     }
+    if let Some(d) = num(live, "deadline_s") {
+        budget.push(format!("deadline {d:.1}s"));
+    }
+    let budget_counters = wall.and_then(|w| w.get("budget"));
+    for (label, name) in [
+        ("timeouts", "budget.timeouts"),
+        ("degraded", "budget.degraded_evals"),
+    ] {
+        budget.push(format!(
+            "{label} {:.0}",
+            num(budget_counters, name).unwrap_or(0.0)
+        ));
+    }
+    out.push_str(&format!("budget   {}\n", budget.join("  ")));
     // Wall-series sparklines: the most informative series first, capped
     // so the dashboard stays one screen tall.
     const PREFERRED: [&str; 4] = [
@@ -641,13 +433,17 @@ pub fn render_dashboard_with_width(source: &str, doc: &Value, width: usize) -> S
         "eval_cache.hits",
         "conex.frontier_size_max",
     ];
-    if let Some(Value::Object(wall)) = doc.get("series").and_then(|s| s.get("wall")) {
+    if let Some(Value::Object(series)) = wall
+        .and_then(|w| w.get("timeseries"))
+        .and_then(|t| t.get("wall"))
+    {
         let mut shown = 0;
         let ordered = PREFERRED
             .iter()
-            .filter_map(|&n| wall.get(n).map(|v| (n.to_owned(), v)))
+            .filter_map(|&n| series.get(n).map(|v| (n.to_owned(), v)))
             .chain(
-                wall.iter()
+                series
+                    .iter()
                     .filter(|(n, _)| !PREFERRED.contains(&n.as_str()))
                     .map(|(n, v)| (n.clone(), v)),
             );
@@ -673,7 +469,10 @@ pub fn render_dashboard_with_width(source: &str, doc: &Value, width: usize) -> S
         }
     }
     // Worker lanes: the per-worker occupancy distribution, when present.
-    if let Some(hists) = doc.get("histograms").and_then(Value::as_array) {
+    if let Some(hists) = wall
+        .and_then(|w| w.get("histograms"))
+        .and_then(Value::as_array)
+    {
         for h in hists {
             if h.get("name").and_then(Value::as_str) == Some("par.worker_occupancy_pct") {
                 let u = |k: &str| h.get(k).and_then(Value::as_u64).unwrap_or(0);
@@ -692,11 +491,19 @@ pub fn render_dashboard_with_width(source: &str, doc: &Value, width: usize) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Progress;
+    use mce_apex::ApexConfig;
+    use mce_conex::explore::Phase1State;
+    use mce_conex::{CacheStats, ConexConfig};
     use mce_obs::json;
+    use mce_sim::Preset;
 
-    fn sample_status() -> String {
-        let shared = LiveShared::new("vocoder", 4, Some(2_000), Some(30.0), None);
-        shared.set_archs_total(10);
+    fn tmp(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("mce_live_unit_{}_{name}", std::process::id()))
+    }
+
+    /// A mid-Phase-I snapshot report: 3 architectures committed.
+    fn running_report() -> RunReport {
         let state = Phase1State {
             archs_done: 3,
             frontier_evolution: vec![mce_conex::FrontierSnapshot {
@@ -707,91 +514,135 @@ mod tests {
             }],
             ..Phase1State::default()
         };
-        shared.record_arch(&state);
-        shared.to_json()
+        RunReport::collect(
+            &mce_appmodel::benchmarks::vocoder(),
+            &ApexConfig::preset(Preset::Fast),
+            &ConexConfig::preset(Preset::Fast),
+            64,
+            &CacheStats {
+                hits: 25,
+                misses: 75,
+                inserts: 75,
+                evictions: 0,
+            },
+            Progress::Running(&state),
+            2.5,
+            false,
+        )
+    }
+
+    /// Publishes `report` through `shared` and reads the snapshot back.
+    fn published(shared: &LiveShared, report: RunReport, name: &str) -> Value {
+        let path = tmp(name);
+        assert!(shared.publish(&path, report), "publish to a temp file");
+        let text = std::fs::read_to_string(&path).expect("snapshot written");
+        std::fs::remove_file(&path).ok();
+        json::parse(&text).expect("snapshot parses")
     }
 
     #[test]
     fn live_status_parses_and_carries_schema_and_progress() {
-        let text = sample_status();
-        let doc = json::parse(&text).expect("live status parses");
-        assert_eq!(
-            doc.get("live_schema").and_then(Value::as_u64),
-            Some(LIVE_SCHEMA)
-        );
+        let shared = LiveShared::new(10, Some(2_000), Some(30.0), None);
+        shared.record_arch(3);
+        let doc = published(&shared, running_report(), "progress.json");
+        // A snapshot is a schema-1 run report, in flight.
+        check_report_schema(&doc).expect("a snapshot is a run report");
         assert_eq!(doc.get("status").and_then(Value::as_str), Some("running"));
-        assert_eq!(doc.get("phase").and_then(Value::as_str), Some("phase1"));
-        assert_eq!(doc.get("archs_done").and_then(Value::as_u64), Some(3));
-        assert_eq!(doc.get("archs_total").and_then(Value::as_u64), Some(10));
+        assert_eq!(doc.get("stop_reason"), Some(&Value::Null));
+        let pareto = doc.get("pareto").expect("pareto section");
+        assert_eq!(pareto.get("cost_latency").and_then(Value::as_u64), Some(0));
         assert_eq!(
-            doc.get("frontier")
-                .and_then(|f| f.get("size"))
-                .and_then(Value::as_u64),
-            Some(7)
+            pareto
+                .get("front_cost_latency")
+                .and_then(Value::as_array)
+                .map(<[Value]>::len),
+            Some(0),
+            "nothing is fully simulated before Phase II"
         );
+        let live = doc
+            .get("wall_clock")
+            .and_then(|w| w.get("live"))
+            .expect("wall_clock.live");
+        let u = |k: &str| live.get(k).and_then(Value::as_u64);
+        assert_eq!((u("archs_done"), u("archs_total")), (Some(3), Some(10)));
+        assert_eq!(u("max_evals"), Some(2000));
+        assert_eq!(live.get("deadline_s").and_then(Value::as_f64), Some(30.0));
         assert_eq!(
-            doc.get("budget")
-                .and_then(|b| b.get("max_evals"))
+            live.get("writes")
+                .and_then(|w| w.get("attempted"))
                 .and_then(Value::as_u64),
-            Some(2000)
+            Some(1)
         );
-        // Two bounds are active (archs rate, 30s deadline); whichever
-        // projects sooner, an ETA exists from the first snapshot.
-        let eta = doc.get("eta").expect("eta key");
-        let basis = eta.get("basis").and_then(Value::as_str);
-        assert!(
-            matches!(basis, Some("archs") | Some("deadline")),
-            "unexpected eta basis {basis:?}:\n{text}"
-        );
-        for key in ["counters", "gauges", "histograms", "series", "writes"] {
-            assert!(doc.get(key).is_some(), "missing {key}:\n{text}");
+        // Two bounds are active: 7 archs left at 2.5 s per 3 projects
+        // sooner than the 27.5 s left to the deadline.
+        let (secs, basis) = eta(2.5, live).expect("an ETA from the first snapshot");
+        assert_eq!(basis, "archs");
+        assert!((secs - 7.0 * 2.5 / 3.0).abs() < 1e-9, "{secs}");
+        let text = render_dashboard("s.json", &doc);
+        for needle in [
+            "status   running (phase1)",
+            "3/10",
+            "eta ~6s (archs)",
+            "25.0% hit",
+        ] {
+            assert!(text.contains(needle), "missing {needle:?}:\n{text}");
         }
     }
 
     #[test]
     fn finish_marks_status_and_reason() {
-        let shared = LiveShared::new("vocoder", 1, None, None, None);
-        shared.finish(true, Some("max-evals"));
-        let doc = json::parse(&shared.to_json()).unwrap();
+        let shared = LiveShared::new(10, None, None, None);
+        shared.record_arch(3);
+        let mut report = running_report();
+        report.status = "truncated".to_owned();
+        report.stop_reason = Some("max-evals".to_owned());
+        let doc = published(&shared, report, "finish.json");
         assert_eq!(doc.get("status").and_then(Value::as_str), Some("truncated"));
-        assert_eq!(
-            doc.get("stop_reason").and_then(Value::as_str),
-            Some("max-evals")
+        let text = render_dashboard("s.json", &doc);
+        assert!(
+            text.contains("status   truncated (done)") && text.contains("stop_reason max-evals"),
+            "{text}"
         );
-        assert_eq!(doc.get("phase").and_then(Value::as_str), Some("done"));
+        assert!(
+            !text.contains("eta"),
+            "a finished run projects no ETA:\n{text}"
+        );
     }
 
     #[test]
     fn eta_prefers_the_soonest_bound() {
         // Deadline of 0 seconds: already due, so it beats any
         // architecture-rate projection.
-        let shared = LiveShared::new("w", 1, None, Some(0.0), None);
-        shared.set_archs_total(100);
-        let state = Phase1State {
-            archs_done: 1,
-            ..Phase1State::default()
-        };
-        shared.record_arch(&state);
-        let (eta, basis) = shared.eta().expect("two active bounds");
-        assert_eq!(basis, "deadline");
-        assert_eq!(eta, 0.0);
+        let live = json::parse(
+            "{\"archs_done\": 1, \"archs_total\": 100, \"max_evals\": null, \
+             \"evals_remaining\": null, \"deadline_s\": 0}",
+        )
+        .unwrap();
+        assert_eq!(eta(5.0, &live), Some((0.0, "deadline")));
+        // 10 of 100 evaluations consumed in 1 s: 9 s left at that rate.
+        let budget = json::parse("{\"max_evals\": 100, \"evals_remaining\": 90}").unwrap();
+        assert_eq!(eta(1.0, &budget), Some((9.0, "max-evals")));
         // With no bounds and no progress there is nothing to project.
-        let idle = LiveShared::new("w", 1, None, None, None);
-        assert!(idle.eta().is_none());
+        let idle = json::parse("{\"archs_done\": 0, \"archs_total\": 0}").unwrap();
+        assert!(eta(5.0, &idle).is_none());
     }
 
     #[test]
     fn failed_publish_is_tallied_not_propagated() {
-        let shared = LiveShared::new("w", 1, None, None, None);
+        let shared = LiveShared::new(1, None, None, None);
         let bad = Path::new("/nonexistent-dir-for-sure/status.json");
-        assert!(!shared.publish(bad), "write to a missing dir fails");
-        let doc = json::parse(&shared.to_json()).unwrap();
-        assert_eq!(
-            doc.get("writes")
-                .and_then(|w| w.get("failed"))
-                .and_then(Value::as_u64),
-            Some(1)
+        assert!(
+            !shared.publish(bad, running_report()),
+            "write to a missing dir fails"
         );
+        let doc = published(&shared, running_report(), "tally.json");
+        let writes = doc
+            .get("wall_clock")
+            .and_then(|w| w.get("live"))
+            .and_then(|l| l.get("writes"))
+            .expect("write tally");
+        assert_eq!(writes.get("attempted").and_then(Value::as_u64), Some(2));
+        assert_eq!(writes.get("failed").and_then(Value::as_u64), Some(1));
     }
 
     #[test]
@@ -869,11 +720,12 @@ mod tests {
     #[test]
     fn dashboard_scales_bar_and_sparklines_to_terminal_width() {
         let doc = json::parse(
-            "{\"live_schema\": 1, \"workload\": \"vocoder\", \"status\": \"running\", \
-             \"phase\": \"phase1\", \"archs_done\": 5, \"archs_total\": 10, \
-             \"elapsed_s\": 1.0, \"series\": {\"wall\": {\"conex.simulated\": \
+            "{\"schema\": 1, \"workload\": \"vocoder\", \"status\": \"running\", \
+             \"wall_clock\": {\"elapsed_s\": 1.0, \
+             \"live\": {\"archs_done\": 5, \"archs_total\": 10}, \
+             \"timeseries\": {\"wall\": {\"conex.simulated\": \
              [[1000, 1], [2000, 2], [3000, 3], [4000, 4], [5000, 5], [6000, 6], \
-             [7000, 7], [8000, 8], [9000, 9], [10000, 10], [11000, 11], [12000, 12]]}}}",
+             [7000, 7], [8000, 8], [9000, 9], [10000, 10], [11000, 11], [12000, 12]]}}}}",
         )
         .unwrap();
         // The default render equals the explicit 80-column render.
@@ -911,9 +763,16 @@ mod tests {
 
     #[test]
     fn openmetrics_from_live_and_report_documents() {
-        let live = json::parse(&sample_status()).unwrap();
-        let text = openmetrics_from_value(&live).expect("live file exports");
-        assert!(text.ends_with("# EOF\n"));
+        // A snapshot exports exactly what the same report exports: the
+        // live object carries no metrics.
+        let shared = LiveShared::new(10, None, None, None);
+        let report = running_report();
+        let snapshot = published(&shared, report.clone(), "export.json");
+        let plain = json::parse(&report.to_json()).unwrap();
+        assert_eq!(
+            openmetrics_from_value(&snapshot).expect("snapshot exports"),
+            openmetrics_from_value(&plain).expect("report exports")
+        );
         let report = json::parse(
             "{\"schema\": 1, \"counters\": {\"conex.simulated\": 9}, \
              \"gauges\": {\"g.max\": 2}, \"wall_clock\": {\"budget\": \
@@ -931,34 +790,33 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?}:\n{text}");
         }
-        let neither = json::parse("{\"something\": 1}").unwrap();
-        let err = openmetrics_from_value(&neither).unwrap_err();
-        assert!(err.contains("live_schema"), "{err}");
-        let wrong = json::parse("{\"live_schema\": 99}").unwrap();
-        assert!(openmetrics_from_value(&wrong).is_err());
+        for foreign in ["{\"something\": 1}", "{\"schema\": 99}"] {
+            let err = openmetrics_from_value(&json::parse(foreign).unwrap()).unwrap_err();
+            assert!(matches!(err, MceError::SchemaVersion { .. }), "{err}");
+        }
     }
 
     #[test]
     fn dashboard_renders_progress_sparklines_and_workers() {
         let doc = json::parse(
-            "{\"live_schema\": 1, \"workload\": \"vocoder\", \"status\": \"running\", \
-             \"stop_reason\": null, \"phase\": \"phase1\", \"archs_done\": 5, \
-             \"archs_total\": 10, \
-             \"candidates\": {\"enumerated\": 120, \"estimated\": 100, \"simulated\": 24}, \
-             \"evals\": {\"total\": 100, \"per_second\": 50.0}, \
-             \"cache\": {\"hits\": 25, \"misses\": 75, \"hit_rate\": 0.25}, \
-             \"budget\": {\"max_evals\": 2000, \"evals_remaining\": 1900, \
-             \"deadline_s\": null, \"timeouts\": 0, \"degraded\": 0}, \
-             \"frontier\": {\"size\": 7, \"hypervolume\": 0.42}, \
-             \"eta\": {\"seconds\": 13.2, \"basis\": \"archs\"}, \
-             \"elapsed_s\": 2.5, \"threads\": 4, \
-             \"writes\": {\"attempted\": 3, \"failed\": 0}, \
-             \"counters\": {}, \"gauges\": {}, \
+            "{\"schema\": 1, \"workload\": \"vocoder\", \"status\": \"running\", \
+             \"stop_reason\": null, \
+             \"counters\": {\"conex.candidates_enumerated\": 120, \
+             \"conex.candidates_estimated\": 100, \"conex.simulated\": 24}, \
+             \"gauges\": {}, \
+             \"eval_cache\": {\"hits\": 25, \"misses\": 75, \"hit_rate\": 0.25}, \
+             \"frontier_evolution\": [{\"archs_explored\": 5, \"estimated\": 100, \
+             \"frontier_size\": 7, \"hypervolume\": 0.42}], \
+             \"wall_clock\": {\"elapsed_s\": 3.0, \"threads\": 4, \
+             \"live\": {\"archs_done\": 5, \"archs_total\": 10, \"max_evals\": 2000, \
+             \"evals_remaining\": 1900, \"deadline_s\": null, \
+             \"writes\": {\"attempted\": 3, \"failed\": 0}}, \
+             \"budget\": {}, \
+             \"timeseries\": {\"logical\": {}, \"wall\": {\"conex.simulated\": \
+             [[1000, 2], [2000, 9], [3000, 24]]}}, \
              \"histograms\": [{\"name\": \"par.worker_occupancy_pct\", \"count\": 8, \
              \"sum\": 700, \"min\": 80, \"max\": 100, \"p50\": 93, \"p90\": 99, \
-             \"p99\": 100}], \
-             \"series\": {\"logical\": {}, \"wall\": {\"conex.simulated\": \
-             [[1000, 2], [2000, 9], [3000, 24]]}}}",
+             \"p99\": 100}]}}",
         )
         .unwrap();
         let text = render_dashboard("status.json", &doc);
@@ -966,7 +824,9 @@ mod tests {
             "vocoder",
             "status   running (phase1)",
             "5/10",
-            "eta ~13s (archs)",
+            // 5 archs left at 0.6 s each beats 1900 evals at 33.3/s.
+            "eta ~3s (archs)",
+            "100 total, 33.3/s",
             "cache 25.0% hit",
             "enumerated 120 → estimated 100 → simulated 24",
             "evals left 1900/2000",
@@ -980,6 +840,18 @@ mod tests {
             text.contains('▁') && text.contains('█'),
             "sparkline rendered:\n{text}"
         );
+        // A finished report without the live object reads its progress
+        // from the frontier evolution.
+        let finished = json::parse(
+            "{\"schema\": 1, \"workload\": \"vocoder\", \"status\": \"complete\", \
+             \"frontier_evolution\": [{\"archs_explored\": 4, \"estimated\": 100, \
+             \"frontier_size\": 7, \"hypervolume\": 0.42}], \
+             \"wall_clock\": {\"elapsed_s\": 2.5}}",
+        )
+        .unwrap();
+        let text = render_dashboard("report.json", &finished);
+        assert!(text.contains("status   complete (done)"), "{text}");
+        assert!(text.contains("4/4"), "{text}");
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Run reports: the per-run summary artifact of an exploration.
 //!
 //! A [`RunReport`] is assembled at the end of every
-//! [`ExplorationSession`](crate::ExplorationSession) run. It captures what
+//! [`ExplorationSession`](crate::ExplorationSession) run — and, with
+//! `--live-status`, as every snapshot of a run in flight
+//! ([`Progress::Running`]): one schema for the finished artifact and the
+//! live view, so `mce top`, `mce export-metrics` and `mce diff` read
+//! both alike. It captures what
 //! the run *was* (config + 128-bit workload digest), what it *did*
 //! (candidate-funnel counters, eval-cache hit/miss/eviction rates,
 //! pareto-front sizes, frontier-evolution snapshots) and how it *ran*
@@ -29,6 +33,7 @@
 use mce_apex::ApexConfig;
 use mce_appmodel::Workload;
 use mce_conex::design_point::workload_digest;
+use mce_conex::explore::Phase1State;
 use mce_conex::{
     ArchProvenance, CacheStats, ConexConfig, ConexResult, DegradedEval, FrontierSnapshot,
 };
@@ -104,8 +109,9 @@ impl CacheSummary {
 }
 
 /// Pareto-front sizes of the fully simulated set, plus the cost/latency
-/// front itself (the report's plottable curve).
-#[derive(Debug, Clone, PartialEq)]
+/// front itself (the report's plottable curve). Empty (the default) while
+/// a run is still in flight: nothing is fully simulated before Phase II.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParetoSummary {
     /// Cost/latency front size.
     pub cost_latency: usize,
@@ -182,6 +188,44 @@ pub struct WallClock {
     /// spans, per-item simulate/estimate latency, cache-probe latency,
     /// per-worker occupancy), in name order.
     pub histograms: Vec<(String, HistogramSummary)>,
+    /// Live-only progress facts, serialized as `wall_clock.live`. Set
+    /// only on the snapshots written to `--live-status`
+    /// ([`crate::live::LiveShared::publish`]); a collected report has
+    /// none, so `--report-out` files never carry the object.
+    pub live: Option<LiveProgress>,
+}
+
+/// The raw progress facts of a live-status snapshot that no other report
+/// section holds: Phase-I architecture progress, the remaining budget and
+/// the publisher's own write tally. `mce top` derives phase, rates and
+/// ETA from these plus `wall_clock.elapsed_s`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LiveProgress {
+    /// Phase-I memory architectures committed so far.
+    pub archs_done: usize,
+    /// Phase-I memory architectures APEX selected.
+    pub archs_total: usize,
+    /// The `--max-evals` bound, if any.
+    pub max_evals: Option<u64>,
+    /// Evaluations left under `max_evals`.
+    pub evals_remaining: Option<u64>,
+    /// The `--deadline` bound in seconds, if any.
+    pub deadline_s: Option<f64>,
+    /// Snapshot writes attempted, this one included.
+    pub writes_attempted: u64,
+    /// Snapshot writes that failed (best-effort: never a run error).
+    pub writes_failed: u64,
+}
+
+/// How far a run has got: what [`RunReport::collect`] summarizes.
+#[derive(Debug, Clone, Copy)]
+pub enum Progress<'a> {
+    /// Still exploring: the Phase-I architectures committed so far. The
+    /// report is `"running"`, and its `pareto` section stays empty until
+    /// Phase II lands.
+    Running(&'a Phase1State),
+    /// Finished, completely or truncated at a safe point.
+    Finished(&'a ConexResult),
 }
 
 /// The per-run summary artifact. See the [module docs](self) for the
@@ -224,7 +268,8 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Assembles a report from a finished run.
+    /// Assembles a report from what the run has committed so far: a
+    /// finished run's report, or a live-status snapshot of one in flight.
     ///
     /// Counters, gauges and histograms are read from the process-global
     /// `mce-obs` recorder, so they cover exactly what was recorded since
@@ -240,27 +285,43 @@ impl RunReport {
         conex_cfg: &ConexConfig,
         cache_capacity: usize,
         cache_stats: &CacheStats,
-        conex: &ConexResult,
+        progress: Progress<'_>,
         elapsed_s: f64,
         resumed: bool,
     ) -> Self {
-        let (budget_counters, counters) = if obs::tracing_enabled() {
-            obs::counters_snapshot()
-                .into_iter()
-                .map(|(name, v)| (name.to_owned(), v))
-                .partition(|(name, _)| name.starts_with("budget."))
-        } else {
-            (Vec::new(), Vec::new())
+        let (status, stop_reason, pareto, frontier_evolution, provenance, degraded) = match progress
+        {
+            Progress::Running(state) => (
+                "running",
+                None,
+                ParetoSummary::default(),
+                &state.frontier_evolution[..],
+                &state.provenance[..],
+                &[][..],
+            ),
+            Progress::Finished(conex) => (
+                if conex.is_truncated() {
+                    "truncated"
+                } else {
+                    "complete"
+                },
+                conex.stop_reason(),
+                ParetoSummary::from_result(conex),
+                conex.frontier_evolution(),
+                conex.provenance(),
+                conex.degraded(),
+            ),
         };
+        let (budget_counters, counters): (Vec<_>, Vec<_>) = traced(|| {
+            owned(obs::counters_snapshot())
+                .into_iter()
+                .partition(|(name, _)| name.starts_with("budget."))
+        });
         RunReport {
             workload_name: workload.name().to_owned(),
             workload_digest: workload_digest(workload).to_hex(),
-            status: if conex.is_truncated() {
-                "truncated".to_owned()
-            } else {
-                "complete".to_owned()
-            },
-            stop_reason: conex.stop_reason().map(str::to_owned),
+            status: status.to_owned(),
+            stop_reason: stop_reason.map(str::to_owned),
             config: ReportConfig {
                 apex_trace_len: apex.trace_len,
                 conex_trace_len: conex_cfg.trace_len,
@@ -272,43 +333,27 @@ impl RunReport {
                 cache_capacity,
             },
             counters,
-            gauges: if obs::tracing_enabled() {
-                obs::gauges_snapshot()
-                    .into_iter()
-                    .map(|(name, v)| (name.to_owned(), v))
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            gauges: traced(|| owned(obs::gauges_snapshot())),
             eval_cache: CacheSummary::from_stats(cache_stats),
-            pareto: ParetoSummary::from_result(conex),
-            frontier_evolution: conex.frontier_evolution().to_vec(),
-            provenance: conex.provenance().to_vec(),
+            pareto,
+            frontier_evolution: frontier_evolution.to_vec(),
+            provenance: provenance.to_vec(),
             wall_clock: WallClock {
                 elapsed_s,
                 resumed,
                 threads: conex_cfg.threads,
                 peak_rss_bytes: peak_rss_bytes(),
-                degraded: conex.degraded().to_vec(),
+                degraded: degraded.to_vec(),
                 budget_counters,
-                timeseries_logical: if obs::tracing_enabled() {
-                    owned_series(obs::logical_series())
-                } else {
-                    Vec::new()
-                },
-                timeseries_wall: if obs::tracing_enabled() {
-                    owned_series(obs::wall_series())
-                } else {
-                    Vec::new()
-                },
-                histograms: if obs::tracing_enabled() {
+                timeseries_logical: traced(|| owned_series(obs::logical_series())),
+                timeseries_wall: traced(|| owned_series(obs::wall_series())),
+                histograms: traced(|| {
                     obs::histograms_snapshot()
                         .into_iter()
                         .map(|(name, h)| (name.to_owned(), h.summary()))
                         .collect()
-                } else {
-                    Vec::new()
-                },
+                }),
+                live: None,
             },
         }
     }
@@ -427,10 +472,22 @@ impl RunReport {
         s.push_str(&format!("    \"threads\": {},\n", self.wall_clock.threads));
         s.push_str(&format!(
             "    \"peak_rss_bytes\": {},\n",
-            self.wall_clock
-                .peak_rss_bytes
-                .map_or_else(|| "null".to_owned(), |v| v.to_string())
+            opt_json(self.wall_clock.peak_rss_bytes)
         ));
+        if let Some(l) = &self.wall_clock.live {
+            s.push_str(&format!(
+                "    \"live\": {{\"archs_done\": {}, \"archs_total\": {}, \"max_evals\": {}, \
+                 \"evals_remaining\": {}, \"deadline_s\": {}, \
+                 \"writes\": {{\"attempted\": {}, \"failed\": {}}}}},\n",
+                l.archs_done,
+                l.archs_total,
+                opt_json(l.max_evals),
+                opt_json(l.evals_remaining),
+                l.deadline_s.map_or_else(|| "null".to_owned(), fmt_f64),
+                l.writes_attempted,
+                l.writes_failed,
+            ));
+        }
         let degraded: Vec<String> = self
             .wall_clock
             .degraded
@@ -440,7 +497,7 @@ impl RunReport {
                     "      {{\"phase\": \"{}\", \"arch\": {}, \"index\": {}, \
                      \"reason\": \"{}\"}}",
                     escape_json(&d.phase),
-                    d.arch.map_or_else(|| "null".to_owned(), |a| a.to_string()),
+                    opt_json(d.arch),
                     d.index,
                     escape_json(&d.reason)
                 )
@@ -591,9 +648,28 @@ fn provenance_section(archs: &[ArchProvenance]) -> String {
     s
 }
 
+/// Reads a recorder registry only while tracing is enabled: otherwise
+/// the report section stays empty, never stale.
+fn traced<T: Default>(read: impl FnOnce() -> T) -> T {
+    if obs::tracing_enabled() {
+        read()
+    } else {
+        T::default()
+    }
+}
+
+/// A borrowed counter or gauge snapshot in the owned form the report
+/// stores.
+fn owned(entries: Vec<(&str, u64)>) -> Vec<(String, u64)> {
+    entries
+        .into_iter()
+        .map(|(name, v)| (name.to_owned(), v))
+        .collect()
+}
+
 /// Converts a borrowed time-series snapshot into the owned
 /// `(name, [(at, value)])` form the report stores.
-pub(crate) fn owned_series(
+fn owned_series(
     series: Vec<(&'static str, Vec<obs::SeriesPoint>)>,
 ) -> Vec<(String, Vec<(u64, u64)>)> {
     series
@@ -608,14 +684,8 @@ pub(crate) fn owned_series(
 }
 
 /// One time-series channel as `"key": {"name": [[at, value], ...]}` at
-/// `indent`, without a trailing comma — the layout of the report's
-/// `wall_clock.timeseries` and of the live-status `series`, so `mce top`
-/// reads both the same way.
-pub(crate) fn series_object(
-    key: &str,
-    series: &[(String, Vec<(u64, u64)>)],
-    indent: &str,
-) -> String {
+/// `indent`, without a trailing comma.
+fn series_object(key: &str, series: &[(String, Vec<(u64, u64)>)], indent: &str) -> String {
     if series.is_empty() {
         return format!("{indent}\"{key}\": {{}}");
     }
@@ -634,7 +704,7 @@ pub(crate) fn series_object(
 
 /// `"histograms": [{"name": ..., "count": ..., "p99": ...}, ...]` at
 /// `indent`, without a trailing comma.
-pub(crate) fn histograms_array(hists: &[(String, HistogramSummary)], indent: &str) -> String {
+fn histograms_array(hists: &[(String, HistogramSummary)], indent: &str) -> String {
     if hists.is_empty() {
         return format!("{indent}\"histograms\": []");
     }
@@ -662,7 +732,7 @@ pub(crate) fn histograms_array(hists: &[(String, HistogramSummary)], indent: &st
 }
 
 /// `"key": {"name": value, ...}` at `indent`, with a trailing comma.
-pub(crate) fn u64_object(key: &str, entries: &[(String, u64)], indent: &str) -> String {
+fn u64_object(key: &str, entries: &[(String, u64)], indent: &str) -> String {
     if entries.is_empty() {
         return format!("{indent}\"{key}\": {{}},\n");
     }
@@ -676,11 +746,16 @@ pub(crate) fn u64_object(key: &str, entries: &[(String, u64)], indent: &str) -> 
     )
 }
 
+/// An optional integer as a JSON token: the number, or `null`.
+fn opt_json(v: Option<impl std::fmt::Display>) -> String {
+    v.map_or_else(|| "null".to_owned(), |v| v.to_string())
+}
+
 /// `f64` in its shortest round-trip form, with a guaranteed numeric JSON
 /// token (`Display` already never produces exponents for our ranges, but
 /// integral values need the `.0` stripped consistently — `Display` does
 /// that for us; non-finite values clamp to 0).
-pub(crate) fn fmt_f64(v: f64) -> String {
+fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -767,6 +842,10 @@ fn render_one(source: &str, report: &Value) -> String {
             Some(reason) => out.push_str(&format!(
                 "Status **{status}**: stopped by the `{reason}` bound at a safe point.\n"
             )),
+            None if status == "running" => out.push_str(
+                "Status **running**: a live-status snapshot of a run still in flight; \
+                 the sections below cover what it has committed so far.\n",
+            ),
             None => out.push_str(&format!(
                 "Status **{status}**: no bound tripped — the exploration ran to the end.\n"
             )),
@@ -1131,6 +1210,7 @@ mod tests {
                 peak_rss_bytes: None,
                 degraded: Vec::new(),
                 budget_counters: Vec::new(),
+                live: None,
                 timeseries_logical: vec![(
                     "conex.candidates_estimated".to_owned(),
                     vec![(1, 40), (2, 100)],
@@ -1411,6 +1491,15 @@ mod tests {
         ] {
             assert!(md.contains(needle), "markdown missing {needle:?}:\n{md}");
         }
+        // A live-status snapshot renders as in flight, not as finished.
+        let mut running = sample_report();
+        running.status = "running".to_owned();
+        let v = json::parse(&running.to_json()).unwrap();
+        let md = render_markdown(&[("live.json".to_owned(), v)]);
+        assert!(
+            md.contains("Status **running**: a live-status snapshot"),
+            "{md}"
+        );
     }
 
     #[test]

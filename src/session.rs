@@ -23,8 +23,8 @@
 //! blocks and cache only remove redundant work.
 
 use crate::checkpoint::{config_digest, Checkpoint};
-use crate::live::LiveShared;
-use crate::report::RunReport;
+use crate::live::{openmetrics_from_value, LiveShared};
+use crate::report::{Progress, RunReport};
 use mce_apex::{ApexConfig, ApexExplorer, ApexResult};
 use mce_appmodel::{TraceBlocks, Workload};
 use mce_budget::{Bounds, CancelToken, EvalBudget, Watchdog};
@@ -36,7 +36,7 @@ use mce_connlib::ConnectivityLibrary;
 use mce_error::{atomic_write, sweep_stale_tmps, MceError};
 use mce_sim::Preset;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Builder for — and runner of — one end-to-end exploration.
@@ -259,12 +259,13 @@ impl ExplorationSession {
         self
     }
 
-    /// Continuously publishes a live-status JSON snapshot
-    /// ([`crate::live::LIVE_SCHEMA`]) to `path` while the run executes:
-    /// written atomically at every committed Phase-I architecture and on
-    /// the wall-clock cadence of
-    /// [`live_every`](ExplorationSession::live_every), then finalized
-    /// with the run's status and stop reason. Watch it with `mce top`.
+    /// Continuously publishes a live-status snapshot to `path` while the
+    /// run executes: a `"running"` [`RunReport`] of what is committed so
+    /// far, written atomically at every committed Phase-I architecture
+    /// and on the wall-clock cadence of
+    /// [`live_every`](ExplorationSession::live_every), then the run's
+    /// final report. Each snapshot carries `wall_clock.live` progress
+    /// facts ([`crate::report::LiveProgress`]). Watch it with `mce top`.
     /// Publishing is best-effort and read-only — a failed write never
     /// fails the run, and results are bit-identical with it on or off.
     #[must_use]
@@ -281,10 +282,11 @@ impl ExplorationSession {
         self
     }
 
-    /// Writes the end-of-run counter/gauge/histogram registries to
+    /// Writes the final report's counters, gauges and histograms to
     /// `path` as OpenMetrics text
-    /// ([`crate::live::openmetrics_from_registries`]). Families are
-    /// empty unless tracing is enabled for the run.
+    /// ([`crate::live::openmetrics_from_value`], the `mce
+    /// export-metrics` renderer). Families are empty unless tracing is
+    /// enabled for the run.
     #[must_use]
     pub fn metrics_out(mut self, path: impl Into<PathBuf>) -> Self {
         self.metrics_out = Some(path.into());
@@ -432,36 +434,35 @@ impl ExplorationSession {
         let total = mem_archs.len();
         let ck_path = self.checkpoint_file.clone();
         let ck_cache = cache.clone();
-        // Live telemetry: shared progress state behind the live-status
-        // file, plus one background sampler feeding the wall-clock
-        // time-series channel (and republishing the status file on its
-        // cadence). Strictly read-only with respect to the exploration,
-        // and publish failures never fail the run.
+        // Live telemetry: the publisher behind the live-status file, plus
+        // one background sampler feeding the wall-clock time-series
+        // channel (and republishing the status file on its cadence).
+        // Strictly read-only with respect to the exploration, and publish
+        // failures never fail the run.
         let live = self.live_status_file.as_ref().map(|path| {
-            let shared = Arc::new(LiveShared::new(
-                self.workload.name(),
-                self.conex.threads,
-                self.max_evals,
-                self.deadline.map(|d| d.as_secs_f64()),
-                budget.clone(),
-            ));
-            shared.set_archs_total(total);
-            shared.record_arch(&state);
-            shared.publish(path);
-            (path.clone(), shared)
+            let live = Arc::new(LiveRun {
+                path: path.clone(),
+                shared: LiveShared::new(
+                    total,
+                    self.max_evals,
+                    self.deadline.map(|d| d.as_secs_f64()),
+                    budget.clone(),
+                ),
+                session: self.clone(),
+                cache: cache.clone(),
+                start,
+                resumed,
+                committed: Mutex::new(Phase1State::default()),
+            });
+            live.commit(&state);
+            live
         });
         let sampler = if mce_obs::tracing_enabled() || live.is_some() {
-            let hook: Box<dyn Fn() + Send> = match &live {
-                Some((path, shared)) => {
-                    let (path, shared) = (path.clone(), shared.clone());
-                    Box::new(move || {
-                        shared.publish(&path);
-                    })
-                }
-                None => Box::new(|| {}),
-            };
+            let live = live.clone();
             Some(mce_obs::Sampler::start_with(self.live_every, move || {
-                hook()
+                if let Some(live) = &live {
+                    live.publish_running();
+                }
             }))
         } else {
             None
@@ -478,9 +479,8 @@ impl ExplorationSession {
                         .save(path)?;
                 }
             }
-            if let Some((path, shared)) = &live {
-                shared.record_arch(s);
-                shared.publish(path);
+            if let Some(live) = &live {
+                live.commit(s);
             }
             Ok(())
         };
@@ -506,24 +506,16 @@ impl ExplorationSession {
         if let Some(path) = &self.eval_cache_file {
             cache.save(path)?;
         }
-        if let Some((path, shared)) = &live {
-            shared.finish(conex.is_truncated(), conex.stop_reason());
-            shared.publish(path);
+        let cache_stats = cache.stats();
+        let report = self.report(&cache_stats, Progress::Finished(&conex), start, resumed);
+        if let Some(live) = &live {
+            live.shared.publish(&live.path, report.clone());
         }
         if let Some(path) = &self.metrics_out {
-            atomic_write(path, crate::live::openmetrics_from_registries().as_bytes())?;
+            let doc = mce_obs::json::parse(&report.to_json())
+                .map_err(|e| MceError::json("re-reading the run report", e))?;
+            atomic_write(path, openmetrics_from_value(&doc)?.as_bytes())?;
         }
-        let cache_stats = cache.stats();
-        let report = RunReport::collect(
-            &self.workload,
-            &self.apex,
-            &self.conex,
-            self.cache_capacity,
-            &cache_stats,
-            &conex,
-            start.elapsed().as_secs_f64(),
-            resumed,
-        );
         Ok(SessionResult {
             apex,
             conex,
@@ -531,6 +523,82 @@ impl ExplorationSession {
             report,
             resumed,
         })
+    }
+
+    /// The run report of `progress` — the one constructor behind the
+    /// final report and every live-status snapshot.
+    fn report(
+        &self,
+        cache_stats: &CacheStats,
+        progress: Progress<'_>,
+        start: Instant,
+        resumed: bool,
+    ) -> RunReport {
+        RunReport::collect(
+            &self.workload,
+            &self.apex,
+            &self.conex,
+            self.cache_capacity,
+            cache_stats,
+            progress,
+            start.elapsed().as_secs_f64(),
+            resumed,
+        )
+    }
+}
+
+/// One run's live-status publisher, shared by the exploring thread (at
+/// committed Phase-I boundaries) and the background sampler (on the
+/// wall-clock cadence). Every snapshot is the run report of the latest
+/// committed state; publishes are serialized under the `committed` lock,
+/// so the file never steps back to an older state.
+struct LiveRun {
+    path: PathBuf,
+    shared: LiveShared,
+    session: ExplorationSession,
+    cache: Arc<EvalCache>,
+    start: Instant,
+    resumed: bool,
+    /// The committed Phase-I progress a snapshot reports (its frontier
+    /// evolution and provenance; the design points stay with the run).
+    committed: Mutex<Phase1State>,
+}
+
+impl LiveRun {
+    /// Records a committed Phase-I boundary and publishes it.
+    fn commit(&self, state: &Phase1State) {
+        let mut committed = self
+            .committed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *committed = Phase1State {
+            archs_done: state.archs_done,
+            frontier_evolution: state.frontier_evolution.clone(),
+            provenance: state.provenance.clone(),
+            ..Phase1State::default()
+        };
+        self.publish(&committed);
+    }
+
+    /// Republishes the committed state (the sampler's cadence).
+    fn publish_running(&self) {
+        self.publish(
+            &self
+                .committed
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+    }
+
+    fn publish(&self, committed: &Phase1State) {
+        self.shared.record_arch(committed.archs_done);
+        let report = self.session.report(
+            &self.cache.stats(),
+            Progress::Running(committed),
+            self.start,
+            self.resumed,
+        );
+        self.shared.publish(&self.path, report);
     }
 }
 

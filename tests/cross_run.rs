@@ -1,11 +1,11 @@
 //! Cross-run analytics integration: the run archive round-trips real
 //! session reports (content addressing, dedupe, `gc`), `mce diff`
 //! verdicts are invariant to thread count and cache temperature but not
-//! to config perturbations, live-status files diff, and bench
-//! trajectories render.
+//! to config perturbations, and live-status files diff like the reports
+//! they are.
 
 use memory_conex::appmodel::benchmarks;
-use memory_conex::diff::{self, DiffKind};
+use memory_conex::diff;
 use memory_conex::obs;
 use memory_conex::prelude::*;
 use memory_conex::RunArchive;
@@ -89,7 +89,6 @@ fn diff_is_invariant_to_threads_and_cache_temperature_but_not_config() {
     let serial = run_report(|s| s.threads(1));
     let parallel = run_report(|s| s.threads(4));
     let outcome = diff::diff_texts("serial", &serial, "parallel", &parallel).expect("diff runs");
-    assert_eq!(outcome.kind, DiffKind::Report);
     assert!(
         outcome.identical,
         "thread count must not change deterministic sections:\n{}",
@@ -133,7 +132,7 @@ fn live_status_files_diff_like_reports() {
     let live_a = dir.join("a.live.json");
     let live_b = dir.join("b.live.json");
     let live_c = dir.join("c.live.json");
-    let _ = run_report(|s| s.live_status_file(&live_a));
+    let report_a = run_report(|s| s.live_status_file(&live_a));
     let _ = run_report(|s| s.live_status_file(&live_b));
     let _ = run_report(|s| s.live_status_file(&live_c).max_evals(10));
 
@@ -142,7 +141,6 @@ fn live_status_files_diff_like_reports() {
     let c = std::fs::read_to_string(&live_c).expect("live file c");
 
     let outcome = diff::diff_texts("a", &a, "b", &b).expect("live diff runs");
-    assert_eq!(outcome.kind, DiffKind::Live);
     assert!(
         outcome.identical,
         "final snapshots of identical runs compare equal:\n{}",
@@ -151,11 +149,16 @@ fn live_status_files_diff_like_reports() {
 
     let outcome = diff::diff_texts("a", &a, "c", &c).expect("live diff runs");
     assert!(!outcome.identical, "a bounded run's snapshot differs");
+    assert!(
+        outcome.markdown.contains("max-evals"),
+        "{}",
+        outcome.markdown
+    );
 
-    // Mixing a live file with a run report is an input error, not a
-    // bogus verdict.
-    let report = run_report(|s| s);
-    assert!(diff::diff_texts("live", &a, "report", &report).is_err());
+    // A live file is a report snapshot: the final one diffs identical to
+    // the same run's report.
+    let outcome = diff::diff_texts("live", &a, "report", &report_a).expect("mixed diff runs");
+    assert!(outcome.identical, "{}", outcome.markdown);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

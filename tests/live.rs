@@ -2,16 +2,18 @@
 //! channel is byte-identical across thread counts and cache state, wall
 //! samples stay quarantined inside `wall_clock`, live-status publishing
 //! never perturbs results (even when its writes are fault-injected to
-//! fail), and the on-disk artifacts — live-status JSON and OpenMetrics
-//! text — validate end to end.
+//! fail), every snapshot is a run report, the final one diffs identical
+//! to the run's report, and `--metrics-out` is the exporter's rendering
+//! of that report.
 
 use mce_faultinject as fi;
 use memory_conex::appmodel::benchmarks;
-use memory_conex::live;
 use memory_conex::obs;
 use memory_conex::obs::json::{self, Value};
 use memory_conex::prelude::*;
-use std::path::PathBuf;
+use memory_conex::{diff, live, report};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -43,6 +45,32 @@ fn run_traced(
     let logical = obs::logical_series();
     obs::uninstall();
     (result.expect("exploration runs"), logical)
+}
+
+/// The `wall_clock.live` object of a parsed live-status snapshot.
+fn live_object(doc: &Value) -> &Value {
+    doc.get("wall_clock")
+        .and_then(|w| w.get("live"))
+        .expect("a live-status snapshot carries wall_clock.live")
+}
+
+/// Polls `path` on a background thread until `stop` is raised, keeping
+/// every distinct snapshot it reads, in order — what an external watcher
+/// such as `mce top` sees.
+fn watch(path: &Path, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<Vec<String>> {
+    let path = path.to_owned();
+    std::thread::spawn(move || {
+        let mut seen: Vec<String> = Vec::new();
+        while !stop.load(Ordering::SeqCst) {
+            if let Ok(text) = std::fs::read_to_string(&path) {
+                if seen.last() != Some(&text) {
+                    seen.push(text);
+                }
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        seen
+    })
 }
 
 /// The `wall_clock.timeseries.logical` object of a parsed report.
@@ -128,6 +156,8 @@ fn live_status_publishes_valid_snapshots_without_perturbing_the_report() {
     let _ = std::fs::remove_file(&metrics);
 
     let (clean, _) = run_traced(&session().threads(2));
+    let stop = Arc::new(AtomicBool::new(false));
+    let watcher = watch(&status, stop.clone());
     let (live_run, _) = run_traced(
         &session()
             .threads(2)
@@ -135,6 +165,8 @@ fn live_status_publishes_valid_snapshots_without_perturbing_the_report() {
             .live_every(Duration::from_millis(10))
             .metrics_out(&metrics),
     );
+    stop.store(true, Ordering::SeqCst);
+    let snapshots = watcher.join().expect("watcher thread");
 
     // Live monitoring is read-only: the deterministic report prefix is
     // byte-identical with `--live-status` on or off.
@@ -152,6 +184,10 @@ fn live_status_publishes_valid_snapshots_without_perturbing_the_report() {
         !prefix.contains("\"timeseries\""),
         "time series must live inside wall_clock, not the stable prefix"
     );
+    assert!(
+        !full.contains("\"live\""),
+        "a collected report carries no live object"
+    );
     let doc = json::parse(&full).expect("report parses");
     assert!(
         doc.get("wall_clock")
@@ -161,30 +197,76 @@ fn live_status_publishes_valid_snapshots_without_perturbing_the_report() {
         "the report embeds the wall channel under wall_clock"
     );
 
-    // The final on-disk snapshot is the finished run.
+    // Every snapshot a watcher saw is a run report, and progress never
+    // steps back.
+    assert!(!snapshots.is_empty(), "the watcher caught snapshots");
+    let mut last_done = 0;
+    for text in &snapshots {
+        let snap = json::parse(text).expect("every snapshot parses");
+        report::check_report_schema(&snap).expect("every snapshot is a run report");
+        let done = live_object(&snap)
+            .get("archs_done")
+            .and_then(Value::as_u64)
+            .expect("archs_done");
+        assert!(
+            done >= last_done,
+            "archs_done went backwards: {done} < {last_done}"
+        );
+        last_done = done;
+        if snap.get("status").and_then(Value::as_str) == Some("running") {
+            assert_eq!(
+                snap.get("pareto")
+                    .and_then(|p| p.get("front_cost_latency"))
+                    .and_then(Value::as_array)
+                    .map(<[Value]>::len),
+                Some(0),
+                "nothing is fully simulated before the run finishes"
+            );
+        }
+    }
+
+    // The final on-disk snapshot is the run's report plus the live
+    // object: it diffs identical, and byte-equal once the object is cut.
     let text = std::fs::read_to_string(&status).expect("live-status file exists");
     let snap = json::parse(&text).expect("live-status file parses");
-    assert_eq!(
-        snap.get("live_schema").and_then(Value::as_u64),
-        Some(memory_conex::LIVE_SCHEMA)
-    );
     assert_eq!(snap.get("status").and_then(Value::as_str), Some("complete"));
-    assert_eq!(snap.get("phase").and_then(Value::as_str), Some("done"));
-    let done = snap.get("archs_done").and_then(Value::as_u64).unwrap_or(0);
-    let total = snap.get("archs_total").and_then(Value::as_u64).unwrap_or(0);
+    let live_obj = live_object(&snap);
+    let done = live_obj
+        .get("archs_done")
+        .and_then(Value::as_u64)
+        .unwrap_or(0);
+    let total = live_obj
+        .get("archs_total")
+        .and_then(Value::as_u64)
+        .unwrap_or(0);
     assert!(done > 0 && done == total, "finished: {done}/{total}");
     assert!(
-        snap.get("writes")
+        live_obj
+            .get("writes")
             .and_then(|w| w.get("attempted"))
             .and_then(Value::as_u64)
             .is_some_and(|n| n >= 2),
         "initial + per-arch + final publishes all count"
     );
-    // Both on-disk artifacts feed the one OpenMetrics exporter.
-    live::openmetrics_from_value(&snap).expect("live file exports");
-    live::openmetrics_from_value(&doc).expect("report exports");
+    let outcome = diff::diff_texts("live", &text, "report", &full).expect("live file diffs");
+    assert!(outcome.identical, "{}", outcome.markdown);
+    let without_live: String = text
+        .lines()
+        .filter(|l| !l.starts_with("    \"live\": "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(without_live, full, "the final snapshot is the report");
+
+    // `--metrics-out` is the exporter's rendering of the run's report.
     let om = std::fs::read_to_string(&metrics).expect("--metrics-out file exists");
-    assert!(om.ends_with("# EOF\n"), "OpenMetrics terminator:\n{om}");
+    assert_eq!(
+        om,
+        live::openmetrics_from_value(&doc).expect("report exports")
+    );
+    assert_eq!(
+        om,
+        live::openmetrics_from_value(&snap).expect("live file exports")
+    );
     assert!(
         om.contains("mce_conex_simulated_total"),
         "funnel counters exported:\n{om}"
@@ -223,7 +305,8 @@ fn failed_live_status_writes_never_fail_or_perturb_the_run() {
         .expect("final snapshot parses");
     assert_eq!(snap.get("status").and_then(Value::as_str), Some("complete"));
     assert!(
-        snap.get("writes")
+        live_object(&snap)
+            .get("writes")
             .and_then(|w| w.get("failed"))
             .and_then(Value::as_u64)
             .is_some_and(|n| n >= 1),
@@ -231,4 +314,32 @@ fn failed_live_status_writes_never_fail_or_perturb_the_run() {
     );
 
     let _ = std::fs::remove_file(&status);
+}
+
+#[test]
+fn top_renders_a_finished_report() {
+    let Some(bin) = option_env!("CARGO_BIN_EXE_mce") else {
+        eprintln!("skipping: mce binary path not provided by the harness");
+        return;
+    };
+    let _guard = lock();
+    fi::disarm();
+    let (result, _) = run_traced(&session());
+    let path = tmp("top_report.json");
+    std::fs::write(&path, result.report.to_json()).expect("report written");
+    let out = std::process::Command::new(bin)
+        .arg("top")
+        .arg(&path)
+        .arg("--once")
+        .output()
+        .expect("mce top runs");
+    let _ = std::fs::remove_file(&path);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("status   complete (done)"), "{stdout}");
+    assert!(stdout.contains("funnel   enumerated"), "{stdout}");
 }
