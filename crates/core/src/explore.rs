@@ -853,19 +853,7 @@ impl ConexExplorer {
                     break;
                 }
                 match self.explore_arch(engine, &mem_archs, k, &mut state, &mut degraded)? {
-                    None => {
-                        // The per-architecture boundary is the pipeline's
-                        // deterministic sampling point: counters committed,
-                        // workers joined, nothing half-landed. Logical
-                        // time-series marks fire here (and only here), so
-                        // the logical channel is byte-identical across
-                        // thread counts. Checkpoint replay goes through
-                        // `phase1_partial_with`, which never marks — a
-                        // resumed run's series continues from the resume
-                        // point.
-                        obs::timeseries::logical_mark(state.archs_done as u64);
-                        after_arch(&state)?
-                    }
+                    None => after_arch(&state)?,
                     Some(reason) => {
                         stop = Some(reason);
                         break;

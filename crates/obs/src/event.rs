@@ -241,7 +241,7 @@ impl Event {
 }
 
 /// Escapes a string for embedding in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

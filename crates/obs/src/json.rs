@@ -395,6 +395,12 @@ impl Writer {
         self.out.push_str(if self.pretty { ": " } else { ":" });
     }
 
+    /// Writes the member `key` with `value`.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        value.write_json(self);
+    }
+
     /// Closes the innermost object.
     pub fn end_object(&mut self) {
         self.close('}');
@@ -612,6 +618,28 @@ impl<T: FromJson> FromJson for Vec<T> {
             .iter()
             .map(T::from_json)
             .collect()
+    }
+}
+
+/// A parsed document prints back in its key order (sorted), with each
+/// number as it was read: `Int` bare, `Number` in float form.
+impl ToJson for Value {
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            Value::Null => w.raw("null"),
+            Value::Bool(b) => w.raw(b),
+            Value::Number(n) => n.write_json(w),
+            Value::Int(n) => w.raw(n),
+            Value::String(s) => w.str(s),
+            Value::Array(items) => items.write_json(w),
+            Value::Object(map) => {
+                w.begin_object();
+                for (key, value) in map {
+                    w.field(key, value);
+                }
+                w.end_object();
+            }
+        }
     }
 }
 
@@ -1000,5 +1028,8 @@ mod tests {
         );
         assert_eq!(from_str::<char>("\"é\""), Ok('é'));
         assert!(from_str::<char>("\"ab\"").is_err());
+        // A parsed document prints back as it was read.
+        let doc = r#"{"a":[1,2.5,null,true],"b":{"c":"d"},"e":1.0}"#;
+        assert_eq!(to_string(&parse(doc).unwrap()), doc);
     }
 }

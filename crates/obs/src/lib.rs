@@ -25,10 +25,11 @@
 //!   ([`progress`]) describe parallel execution; they are the only
 //!   [schedule-dependent](Event::schedule_dependent) events.
 //! * **Time series** ([`timeseries`]) are fixed-capacity ring buffers of
-//!   periodic registry snapshots — deterministic *logical* sampling
-//!   points ([`logical_mark`]) kept strictly separate from wall-clock
-//!   samples taken by a background [`Sampler`] — feeding live status
-//!   files, `mce top` sparklines and the OpenMetrics exporter.
+//!   wall-clock registry snapshots taken by a background [`Sampler`],
+//!   feeding live status files and `mce top` sparklines.
+//! * **JSON** ([`json`]) is the workspace's JSON reader and writer: run
+//!   reports, archive index lines and every [`json_codec!`] type print
+//!   through [`json::Writer`].
 //!
 //! Events go to a process-global [`Sink`] installed with [`install`]. With
 //! no sink installed (the default), every instrumentation call
@@ -86,7 +87,7 @@ pub mod recorder;
 pub mod sink;
 pub mod timeseries;
 
-pub use event::{escape_json, Event, EventKind, Level};
+pub use event::{Event, EventKind, Level};
 pub use fnv::{fnv128, Fnv128};
 pub use hist::{Histogram, HistogramSummary};
 pub use recorder::{
@@ -100,6 +101,4 @@ pub use sink::{
     render_chrome_trace, ChromeTraceSink, JsonLinesSink, MemorySink, MultiSink, NullSink,
     ProgressReporter, Sink,
 };
-pub use timeseries::{
-    logical_mark, logical_series, wall_sample, wall_series, Sampler, SeriesPoint, SERIES_CAPACITY,
-};
+pub use timeseries::{wall_sample, wall_series, Sampler, SeriesPoint, SERIES_CAPACITY};

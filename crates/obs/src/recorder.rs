@@ -669,10 +669,9 @@ mod tests {
             counter_add("s.count", 41);
             gauge_max("s.peak", 99);
             histogram_record("s.lat", 1234);
-            crate::timeseries::logical_mark(1);
             crate::timeseries::wall_sample();
             assert_eq!(gauge_value("s.peak"), 99);
-            assert!(!crate::timeseries::logical_series().is_empty());
+            assert!(!crate::timeseries::wall_series().is_empty());
         });
         with_recorder(|_| {
             assert_eq!(counter_value("s.count"), 0, "stale counter total");
@@ -682,12 +681,8 @@ mod tests {
                 "stale histogram samples"
             );
             assert!(
-                crate::timeseries::logical_series().is_empty(),
-                "stale logical time-series rings"
-            );
-            assert!(
                 crate::timeseries::wall_series().is_empty(),
-                "stale wall time-series rings"
+                "stale time-series rings"
             );
             // A lower peak in the new session must win from scratch.
             gauge_max("s.peak", 5);

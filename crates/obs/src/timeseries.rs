@@ -2,25 +2,15 @@
 //! registry snapshots, the substrate of live run monitoring (`mce
 //! explore --live-status`, `mce top`, the OpenMetrics exporter).
 //!
-//! Every series is a bounded ring of `(at, value)` points. Two strictly
-//! separated channels exist, because they sit on opposite sides of the
-//! determinism contract:
-//!
-//! * The **logical channel** ([`logical_mark`]) snapshots the counter and
-//!   gauge registries at *logical* sampling points — per-architecture
-//!   boundaries of the Phase-I loop, identified by a caller-supplied tick
-//!   (architectures done). Counter totals are deterministic at those
-//!   boundaries, so the logical channel's contents are byte-identical
-//!   across worker-thread counts and cache persistence. `budget.*`
-//!   counters (watchdog timeouts, cancellations) are timing-dependent
-//!   and are excluded here, mirroring the run report's quarantine.
-//! * The **wall channel** ([`wall_sample`]) snapshots the same registries
-//!   — plus one derived series per histogram — at *wall-clock* instants,
-//!   stamped with microseconds since sink installation. A background
-//!   [`Sampler`] drives it at a fixed interval. Wall samples are
-//!   inherently nondeterministic (how far the run got after N
-//!   milliseconds depends on the machine) and never feed anything
-//!   deterministic.
+//! Every series is a bounded ring of `(t_us, value)` points taken by
+//! [`wall_sample`]: the counter and gauge registries — plus one derived
+//! series per histogram — snapshotted at *wall-clock* instants, stamped
+//! with microseconds since sink installation. A background [`Sampler`]
+//! drives it at a fixed interval. Wall samples are inherently
+//! nondeterministic (how far the run got after N milliseconds depends on
+//! the machine), so they live only in the run report's `wall_clock`
+//! section and never feed anything deterministic; the deterministic
+//! per-architecture record of a run is its `frontier_evolution`.
 //!
 //! Sampling only ever *reads* the registries; like the rest of `mce-obs`
 //! it cannot perturb exploration results, and with no sink installed
@@ -33,25 +23,21 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
-/// Per-series ring capacity: enough for four minutes of one-second wall
-/// samples, or a few hundred Phase-I architectures, while bounding
-/// live-status files to a few tens of kilobytes.
+/// Per-series ring capacity: enough for four minutes of one-second
+/// samples, while bounding live-status files to a few tens of kilobytes.
 pub const SERIES_CAPACITY: usize = 240;
 
-/// One sampled point of a series: `at` is the logical tick
-/// (architectures done) on the logical channel, or microseconds since
-/// sink installation on the wall channel.
+/// One sampled point of a series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeriesPoint {
-    /// Sample position: logical tick or `t_us`, depending on the channel.
+    /// Microseconds since sink installation.
     pub at: u64,
     /// The sampled registry value.
     pub value: u64,
 }
 
-/// The registry: name → bounded ring, one map per channel.
+/// The registry: name → bounded ring.
 struct Registry {
-    logical: Mutex<BTreeMap<&'static str, VecDeque<SeriesPoint>>>,
     wall: Mutex<BTreeMap<&'static str, VecDeque<SeriesPoint>>>,
     /// Derived per-histogram wall series need owned names
     /// (`<hist>.p90`); interning keeps them `&'static` like the rest.
@@ -61,18 +47,16 @@ struct Registry {
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| Registry {
-        logical: Mutex::new(BTreeMap::new()),
         wall: Mutex::new(BTreeMap::new()),
         hist_names: Mutex::new(BTreeMap::new()),
     })
 }
 
-fn push(
-    channel: &Mutex<BTreeMap<&'static str, VecDeque<SeriesPoint>>>,
-    name: &'static str,
-    point: SeriesPoint,
-) {
-    let mut map = channel.lock().unwrap_or_else(PoisonError::into_inner);
+fn push(name: &'static str, point: SeriesPoint) {
+    let mut map = registry()
+        .wall
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let ring = map.entry(name).or_default();
     if ring.len() >= SERIES_CAPACITY {
         ring.pop_front();
@@ -80,32 +64,9 @@ fn push(
     ring.push_back(point);
 }
 
-/// Records one logical sampling point: every counter (except the
-/// timing-dependent `budget.*` family) and every gauge gets a
-/// `(tick, value)` point appended to its logical series. Call from the
-/// coordinating thread at a deterministic boundary — the Phase-I loop
-/// calls it once per committed architecture with `tick = archs_done` —
-/// so that two runs of the same exploration produce identical logical
-/// channels regardless of thread count. No-op when tracing is disabled.
-pub fn logical_mark(tick: u64) {
-    if !recorder::tracing_enabled() {
-        return;
-    }
-    let r = registry();
-    for (name, value) in recorder::counters_snapshot() {
-        if name.starts_with("budget.") {
-            continue;
-        }
-        push(&r.logical, name, SeriesPoint { at: tick, value });
-    }
-    for (name, value) in recorder::gauges_snapshot() {
-        push(&r.logical, name, SeriesPoint { at: tick, value });
-    }
-}
-
 /// Records one wall-clock sample: every counter, every gauge, and one
 /// derived `<histogram>.p90` series per histogram get a `(t_us, value)`
-/// point appended to their wall series, where `t_us` is microseconds
+/// point appended to their series, where `t_us` is microseconds
 /// since sink installation. Nondeterministic by construction — call it
 /// from a [`Sampler`] (or anywhere); it only reads the registries.
 /// No-op when tracing is disabled.
@@ -113,19 +74,17 @@ pub fn wall_sample() {
     if !recorder::tracing_enabled() {
         return;
     }
-    let r = registry();
     let t_us = recorder::now_us();
     for (name, value) in recorder::counters_snapshot() {
-        push(&r.wall, name, SeriesPoint { at: t_us, value });
+        push(name, SeriesPoint { at: t_us, value });
     }
     for (name, value) in recorder::gauges_snapshot() {
-        push(&r.wall, name, SeriesPoint { at: t_us, value });
+        push(name, SeriesPoint { at: t_us, value });
     }
     for (name, hist) in recorder::histograms_snapshot() {
         let HistogramSummary { p90, .. } = hist.summary();
         let series = intern_hist_name(name);
         push(
-            &r.wall,
             series,
             SeriesPoint {
                 at: t_us,
@@ -151,10 +110,10 @@ fn intern_hist_name(name: &'static str) -> &'static str {
     leaked
 }
 
-fn snapshot(
-    channel: &Mutex<BTreeMap<&'static str, VecDeque<SeriesPoint>>>,
-) -> Vec<(&'static str, Vec<SeriesPoint>)> {
-    channel
+/// Every series recorded so far, in name order.
+pub fn wall_series() -> Vec<(&'static str, Vec<SeriesPoint>)> {
+    registry()
+        .wall
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .iter()
@@ -162,27 +121,13 @@ fn snapshot(
         .collect()
 }
 
-/// Every logical series recorded so far, in name order.
-pub fn logical_series() -> Vec<(&'static str, Vec<SeriesPoint>)> {
-    snapshot(&registry().logical)
-}
-
-/// Every wall-clock series recorded so far, in name order.
-pub fn wall_series() -> Vec<(&'static str, Vec<SeriesPoint>)> {
-    snapshot(&registry().wall)
-}
-
-/// Clears both channels (done automatically by
+/// Clears every series (done automatically by
 /// [`install`](crate::install), alongside the counter, gauge and
 /// histogram registries), so back-to-back sessions never report stale
 /// series.
 pub fn clear() {
-    let r = registry();
-    r.logical
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-    r.wall
+    registry()
+        .wall
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clear();
@@ -263,9 +208,7 @@ impl Drop for Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{
-        counter_add, gauge_max, histogram_record, install, uninstall, TEST_LOCK,
-    };
+    use crate::recorder::{counter_add, histogram_record, install, uninstall, TEST_LOCK};
     use crate::sink::MemorySink;
 
     fn with_recorder<R>(f: impl FnOnce() -> R) -> R {
@@ -274,53 +217,6 @@ mod tests {
         let r = f();
         uninstall();
         r
-    }
-
-    #[test]
-    fn logical_marks_snapshot_counters_and_gauges_at_ticks() {
-        let (logical, wall) = with_recorder(|| {
-            counter_add("ts.count", 3);
-            gauge_max("ts.peak", 9);
-            logical_mark(1);
-            counter_add("ts.count", 4);
-            logical_mark(2);
-            (logical_series(), wall_series())
-        });
-        assert!(wall.is_empty(), "no wall samples were taken");
-        let series: BTreeMap<_, _> = logical.into_iter().collect();
-        assert_eq!(
-            series["ts.count"],
-            vec![
-                SeriesPoint { at: 1, value: 3 },
-                SeriesPoint { at: 2, value: 7 }
-            ]
-        );
-        assert_eq!(
-            series["ts.peak"],
-            vec![
-                SeriesPoint { at: 1, value: 9 },
-                SeriesPoint { at: 2, value: 9 }
-            ]
-        );
-    }
-
-    #[test]
-    fn budget_counters_stay_out_of_the_logical_channel() {
-        let (logical, wall) = with_recorder(|| {
-            counter_add("budget.timeouts", 1);
-            counter_add("ts.ok", 1);
-            logical_mark(1);
-            wall_sample();
-            (logical_series(), wall_series())
-        });
-        assert!(
-            logical.iter().all(|(name, _)| !name.starts_with("budget.")),
-            "timing-dependent budget counters leaked into the logical channel: {logical:?}"
-        );
-        assert!(
-            wall.iter().any(|(name, _)| *name == "budget.timeouts"),
-            "the wall channel carries everything: {wall:?}"
-        );
     }
 
     #[test]
@@ -341,27 +237,11 @@ mod tests {
     }
 
     #[test]
-    fn logical_rings_keep_the_newest_points() {
-        let series = with_recorder(|| {
-            counter_add("ts.ring", 1);
-            for tick in 0..SERIES_CAPACITY as u64 + 10 {
-                logical_mark(tick);
-            }
-            logical_series()
-        });
-        let series: BTreeMap<_, _> = series.into_iter().collect();
-        let points = &series["ts.ring"];
-        assert_eq!(points.len(), SERIES_CAPACITY, "ring bounded at capacity");
-        assert_eq!(points[0].at, 10, "oldest points evicted first");
-        assert_eq!(points[SERIES_CAPACITY - 1].at, SERIES_CAPACITY as u64 + 9);
-    }
-
-    #[test]
     fn wall_rings_are_bounded() {
         let series = with_recorder(|| {
-            counter_add("ts.ring", 1);
             histogram_record("ts.ring_us", 5);
             for _ in 0..SERIES_CAPACITY + 3 {
+                counter_add("ts.ring", 1);
                 wall_sample();
             }
             wall_series()
@@ -374,6 +254,10 @@ mod tests {
             );
         }
         assert!(series.iter().any(|(name, _)| *name == "ts.ring_us.p90"));
+        // The oldest points are evicted first: the counter read 1..=N+3.
+        let (_, ring) = series.iter().find(|(name, _)| *name == "ts.ring").unwrap();
+        assert_eq!(ring[0].value, 4);
+        assert_eq!(ring[SERIES_CAPACITY - 1].value, SERIES_CAPACITY as u64 + 3);
     }
 
     #[test]
@@ -381,9 +265,7 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         uninstall();
         clear();
-        logical_mark(1);
         wall_sample();
-        assert!(logical_series().is_empty());
         assert!(wall_series().is_empty());
     }
 

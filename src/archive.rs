@@ -1,14 +1,14 @@
 //! Content-addressed archive of exploration run reports.
 //!
-//! Every run report has a deterministic prefix (everything before
-//! `wall_clock` — see [`RunReport::stable_json_prefix`]). The archive
-//! stores reports under the FNV-128 digest of that prefix, so two runs
-//! of the same configuration on the same workload — regardless of
-//! thread count, machine or wall-clock — collapse to the *same* digest
-//! and are stored once. That turns the archive into a cross-run memory:
-//! `mce runs list` shows what has been explored, `mce diff` compares
-//! any two entries, and a re-run of a known configuration is detected
-//! as a duplicate instead of silently accumulating.
+//! Every run report has a deterministic view (every section but
+//! `wall_clock` — see [`report::stable_view`]). The archive stores
+//! reports under the FNV-128 digest of that view, so two runs of the
+//! same configuration on the same workload — regardless of thread count,
+//! machine or wall-clock — collapse to the *same* digest and are stored
+//! once. That turns the archive into a cross-run memory: `mce runs list`
+//! shows what has been explored, `mce diff` compares any two entries,
+//! and a re-run of a known configuration is detected as a duplicate
+//! instead of silently accumulating.
 //!
 //! ## On-disk layout
 //!
@@ -18,24 +18,27 @@
 //!   objects/<digest>.json  the full report, verbatim
 //! ```
 //!
-//! The index line is hand-serialized with a fixed key order, so the
-//! index itself is byte-stable and diff-friendly:
+//! Each index line is one compact JSON object, written through the
+//! workspace's [`json::Writer`] in a fixed key order:
 //!
 //! ```text
-//! {"schema": 1, "digest": "…", "workload": "…", "workload_digest": "…",
-//!  "preset": "fast|paper|custom", "status": "…", "stop_reason": …,
-//!  "funnel": {"enumerated": N, "estimated": N, "simulated": N},
-//!  "hypervolume": X}
+//! {"schema":1,"digest":"…","workload":"…","workload_digest":"…",
+//!  "preset":"fast|paper|custom","status":"…","stop_reason":…,
+//!  "funnel":{"enumerated":N,"estimated":N,"simulated":N},
+//!  "hypervolume":X}
 //! ```
+//!
+//! Readers parse lines as JSON, so older lines printed with a space
+//! after each `:` and `,` load the same.
 //!
 //! Archive mutations are counted under the `archive.*` counter family
 //! (`runs_added`, `duplicates`, `bytes_stored`, `gc_removed`).
 
-use crate::report::{check_report_schema, RunReport};
+use crate::report::{self, check_report_schema};
 use mce_error::{atomic_write, MceError};
 use mce_obs as obs;
 use mce_obs::fnv128;
-use mce_obs::json::{self, Value};
+use mce_obs::json::{self, ToJson, Value, Writer};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -48,7 +51,7 @@ pub const ARCHIVE_SCHEMA: u64 = 1;
 /// One archived run, as summarized on its index line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveEntry {
-    /// FNV-128 digest (32 hex chars) of the report's stable prefix —
+    /// FNV-128 digest (32 hex chars) of the report's stable view —
     /// the entry's identity and the object file's name.
     pub digest: String,
     /// Workload name.
@@ -72,7 +75,7 @@ pub struct ArchiveEntry {
 /// Outcome of [`RunArchive::add`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddOutcome {
-    /// Digest of the report's stable prefix.
+    /// Digest of the report's stable view.
     pub digest: String,
     /// True when an entry with this digest already existed; nothing was
     /// written.
@@ -116,9 +119,10 @@ impl RunArchive {
     }
 
     /// Archives a serialized run report. The digest covers only the
-    /// stable prefix, so re-running the same configuration (any thread
-    /// count, hot or cold cache timing aside — the cache *statistics*
-    /// do shift the digest) dedupes against the existing entry.
+    /// stable view ([`report::stable_view`]), so re-running the same
+    /// configuration (any thread count, hot or cold cache timing aside —
+    /// the cache *statistics* do shift the digest) dedupes against the
+    /// existing entry.
     ///
     /// # Errors
     ///
@@ -129,7 +133,7 @@ impl RunArchive {
         let doc =
             json::parse(report_text).map_err(|e| MceError::json("run report", e.to_string()))?;
         check_report_schema(&doc)?;
-        let digest = fnv128(RunReport::stable_json_prefix(report_text).as_bytes());
+        let digest = fnv128(report::stable_view(report_text)?.as_bytes());
         if self.entries()?.iter().any(|e| e.digest == digest) {
             obs::counter_add("archive.duplicates", 1);
             return Ok(AddOutcome {
@@ -310,30 +314,31 @@ fn index_line(digest: &str, doc: &Value) -> String {
     })
 }
 
+impl ToJson for ArchiveEntry {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("schema", &ARCHIVE_SCHEMA);
+        w.field("digest", &self.digest);
+        w.field("workload", &self.workload);
+        w.field("workload_digest", &self.workload_digest);
+        w.field("preset", &self.preset);
+        w.field("status", &self.status);
+        w.field("stop_reason", &self.stop_reason);
+        w.key("funnel");
+        w.begin_object();
+        w.field("enumerated", &self.funnel.0);
+        w.field("estimated", &self.funnel.1);
+        w.field("simulated", &self.funnel.2);
+        w.end_object();
+        w.field("hypervolume", &self.hypervolume);
+        w.end_object();
+    }
+}
+
 fn entry_line(e: &ArchiveEntry) -> String {
-    let stop = e.stop_reason.as_ref().map_or_else(
-        || "null".to_owned(),
-        |r| format!("\"{}\"", obs::escape_json(r)),
-    );
-    let hv = if e.hypervolume.is_finite() {
-        format!("{}", e.hypervolume)
-    } else {
-        "0".to_owned()
-    };
-    format!(
-        "{{\"schema\": {ARCHIVE_SCHEMA}, \"digest\": \"{}\", \"workload\": \"{}\", \
-         \"workload_digest\": \"{}\", \"preset\": \"{}\", \"status\": \"{}\", \
-         \"stop_reason\": {stop}, \"funnel\": {{\"enumerated\": {}, \"estimated\": {}, \
-         \"simulated\": {}}}, \"hypervolume\": {hv}}}\n",
-        obs::escape_json(&e.digest),
-        obs::escape_json(&e.workload),
-        obs::escape_json(&e.workload_digest),
-        obs::escape_json(&e.preset),
-        obs::escape_json(&e.status),
-        e.funnel.0,
-        e.funnel.1,
-        e.funnel.2,
-    )
+    let mut line = json::to_string(e);
+    line.push('\n');
+    line
 }
 
 fn parse_index_line(line: &str) -> Result<ArchiveEntry, MceError> {
@@ -402,18 +407,16 @@ pub fn render_listing(entries: &[ArchiveEntry]) -> String {
 mod tests {
     use super::*;
 
-    fn report_with(workload: &str, trace_len: u64, enumerated: u64) -> String {
-        format!(
-            "{{\n  \"schema\": 1,\n  \"workload\": \"{workload}\",\n  \
-             \"workload_digest\": \"abcd1234\",\n  \"status\": \"completed\",\n  \
-             \"stop_reason\": null,\n  \"config\": {{\n    \"conex_trace_len\": {trace_len},\n    \
-             \"local_keep\": 16\n  }},\n  \"counters\": {{\n    \
-             \"conex.candidates_enumerated\": {enumerated},\n    \
-             \"conex.candidates_estimated\": 40,\n    \"conex.simulated\": 8\n  }},\n  \
-             \"frontier_evolution\": [\n    {{\"archs_explored\": 1, \"estimated\": 40, \
-             \"frontier_size\": 5, \"hypervolume\": 0.375}}\n  ],\n  \
-             \"wall_clock\": {{\"elapsed_s\": 1.5}}\n}}\n"
-        )
+    fn report_with(workload: &str, trace_len: usize, enumerated: u64) -> String {
+        let mut r = crate::report::tests::sample_report();
+        r.workload_name = workload.to_owned();
+        r.config.conex_trace_len = trace_len;
+        r.counters = vec![
+            ("conex.candidates_enumerated".to_owned(), enumerated),
+            ("conex.candidates_estimated".to_owned(), 40),
+            ("conex.simulated".to_owned(), 8),
+        ];
+        r.to_json()
     }
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -433,8 +436,9 @@ mod tests {
         assert!(!added.duplicate);
         assert_eq!(added.digest.len(), 32);
 
-        // Same stable prefix, different wall clock: a duplicate.
-        let rerun = report.replace("\"elapsed_s\": 1.5", "\"elapsed_s\": 9.9");
+        // Same stable view, different wall clock: a duplicate.
+        let rerun = report.replace("\"elapsed_s\": 1.25", "\"elapsed_s\": 9.9");
+        assert_ne!(rerun, report);
         let again = archive.add(&rerun).unwrap();
         assert!(again.duplicate);
         assert_eq!(again.digest, added.digest);
@@ -449,7 +453,7 @@ mod tests {
         assert_eq!(entries[0].workload, "vocoder");
         assert_eq!(entries[0].preset, "fast");
         assert_eq!(entries[0].funnel, (120, 40, 8));
-        assert!((entries[0].hypervolume - 0.375).abs() < 1e-12);
+        assert!((entries[0].hypervolume - 0.42).abs() < 1e-12);
         assert_eq!(entries[1].preset, "custom"); // 60k trace + local_keep 16
 
         let (digest, text) = archive.show(&added.digest[..8]).unwrap();
@@ -523,6 +527,44 @@ mod tests {
 
         // Idempotent when nothing is over quota.
         assert_eq!(archive.gc(Some(2)).unwrap(), GcStats::default());
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn index_lines_round_trip_and_older_spaced_lines_still_load() {
+        let root = temp_root("lines");
+        let archive = RunArchive::open(&root);
+        fs::create_dir_all(&root).unwrap();
+        // A line as earlier builds printed it, with spaces after `:`/`,`.
+        let spaced = "{\"schema\": 1, \"digest\": \"0123456789abcdef0123456789abcdef\", \
+                      \"workload\": \"vocoder\", \"workload_digest\": \"abcd1234\", \
+                      \"preset\": \"fast\", \"status\": \"truncated\", \
+                      \"stop_reason\": \"max-evals\", \"funnel\": {\"enumerated\": 120, \
+                      \"estimated\": 40, \"simulated\": 8}, \"hypervolume\": 0.375}\n";
+        fs::write(archive.index_path(), spaced).unwrap();
+        let entries = archive.entries().unwrap();
+        let want = ArchiveEntry {
+            digest: "0123456789abcdef0123456789abcdef".to_owned(),
+            workload: "vocoder".to_owned(),
+            workload_digest: "abcd1234".to_owned(),
+            preset: "fast".to_owned(),
+            status: "truncated".to_owned(),
+            stop_reason: Some("max-evals".to_owned()),
+            funnel: (120, 40, 8),
+            hypervolume: 0.375,
+        };
+        assert_eq!(entries, vec![want.clone()]);
+        // The writer's compact line holds the same fields, and a name
+        // that needs escaping survives the trip.
+        let hostile = ArchiveEntry {
+            workload: "a\"b\\c".to_owned(),
+            stop_reason: None,
+            ..want
+        };
+        let line = entry_line(&hostile);
+        assert!(line.starts_with("{\"schema\":1,\"digest\":"), "{line}");
+        assert!(line.ends_with("\"hypervolume\":0.375}\n"), "{line}");
+        assert_eq!(parse_index_line(line.trim_end()).unwrap(), hostile);
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -58,7 +58,7 @@
 //! live phase/progress lines to stderr, with `MCE_LOG=debug` raising the
 //! message verbosity. Tracing never changes exploration results.
 //!
-//! `--report-out FILE` writes the run's [`RunReport`] JSON — byte-stable
+//! `--report-out FILE` writes the run's [`RunReport`] JSON — deterministic
 //! except for its trailing `"wall_clock"` section — which `mce report`
 //! renders into a self-contained summary and CI archives as an artifact.
 //! The textual exploration summary is also logged under `--out-dir`
@@ -179,7 +179,7 @@ explore options:
                    (loaded if present, saved after; results unchanged)
   --trace-out FILE write a Chrome trace-event JSON of the run
                    (open in chrome://tracing or https://ui.perfetto.dev)
-  --report-out FILE write the run-report JSON (schema v1; byte-stable
+  --report-out FILE write the run-report JSON (schema v1; deterministic
                    except for its wall_clock section)
   --checkpoint FILE crash-safe mode: checkpoint progress to FILE and
                    resume from it if it exists; results are bit-identical
@@ -233,7 +233,7 @@ cache-check options:
 
 runs subcommands (content-addressed run archive, default DIR target/mce-runs):
   add <report.json> archive a run report under the digest of its
-                   deterministic prefix; a re-run of the same
+                   deterministic sections; a re-run of the same
                    configuration is reported as a duplicate
   list             one line per archived run: digest, workload, preset,
                    status, funnel totals, frontier hypervolume
@@ -965,7 +965,7 @@ fn archive_at(args: &[String]) -> memory_conex::RunArchive {
 }
 
 /// `mce runs`: the content-addressed run archive. `add` stores a report
-/// under the digest of its deterministic prefix (a re-run of the same
+/// under the digest of its deterministic sections (a re-run of the same
 /// configuration is a duplicate, not a second entry), `list` summarizes
 /// the index, `show` prints an archived report by digest prefix, and
 /// `gc` prunes old entries and orphaned objects.
@@ -1048,7 +1048,7 @@ fn resolve_diff_operand(
 
 /// `mce diff`: structural comparison of two runs — report files
 /// (live-status snapshots included) or archived digests. Exits 0 iff the
-/// deterministic sections are byte-identical (wall clock, cache state
+/// deterministic sections are equal (wall clock, cache state
 /// and provenance never affect the verdict), 1 when they differ.
 fn cmd_diff(args: &[String]) -> Result<u8, CliError> {
     let (a, b) = match check_flags("diff", args, "[--html] [--out FILE] [--archive DIR]")?[..] {
@@ -1555,7 +1555,7 @@ mod tests {
         let err = cmd_runs(&s(&[])).unwrap_err();
         assert!(err.to_string().contains("subcommand"), "{err}");
 
-        // diff: same deterministic prefix (different wall clock) → 0;
+        // diff: same deterministic sections (different wall clock) → 0;
         // perturbed counters → 1.
         assert_eq!(cmd_diff(&with_archive(&[&a, &rerun])).unwrap(), 0);
         assert_eq!(cmd_diff(&with_archive(&[&a, &b])).unwrap(), 1);

@@ -9,28 +9,30 @@
 //!
 //! ## What counts as "identical"
 //!
-//! Two reports are identical when their **comparable views** are equal
-//! byte for byte. The comparable view is the report's stable prefix
-//! (everything before `wall_clock` — see
-//! [`RunReport::stable_json_prefix`]) with two further masks applied:
+//! Two reports are identical when their **comparable views** are equal.
+//! The comparable view is the report's stable sections (every top-level
+//! section but `wall_clock` — see [`report::stable_view`]) with three
+//! sections or keys masked:
 //!
-//! 1. the optional `provenance` section is removed
-//!    ([`RunReport::without_provenance`]) — explain on/off must not
-//!    change the verdict;
-//! 2. every effort-metric line ([`EFFORT_PREFIXES`]: the `eval_cache`
-//!    section and counters, the `conex.{estimate,simulate}_jobs` job
-//!    counts, and the `sim.*` simulator work metrics) is dropped —
-//!    these measure how much work the run performed, which is
-//!    deterministic for a *given* starting cache state but differs
-//!    between a cold and a warm cache even though the exploration
-//!    output is identical. They are reported as informational deltas
-//!    instead.
+//! 1. the optional `provenance` section — explain on/off must not change
+//!    the verdict;
+//! 2. the `eval_cache` section, and
+//! 3. every `counters`/`gauges` key with an effort prefix
+//!    ([`EFFORT_PREFIXES`]: eval-cache counters, the
+//!    `conex.{estimate,simulate}_jobs` job counts and the `sim.*`
+//!    simulator work metrics). These measure how much work the run
+//!    performed, which is deterministic for a *given* starting cache
+//!    state but differs between a cold and a warm cache even though the
+//!    exploration output is identical. They are reported as
+//!    informational deltas instead.
 //!
+//! The masks act on the parsed document, so no value in a report — a
+//! workload named `wall_clock`, say — can move a section boundary.
 //! Everything outside the comparable view (wall-clock timings,
-//! histograms, timeseries, budget events, peak RSS) is likewise shown
-//! as informational context, never as a difference.
+//! histograms, timeseries, budget events, peak RSS) is shown as
+//! informational context, never as a difference.
 
-use crate::report::{self, RunReport};
+use crate::report;
 use mce_error::MceError;
 use mce_obs::json::{self, Value};
 use std::collections::BTreeSet;
@@ -38,8 +40,8 @@ use std::collections::BTreeSet;
 /// Result of a structural comparison.
 #[derive(Debug, Clone)]
 pub struct DiffOutcome {
-    /// True when the deterministic views are byte-identical — the CLI
-    /// exits 0 exactly then.
+    /// True when the comparable views are equal — the CLI exits 0
+    /// exactly then.
     pub identical: bool,
     /// Markdown rendering of the comparison.
     pub markdown: String,
@@ -61,9 +63,7 @@ pub fn diff_texts(
     let doc_b = parse(label_b, text_b)?;
     report::check_report_schema(&doc_a)?;
     report::check_report_schema(&doc_b)?;
-    Ok(diff_reports(
-        label_a, text_a, &doc_a, label_b, text_b, &doc_b,
-    ))
+    Ok(diff_reports(label_a, &doc_a, label_b, &doc_b))
 }
 
 /// Metric-name prefixes that measure execution *effort* — how much work
@@ -80,31 +80,20 @@ pub const EFFORT_PREFIXES: &[&str] = &[
     "sim.",
 ];
 
-/// Whether a serialized-report line carries an effort-prefixed key (the
-/// one-line `eval_cache` section or an [`EFFORT_PREFIXES`] metric).
-fn is_effort_line(line: &str) -> bool {
-    line.trim_start()
-        .strip_prefix('"')
-        .is_some_and(|key| EFFORT_PREFIXES.iter().any(|p| key.starts_with(p)))
-}
-
-/// The deterministic comparable view of a serialized run report: stable
-/// prefix, provenance stripped, effort-metric lines
-/// ([`EFFORT_PREFIXES`]) dropped.
-pub fn comparable_view(report_text: &str) -> String {
-    // Provenance first: its removal is anchored on the `wall_clock` key,
-    // which the prefix cut would otherwise strip away.
-    let masked = RunReport::without_provenance(report_text);
-    let masked = RunReport::stable_json_prefix(&masked);
-    let mut out = String::with_capacity(masked.len());
-    for line in masked.lines() {
-        if is_effort_line(line) {
-            continue;
+/// The deterministic comparable view of a parsed run report, as
+/// canonical text: its stable sections without `provenance`,
+/// `eval_cache` and the [`EFFORT_PREFIXES`] keys of `counters` and
+/// `gauges`.
+pub fn comparable_view(doc: &Value) -> String {
+    let mut sections = report::stable_sections(doc);
+    sections.remove("provenance");
+    sections.remove("eval_cache");
+    for key in ["counters", "gauges"] {
+        if let Some(Value::Object(metrics)) = sections.get_mut(key) {
+            metrics.retain(|name, _| !EFFORT_PREFIXES.iter().any(|p| name.starts_with(p)));
         }
-        out.push_str(line);
-        out.push('\n');
     }
-    out
+    report::canonical_text(sections)
 }
 
 fn parse(label: &str, text: &str) -> Result<Value, MceError> {
@@ -115,15 +104,8 @@ fn parse(label: &str, text: &str) -> Result<Value, MceError> {
 // Run-report diff
 // ---------------------------------------------------------------------------
 
-fn diff_reports(
-    label_a: &str,
-    text_a: &str,
-    doc_a: &Value,
-    label_b: &str,
-    text_b: &str,
-    doc_b: &Value,
-) -> DiffOutcome {
-    let identical = comparable_view(text_a) == comparable_view(text_b);
+fn diff_reports(label_a: &str, doc_a: &Value, label_b: &str, doc_b: &Value) -> DiffOutcome {
+    let identical = comparable_view(doc_a) == comparable_view(doc_b);
     let mut md = String::from("# Run diff\n\n");
     md.push_str(&format!(
         "| | A | B |\n|---|---|---|\n| source | `{label_a}` | `{label_b}` |\n"
@@ -408,14 +390,12 @@ mod tests {
     #[test]
     fn provenance_is_masked_from_the_verdict() {
         let a = report("vocoder", 120, 0, 1.5);
-        // Placed in the serializer's canonical slot: directly before
-        // wall_clock. The mask cuts [provenance, wall_clock), so the
-        // contract only holds for reports our serializer wrote.
-        let b = a.replace(
-            "  \"wall_clock\"",
-            "  \"provenance\": {\"schema\": 1, \"archs\": [{\"arch\": 0, \
-             \"mem\": \"m\", \"kept\": 1, \"pruned\": 0, \"points\": []}]},\n  \
-             \"wall_clock\"",
+        // The mask removes the section by key, wherever it sits.
+        let b = a.replacen(
+            "{",
+            "{\"provenance\": {\"schema\": 1, \"archs\": [{\"arch\": 0, \
+             \"mem\": \"m\", \"kept\": 1, \"pruned\": 0, \"points\": []}]},",
+            1,
         );
         let out = diff_texts("plain.json", &a, "explained.json", &b).unwrap();
         assert!(out.identical, "{}", out.markdown);
@@ -425,6 +405,29 @@ mod tests {
             out.markdown
         );
         assert!(out.markdown.contains("not explained"), "{}", out.markdown);
+    }
+
+    /// Workload names come from user files; a name equal to a section key
+    /// must not move the boundary between the compared and the masked
+    /// sections.
+    #[test]
+    fn workloads_named_like_report_sections_keep_their_deltas() {
+        let root = std::env::temp_dir().join(format!("mce-diff-names-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        for name in ["wall_clock", "provenance"] {
+            let complete = report(name, 120, 0, 1.5);
+            let truncated = report(name, 10, 0, 1.5)
+                .replace("\"completed\"", "\"truncated\"")
+                .replace("\"stop_reason\": null", "\"stop_reason\": \"max-evals\"");
+            let out = diff_texts("complete", &complete, "truncated", &truncated).unwrap();
+            assert!(!out.identical, "workload `{name}`:\n{}", out.markdown);
+            let archive = crate::RunArchive::open(root.join(name));
+            let a = archive.add(&complete).unwrap();
+            let b = archive.add(&truncated).unwrap();
+            assert!(!b.duplicate, "workload `{name}`: truncated run deduped");
+            assert_ne!(a.digest, b.digest);
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! A live-status file is a run report ([`RunReport`]) snapshot: the same
 //! schema, written by the same [`RunReport::to_json`]. While the run is
-//! in flight its `status` is `"running"` and its stable prefix holds what
+//! in flight its `status` is `"running"` and its stable sections hold what
 //! is committed so far — config, counters, gauges, eval-cache stats, the
 //! Phase-I frontier evolution and provenance, and an empty `pareto` until
 //! Phase II lands. The live-only raw facts (architecture progress,
@@ -812,7 +812,7 @@ mod tests {
              \"evals_remaining\": 1900, \"deadline_s\": null, \
              \"writes\": {\"attempted\": 3, \"failed\": 0}}, \
              \"budget\": {}, \
-             \"timeseries\": {\"logical\": {}, \"wall\": {\"conex.simulated\": \
+             \"timeseries\": {\"wall\": {\"conex.simulated\": \
              [[1000, 2], [2000, 9], [3000, 24]]}}, \
              \"histograms\": [{\"name\": \"par.worker_occupancy_pct\", \"count\": 8, \
              \"sum\": 700, \"min\": 80, \"max\": 100, \"p50\": 93, \"p90\": 99, \

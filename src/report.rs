@@ -9,14 +9,19 @@
 //! the run *was* (config + 128-bit workload digest), what it *did*
 //! (candidate-funnel counters, eval-cache hit/miss/eviction rates,
 //! pareto-front sizes, frontier-evolution snapshots) and how it *ran*
-//! (per-phase wall time and latency histograms with p50/p90/p99), and
-//! serializes to byte-stable JSON: every nondeterministic value lives in
-//! the single `"wall_clock"` section, which is always the **last**
-//! top-level key, so two identical runs produce byte-identical reports up
-//! to that marker.
+//! (per-phase wall time and latency histograms with p50/p90/p99). It
+//! serializes through the workspace's JSON writer ([`mce_obs::json`]),
+//! and every nondeterministic value lives in the single `"wall_clock"`
+//! section, always the **last** top-level key.
+//!
+//! Report identity is structural. [`stable_view`] parses a report, drops
+//! `wall_clock` and prints the remaining sections canonically, so two
+//! identical runs have equal stable views; `mce diff`, the run archive's
+//! digest and the determinism tests all compare through it, never by
+//! byte offsets in the text.
 //!
 //! Bounded runs add a `"status"`/`"stop_reason"` pair to the
-//! deterministic prefix (logical budgets trip at the same point on every
+//! deterministic sections (logical budgets trip at the same point on every
 //! machine), while the timing-dependent budget artifacts — `budget.*`
 //! counters and per-candidate degradation annotations — are quarantined
 //! inside `"wall_clock"`.
@@ -39,8 +44,9 @@ use mce_conex::{
 };
 use mce_error::MceError;
 use mce_obs as obs;
-use mce_obs::json::Value;
-use mce_obs::{escape_json, HistogramSummary};
+use mce_obs::json::{self, ToJson, Value, Writer};
+use mce_obs::HistogramSummary;
+use std::collections::BTreeMap;
 
 /// Version of the report JSON layout. Bump when a field changes meaning
 /// or moves; `mce report` and the CI schema check pin this.
@@ -75,6 +81,13 @@ pub struct ReportConfig {
     pub cache_capacity: usize,
 }
 
+mce_obs::json_codec! {
+    struct ReportConfig {
+        apex_trace_len, conex_trace_len, strategy, local_keep, max_logical_connections,
+        max_allocations_per_level, frontier_sample_every, cache_capacity,
+    }
+}
+
 /// Eval-cache effectiveness over the run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheSummary {
@@ -89,6 +102,8 @@ pub struct CacheSummary {
     /// `hits / (hits + misses)`, 0 when no lookups happened.
     pub hit_rate: f64,
 }
+
+mce_obs::json_codec! { struct CacheSummary { hits, misses, inserts, evictions, hit_rate } }
 
 impl CacheSummary {
     /// Summarizes lifetime cache statistics.
@@ -126,6 +141,10 @@ pub struct ParetoSummary {
     pub front_cost_latency: Vec<(u64, f64)>,
 }
 
+mce_obs::json_codec! {
+    struct ParetoSummary { cost_latency, latency_energy, cost_energy, full_3d, front_cost_latency }
+}
+
 impl ParetoSummary {
     /// Summarizes a ConEx result's simulated fronts.
     pub fn from_result(conex: &ConexResult) -> Self {
@@ -150,13 +169,13 @@ pub struct WallClock {
     pub elapsed_s: f64,
     /// Whether this run was resumed from a checkpoint. Lives in the
     /// wall-clock section because it describes how the run executed,
-    /// not what it computed: a resumed run's deterministic sections are
-    /// byte-identical to an uninterrupted run's.
+    /// not what it computed: a resumed run's deterministic sections
+    /// equal an uninterrupted run's.
     pub resumed: bool,
     /// Worker threads (0 = one per core). Results are thread-count
     /// independent by contract, so like `resumed` this describes how the
     /// run executed — keeping it here lets `--threads 1` and
-    /// `--threads 8` reports byte-compare up to `wall_clock`.
+    /// `--threads 8` reports have equal [`stable_view`]s.
     pub threads: usize,
     /// Peak resident set size of the exploring process, in bytes.
     /// Best-effort: read from `/proc/self/status` (`VmHWM`) on Linux,
@@ -171,18 +190,10 @@ pub struct WallClock {
     /// runs), split out of the deterministic `counters` section because
     /// watchdog and deadline events are timing-dependent.
     pub budget_counters: Vec<(String, u64)>,
-    /// The logical time-series channel: per-architecture registry
-    /// snapshots (`(archs_done, value)` points) from
-    /// [`mce_obs::timeseries`]. The *contents* are deterministic — they
-    /// byte-compare across thread counts and cache state — but the
-    /// section lives here anyway: its sibling wall channel cannot leave
-    /// `wall_clock`, and splitting the two channels across the stable
-    /// boundary would invite exactly the confusion the boundary exists
-    /// to prevent. Nothing deterministic may consume it from here.
-    pub timeseries_logical: Vec<(String, Vec<(u64, u64)>)>,
-    /// The wall-clock time-series channel: background-sampler snapshots
-    /// (`(t_us, value)` points, plus derived `<hist>.p90` series). How
-    /// many samples landed and where is machine-speed-dependent.
+    /// Wall-clock time series, serialized as `timeseries.wall`:
+    /// background-sampler snapshots (`(t_us, value)` points, plus derived
+    /// `<hist>.p90` series) from [`mce_obs::timeseries`]. How many
+    /// samples landed and where is machine-speed-dependent.
     pub timeseries_wall: Vec<(String, Vec<(u64, u64)>)>,
     /// Every histogram the recorder collected (phase durations from
     /// spans, per-item simulate/estimate latency, cache-probe latency,
@@ -345,7 +356,6 @@ impl RunReport {
                 peak_rss_bytes: peak_rss_bytes(),
                 degraded: degraded.to_vec(),
                 budget_counters,
-                timeseries_logical: traced(|| owned_series(obs::logical_series())),
                 timeseries_wall: traced(|| owned_series(obs::wall_series())),
                 histograms: traced(|| {
                     obs::histograms_snapshot()
@@ -358,208 +368,160 @@ impl RunReport {
         }
     }
 
-    /// Serializes the report as pretty-printed JSON with a fixed key
-    /// order. Everything before the `"wall_clock"` key is a pure function
-    /// of the run's configuration and results; the wall-clock section is
-    /// last so consumers can byte-compare reports by truncating there.
+    /// Serializes the report as pretty-printed JSON through the
+    /// workspace's [`json::Writer`], `schema` first and the
+    /// nondeterministic `wall_clock` section last. Compare reports
+    /// through [`stable_view`], never by their bytes.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"schema\": {REPORT_SCHEMA},\n"));
-        s.push_str(&format!(
-            "  \"workload\": \"{}\",\n",
-            escape_json(&self.workload_name)
-        ));
-        s.push_str(&format!(
-            "  \"workload_digest\": \"{}\",\n",
-            self.workload_digest
-        ));
-        s.push_str(&format!(
-            "  \"status\": \"{}\",\n",
-            escape_json(&self.status)
-        ));
-        match &self.stop_reason {
-            Some(r) => s.push_str(&format!("  \"stop_reason\": \"{}\",\n", escape_json(r))),
-            None => s.push_str("  \"stop_reason\": null,\n"),
-        }
-        let c = &self.config;
-        s.push_str("  \"config\": {\n");
-        s.push_str(&format!("    \"apex_trace_len\": {},\n", c.apex_trace_len));
-        s.push_str(&format!(
-            "    \"conex_trace_len\": {},\n",
-            c.conex_trace_len
-        ));
-        s.push_str(&format!(
-            "    \"strategy\": \"{}\",\n",
-            escape_json(&c.strategy)
-        ));
-        s.push_str(&format!("    \"local_keep\": {},\n", c.local_keep));
-        s.push_str(&format!(
-            "    \"max_logical_connections\": {},\n",
-            c.max_logical_connections
-        ));
-        s.push_str(&format!(
-            "    \"max_allocations_per_level\": {},\n",
-            c.max_allocations_per_level
-        ));
-        s.push_str(&format!(
-            "    \"frontier_sample_every\": {},\n",
-            c.frontier_sample_every
-        ));
-        s.push_str(&format!("    \"cache_capacity\": {}\n", c.cache_capacity));
-        s.push_str("  },\n");
-        s.push_str(&u64_object("counters", &self.counters, "  "));
-        s.push_str(&u64_object("gauges", &self.gauges, "  "));
-        let e = &self.eval_cache;
-        s.push_str(&format!(
-            "  \"eval_cache\": {{\"hits\": {}, \"misses\": {}, \"inserts\": {}, \
-             \"evictions\": {}, \"hit_rate\": {}}},\n",
-            e.hits,
-            e.misses,
-            e.inserts,
-            e.evictions,
-            fmt_f64(e.hit_rate)
-        ));
-        let p = &self.pareto;
-        s.push_str("  \"pareto\": {\n");
-        s.push_str(&format!("    \"cost_latency\": {},\n", p.cost_latency));
-        s.push_str(&format!("    \"latency_energy\": {},\n", p.latency_energy));
-        s.push_str(&format!("    \"cost_energy\": {},\n", p.cost_energy));
-        s.push_str(&format!("    \"full_3d\": {},\n", p.full_3d));
-        let pts: Vec<String> = p
-            .front_cost_latency
-            .iter()
-            .map(|&(cost, lat)| format!("[{cost}, {}]", fmt_f64(lat)))
-            .collect();
-        s.push_str(&format!(
-            "    \"front_cost_latency\": [{}]\n",
-            pts.join(", ")
-        ));
-        s.push_str("  },\n");
-        let evo: Vec<String> = self
-            .frontier_evolution
-            .iter()
-            .map(|f| {
-                format!(
-                    "    {{\"archs_explored\": {}, \"estimated\": {}, \
-                     \"frontier_size\": {}, \"hypervolume\": {}}}",
-                    f.archs_explored,
-                    f.estimated,
-                    f.frontier_size,
-                    fmt_f64(f.hypervolume)
-                )
-            })
-            .collect();
-        if evo.is_empty() {
-            s.push_str("  \"frontier_evolution\": [],\n");
-        } else {
-            s.push_str(&format!(
-                "  \"frontier_evolution\": [\n{}\n  ],\n",
-                evo.join(",\n")
-            ));
-        }
+        let mut text = json::to_string_pretty(self);
+        text.push('\n');
+        text
+    }
+}
+
+impl ToJson for RunReport {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("schema", &REPORT_SCHEMA);
+        w.field("workload", &self.workload_name);
+        w.field("workload_digest", &self.workload_digest);
+        w.field("status", &self.status);
+        w.field("stop_reason", &self.stop_reason);
+        w.field("config", &self.config);
+        w.field("counters", &Named(&self.counters));
+        w.field("gauges", &Named(&self.gauges));
+        w.field("eval_cache", &self.eval_cache);
+        w.field("pareto", &self.pareto);
+        w.field("frontier_evolution", &self.frontier_evolution);
         // The optional provenance section: emitted only when the run was
         // explained, so explain on/off changes nothing outside it.
         if !self.provenance.is_empty() {
-            s.push_str(&provenance_section(&self.provenance));
+            w.key("provenance");
+            w.begin_object();
+            w.field("schema", &PROVENANCE_SCHEMA);
+            w.field("archs", &self.provenance);
+            w.end_object();
         }
-        // The nondeterministic tail: always the last top-level key.
-        s.push_str("  \"wall_clock\": {\n");
-        s.push_str(&format!(
-            "    \"elapsed_s\": {},\n",
-            fmt_f64(self.wall_clock.elapsed_s)
-        ));
-        s.push_str(&format!("    \"resumed\": {},\n", self.wall_clock.resumed));
-        s.push_str(&format!("    \"threads\": {},\n", self.wall_clock.threads));
-        s.push_str(&format!(
-            "    \"peak_rss_bytes\": {},\n",
-            opt_json(self.wall_clock.peak_rss_bytes)
-        ));
-        if let Some(l) = &self.wall_clock.live {
-            s.push_str(&format!(
-                "    \"live\": {{\"archs_done\": {}, \"archs_total\": {}, \"max_evals\": {}, \
-                 \"evals_remaining\": {}, \"deadline_s\": {}, \
-                 \"writes\": {{\"attempted\": {}, \"failed\": {}}}}},\n",
-                l.archs_done,
-                l.archs_total,
-                opt_json(l.max_evals),
-                opt_json(l.evals_remaining),
-                l.deadline_s.map_or_else(|| "null".to_owned(), fmt_f64),
-                l.writes_attempted,
-                l.writes_failed,
-            ));
-        }
-        let degraded: Vec<String> = self
-            .wall_clock
-            .degraded
-            .iter()
-            .map(|d| {
-                format!(
-                    "      {{\"phase\": \"{}\", \"arch\": {}, \"index\": {}, \
-                     \"reason\": \"{}\"}}",
-                    escape_json(&d.phase),
-                    opt_json(d.arch),
-                    d.index,
-                    escape_json(&d.reason)
-                )
-            })
-            .collect();
-        if degraded.is_empty() {
-            s.push_str("    \"degraded\": [],\n");
-        } else {
-            s.push_str(&format!(
-                "    \"degraded\": [\n{}\n    ],\n",
-                degraded.join(",\n")
-            ));
-        }
-        s.push_str(&u64_object(
-            "budget",
-            &self.wall_clock.budget_counters,
-            "    ",
-        ));
-        s.push_str("    \"timeseries\": {\n");
-        s.push_str(&series_object(
-            "logical",
-            &self.wall_clock.timeseries_logical,
-            "      ",
-        ));
-        s.push_str(",\n");
-        s.push_str(&series_object(
-            "wall",
-            &self.wall_clock.timeseries_wall,
-            "      ",
-        ));
-        s.push_str("\n    },\n");
-        s.push_str(&histograms_array(&self.wall_clock.histograms, "    "));
-        s.push_str("\n  }\n}\n");
-        s
+        w.field("wall_clock", &self.wall_clock);
+        w.end_object();
     }
+}
 
-    /// The deterministic prefix of [`RunReport::to_json`]: everything up
-    /// to (excluding) the `"wall_clock"` key. Two identical runs produce
-    /// equal stable prefixes byte for byte.
-    pub fn stable_json_prefix(json: &str) -> &str {
-        match json.find("\"wall_clock\"") {
-            Some(i) => &json[..i],
-            None => json,
+impl ToJson for WallClock {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("elapsed_s", &self.elapsed_s);
+        w.field("resumed", &self.resumed);
+        w.field("threads", &self.threads);
+        w.field("peak_rss_bytes", &self.peak_rss_bytes);
+        if let Some(live) = &self.live {
+            w.field("live", live);
         }
+        w.field("degraded", &self.degraded);
+        w.field("budget", &Named(&self.budget_counters));
+        w.key("timeseries");
+        w.begin_object();
+        w.field("wall", &Named(&self.timeseries_wall));
+        w.end_object();
+        w.key("histograms");
+        w.begin_array();
+        for (name, h) in &self.histograms {
+            w.element();
+            w.begin_object();
+            w.field("name", name);
+            w.field("count", &h.count);
+            w.field("sum", &h.sum);
+            w.field("min", &h.min);
+            w.field("max", &h.max);
+            w.field("p50", &h.p50);
+            w.field("p90", &h.p90);
+            w.field("p99", &h.p99);
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
     }
+}
 
-    /// Removes the optional `provenance` section from a serialized
-    /// report, leaving every other byte untouched. An explained run's
-    /// report put through this equals the unexplained run's report —
-    /// the provenance determinism contract, and what `mce diff` compares
-    /// when exactly one side was explained.
-    pub fn without_provenance(json: &str) -> String {
-        match (json.find("\"provenance\""), json.find("\"wall_clock\"")) {
-            (Some(p), Some(w)) if p < w => {
-                let mut out = String::with_capacity(json.len());
-                out.push_str(&json[..p]);
-                out.push_str(&json[w..]);
-                out
+impl ToJson for LiveProgress {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("archs_done", &self.archs_done);
+        w.field("archs_total", &self.archs_total);
+        w.field("max_evals", &self.max_evals);
+        w.field("evals_remaining", &self.evals_remaining);
+        w.field("deadline_s", &self.deadline_s);
+        w.key("writes");
+        w.begin_object();
+        w.field("attempted", &self.writes_attempted);
+        w.field("failed", &self.writes_failed);
+        w.end_object();
+        w.end_object();
+    }
+}
+
+/// `(name, value)` pairs, written as one object in order.
+struct Named<'a, T>(&'a [(String, T)]);
+
+impl<T: ToJson> ToJson for Named<'_, T> {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        for (name, value) in self.0 {
+            w.field(name, value);
+        }
+        w.end_object();
+    }
+}
+
+/// The deterministic view of a serialized run report: its
+/// [`stable_sections`] as [`canonical_text`]. Two runs that computed the
+/// same thing have equal stable views, whatever their thread count,
+/// machine or cache timing — and whatever a workload happens to be
+/// called, because sections are found by parsing, not by searching the
+/// text.
+///
+/// # Errors
+///
+/// [`MceError::Json`] when `report_text` is not JSON.
+pub fn stable_view(report_text: &str) -> Result<String, MceError> {
+    let doc = json::parse(report_text).map_err(|e| MceError::json("run report", e.to_string()))?;
+    Ok(canonical_text(stable_sections(&doc)))
+}
+
+/// Every top-level section of a parsed report except `wall_clock`: the
+/// sections that are a pure function of the run's configuration and
+/// results. Empty when `doc` is not an object.
+pub fn stable_sections(doc: &Value) -> BTreeMap<String, Value> {
+    let mut sections = match doc {
+        Value::Object(map) => map.clone(),
+        _ => BTreeMap::new(),
+    };
+    sections.remove("wall_clock");
+    sections
+}
+
+/// Report sections as canonical pretty JSON: keys sorted, one scalar per
+/// line (so a mismatch can name its line), and numbers compared by value
+/// — a float with no fraction prints as the integer it equals, so `0` and
+/// `0.0`, or `120` and `120.0`, are the same.
+pub fn canonical_text(sections: BTreeMap<String, Value>) -> String {
+    fn fold_integral_floats(v: &mut Value) {
+        match v {
+            // Below 1e38 every integral float is an exact `i128`.
+            Value::Number(n) if n.fract() == 0.0 && n.abs() < 1e38 => {
+                let n = *n as i128;
+                *v = Value::Int(n);
             }
-            _ => json.to_owned(),
+            Value::Array(items) => items.iter_mut().for_each(fold_integral_floats),
+            Value::Object(map) => map.values_mut().for_each(fold_integral_floats),
+            _ => {}
         }
     }
+    let mut doc = Value::Object(sections);
+    fold_integral_floats(&mut doc);
+    let mut text = json::to_string_pretty(&doc);
+    text.push('\n');
+    text
 }
 
 /// Checks a parsed report document's `schema` field against
@@ -600,54 +562,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kib * 1024)
 }
 
-/// Serializes the `provenance` report section: schema version first,
-/// then one record per Phase-I architecture in exploration order, each
-/// listing its estimate-cloud points with origin tags, kept/pruned
-/// verdicts, front memberships and (for pruned points) the kept point
-/// that dominated them.
-fn provenance_section(archs: &[ArchProvenance]) -> String {
-    let mut s = String::from("  \"provenance\": {\n");
-    s.push_str(&format!("    \"schema\": {PROVENANCE_SCHEMA},\n"));
-    let rendered: Vec<String> = archs
-        .iter()
-        .map(|a| {
-            let points: Vec<String> = a
-                .points
-                .iter()
-                .map(|p| {
-                    let fronts: Vec<String> = p.fronts.iter().map(|f| format!("\"{f}\"")).collect();
-                    format!(
-                        "        {{\"index\": {}, \"describe\": \"{}\", \"origin\": \"{}\", \
-                         \"kept\": {}, \"fronts\": [{}], \"dominated_by\": {}}}",
-                        p.index,
-                        escape_json(&p.describe),
-                        escape_json(&p.origin),
-                        p.kept,
-                        fronts.join(", "),
-                        p.dominated_by
-                            .map_or_else(|| "null".to_owned(), |d| d.to_string()),
-                    )
-                })
-                .collect();
-            format!(
-                "      {{\"arch\": {}, \"mem\": \"{}\", \"kept\": {}, \"pruned\": {}, \
-                 \"points\": [\n{}\n      ]}}",
-                a.arch,
-                escape_json(&a.mem),
-                a.kept,
-                a.pruned,
-                points.join(",\n")
-            )
-        })
-        .collect();
-    s.push_str(&format!(
-        "    \"archs\": [\n{}\n    ]\n",
-        rendered.join(",\n")
-    ));
-    s.push_str("  },\n");
-    s
-}
-
 /// Reads a recorder registry only while tracing is enabled: otherwise
 /// the report section stays empty, never stale.
 fn traced<T: Default>(read: impl FnOnce() -> T) -> T {
@@ -681,86 +595,6 @@ fn owned_series(
             )
         })
         .collect()
-}
-
-/// One time-series channel as `"key": {"name": [[at, value], ...]}` at
-/// `indent`, without a trailing comma.
-fn series_object(key: &str, series: &[(String, Vec<(u64, u64)>)], indent: &str) -> String {
-    if series.is_empty() {
-        return format!("{indent}\"{key}\": {{}}");
-    }
-    let lines: Vec<String> = series
-        .iter()
-        .map(|(name, points)| {
-            let pts: Vec<String> = points
-                .iter()
-                .map(|(at, value)| format!("[{at}, {value}]"))
-                .collect();
-            format!("{indent}  \"{}\": [{}]", escape_json(name), pts.join(", "))
-        })
-        .collect();
-    format!("{indent}\"{key}\": {{\n{}\n{indent}}}", lines.join(",\n"))
-}
-
-/// `"histograms": [{"name": ..., "count": ..., "p99": ...}, ...]` at
-/// `indent`, without a trailing comma.
-fn histograms_array(hists: &[(String, HistogramSummary)], indent: &str) -> String {
-    if hists.is_empty() {
-        return format!("{indent}\"histograms\": []");
-    }
-    let lines: Vec<String> = hists
-        .iter()
-        .map(|(name, h)| {
-            format!(
-                "{indent}  {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"min\": {}, \
-                 \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                escape_json(name),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.p50,
-                h.p90,
-                h.p99
-            )
-        })
-        .collect();
-    format!(
-        "{indent}\"histograms\": [\n{}\n{indent}]",
-        lines.join(",\n")
-    )
-}
-
-/// `"key": {"name": value, ...}` at `indent`, with a trailing comma.
-fn u64_object(key: &str, entries: &[(String, u64)], indent: &str) -> String {
-    if entries.is_empty() {
-        return format!("{indent}\"{key}\": {{}},\n");
-    }
-    let lines: Vec<String> = entries
-        .iter()
-        .map(|(name, v)| format!("{indent}  \"{}\": {v}", escape_json(name)))
-        .collect();
-    format!(
-        "{indent}\"{key}\": {{\n{}\n{indent}}},\n",
-        lines.join(",\n")
-    )
-}
-
-/// An optional integer as a JSON token: the number, or `null`.
-fn opt_json(v: Option<impl std::fmt::Display>) -> String {
-    v.map_or_else(|| "null".to_owned(), |v| v.to_string())
-}
-
-/// `f64` in its shortest round-trip form, with a guaranteed numeric JSON
-/// token (`Display` already never produces exponents for our ranges, but
-/// integral values need the `.0` stripped consistently — `Display` does
-/// that for us; non-finite values clamp to 0).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_owned()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1158,11 +992,11 @@ fn html_inline(text: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use mce_obs::json;
 
-    fn sample_report() -> RunReport {
+    /// A small complete report, for the report, archive and diff tests.
+    pub(crate) fn sample_report() -> RunReport {
         RunReport {
             workload_name: "vocoder".to_owned(),
             workload_digest: "00112233445566778899aabbccddeeff".to_owned(),
@@ -1211,10 +1045,6 @@ mod tests {
                 degraded: Vec::new(),
                 budget_counters: Vec::new(),
                 live: None,
-                timeseries_logical: vec![(
-                    "conex.candidates_estimated".to_owned(),
-                    vec![(1, 40), (2, 100)],
-                )],
                 timeseries_wall: vec![("conex.simulated".to_owned(), vec![(1500, 4)])],
                 histograms: vec![(
                     "conex.simulate.item_us".to_owned(),
@@ -1296,13 +1126,13 @@ mod tests {
             Some(2)
         );
         // Status/stop_reason are deterministic for logical budgets and
-        // live in the stable prefix; budget events and degraded
+        // belong to the stable view; budget events and degraded
         // annotations are timing-dependent and must not.
-        let prefix = RunReport::stable_json_prefix(&text);
-        assert!(prefix.contains("\"status\": \"truncated\""));
-        assert!(prefix.contains("\"stop_reason\": \"deadline\""));
-        assert!(!prefix.contains("budget.timeouts"));
-        assert!(!prefix.contains("\"degraded\""));
+        let view = stable_view(&text).unwrap();
+        assert!(view.contains("\"status\": \"truncated\""));
+        assert!(view.contains("\"stop_reason\": \"deadline\""));
+        assert!(!view.contains("budget.timeouts"));
+        assert!(!view.contains("\"degraded\""));
         assert!(text.contains("\"reason\": \"timeout\""));
         // The markdown render warns about truncation and itemizes the
         // budget events in the "Budget & stop reason" section.
@@ -1319,27 +1149,23 @@ mod tests {
         let r = sample_report();
         let text = r.to_json();
         let v = json::parse(&text).expect("report with timeseries parses");
-        let logical = v
+        let timeseries = v
             .get("wall_clock")
             .and_then(|w| w.get("timeseries"))
-            .and_then(|t| t.get("logical"))
-            .and_then(|l| l.get("conex.candidates_estimated"))
-            .and_then(|s| s.as_array())
-            .expect("logical series embedded");
-        assert_eq!(logical.len(), 2);
-        assert_eq!(logical[1].as_array().and_then(|p| p[1].as_u64()), Some(100));
-        assert!(v
-            .get("wall_clock")
-            .and_then(|w| w.get("timeseries"))
-            .and_then(|t| t.get("wall"))
+            .expect("timeseries embedded");
+        let wall = timeseries
+            .get("wall")
             .and_then(|wl| wl.get("conex.simulated"))
-            .is_some());
-        // Both channels live inside wall_clock: after budget, before
-        // histograms, and never in the stable prefix.
+            .and_then(Value::as_array)
+            .expect("wall series embedded");
+        assert_eq!(wall[0].as_array().and_then(|p| p[0].as_u64()), Some(1500));
+        assert_eq!(timeseries.get("logical"), None);
+        // The series live inside wall_clock: after budget, before
+        // histograms, and never in the stable view.
         let ts = text.find("\"timeseries\"").expect("has timeseries");
         assert!(text.find("\"budget\"").unwrap() < ts);
         assert!(ts < text.find("\"histograms\"").unwrap());
-        assert!(!RunReport::stable_json_prefix(&text).contains("\"timeseries\""));
+        assert!(!stable_view(&text).unwrap().contains("\"timeseries\""));
     }
 
     #[test]
@@ -1351,17 +1177,21 @@ mod tests {
         b.wall_clock.histograms.clear();
         let (ja, jb) = (a.to_json(), b.to_json());
         assert_ne!(ja, jb);
-        assert_eq!(
-            RunReport::stable_json_prefix(&ja),
-            RunReport::stable_json_prefix(&jb)
-        );
+        assert_eq!(stable_view(&ja).unwrap(), stable_view(&jb).unwrap());
         // A deterministic-section difference survives the strip.
         let mut c = sample_report();
         c.pareto.cost_latency = 99;
         assert_ne!(
-            RunReport::stable_json_prefix(&ja),
-            RunReport::stable_json_prefix(&c.to_json())
+            stable_view(&ja).unwrap(),
+            stable_view(&c.to_json()).unwrap()
         );
+        // Values compare, not layouts: key order, whitespace and integral
+        // floats written either way make no difference.
+        assert_eq!(
+            stable_view("{\"a\": 120, \"b\": [0, 2.5], \"wall_clock\": 1}").unwrap(),
+            stable_view("{\"b\":[0.0,2.5],\"a\":120.0}").unwrap()
+        );
+        assert!(stable_view("{\"a\": 1,}").is_err());
     }
 
     fn sample_provenance() -> Vec<ArchProvenance> {
@@ -1400,8 +1230,8 @@ mod tests {
         // Empty provenance emits no section at all.
         assert!(!jp.contains("\"provenance\""));
         // Non-empty provenance lands between frontier_evolution and
-        // wall_clock: versioned, parseable, and inside the stable prefix.
-        let v = json::parse(&je).expect("explained report parses");
+        // wall_clock: versioned, parseable, and in the stable view.
+        let mut v = json::parse(&je).expect("explained report parses");
         let prov = v.get("provenance").expect("has provenance");
         assert_eq!(
             prov.get("schema").and_then(|s| s.as_u64()),
@@ -1414,16 +1244,22 @@ mod tests {
             pts[1].get("origin").and_then(|o| o.as_str()),
             Some("cache-hit")
         );
+        assert_eq!(
+            pts[1].get("describe").and_then(|o| o.as_str()),
+            Some("mux(\"a\")")
+        );
         assert_eq!(pts[1].get("dominated_by").and_then(Value::as_u64), Some(0));
         let fe = je.find("\"frontier_evolution\"").unwrap();
         let pr = je.find("\"provenance\"").unwrap();
         let wc = je.find("\"wall_clock\"").unwrap();
         assert!(fe < pr && pr < wc);
-        assert!(RunReport::stable_json_prefix(&je).contains("\"provenance\""));
-        // The determinism contract: stripping the section recovers the
-        // unexplained report byte for byte.
-        assert_eq!(RunReport::without_provenance(&je), jp);
-        assert_eq!(RunReport::without_provenance(&jp), jp);
+        assert!(stable_view(&je).unwrap().contains("\"provenance\""));
+        // The determinism contract: removing the section recovers the
+        // unexplained report, value for value.
+        if let Value::Object(sections) = &mut v {
+            sections.remove("provenance");
+        }
+        assert_eq!(v, json::parse(&jp).unwrap());
     }
 
     #[test]
@@ -1442,7 +1278,10 @@ mod tests {
 
     #[test]
     fn report_schema_check_accepts_supported_and_refuses_the_rest() {
-        let ok = json::parse(&format!("{{\"schema\": {REPORT_SCHEMA}}}")).unwrap();
+        let ok = Value::Object(BTreeMap::from([(
+            "schema".to_owned(),
+            Value::Int(REPORT_SCHEMA.into()),
+        )]));
         assert!(check_report_schema(&ok).is_ok());
         for (doc, found) in [
             ("{\"schema\": 999}", "999"),

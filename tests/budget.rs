@@ -12,6 +12,7 @@ use memory_conex::appmodel::benchmarks;
 use memory_conex::budget;
 use memory_conex::obs;
 use memory_conex::prelude::*;
+use memory_conex::report::stable_view;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -67,8 +68,8 @@ fn max_evals_truncates_identically_across_thread_counts() {
 
     let parallel = run_with_report(&session().max_evals(budget).threads(8));
     assert_eq!(
-        RunReport::stable_json_prefix(&serial.report.to_json()),
-        RunReport::stable_json_prefix(&parallel.report.to_json()),
+        stable_view(&serial.report.to_json()).unwrap(),
+        stable_view(&parallel.report.to_json()).unwrap(),
         "a logical budget must trip at the same candidate on 1 and 8 threads"
     );
     assert_eq!(serial.conex.estimated(), parallel.conex.estimated());
@@ -166,8 +167,8 @@ fn interrupt_then_resume_reproduces_the_uninterrupted_report() {
     assert!(!finished.conex.is_truncated());
     assert_eq!(finished.report.status, "complete");
     assert_eq!(
-        RunReport::stable_json_prefix(&uninterrupted.report.to_json()),
-        RunReport::stable_json_prefix(&finished.report.to_json()),
+        stable_view(&uninterrupted.report.to_json()).unwrap(),
+        stable_view(&finished.report.to_json()).unwrap(),
         "interrupt + resume must reproduce the uninterrupted report"
     );
     assert!(!ck.exists(), "a finished run removes its checkpoint");

@@ -1,10 +1,10 @@
-//! Live-telemetry integration: the deterministic logical time-series
-//! channel is byte-identical across thread counts and cache state, wall
-//! samples stay quarantined inside `wall_clock`, live-status publishing
-//! never perturbs results (even when its writes are fault-injected to
-//! fail), every snapshot is a run report, the final one diffs identical
-//! to the run's report, and `--metrics-out` is the exporter's rendering
-//! of that report.
+//! Live-telemetry integration: reports are identical outside
+//! `wall_clock` across thread counts and cache state, wall samples stay
+//! quarantined inside `wall_clock`, live-status publishing never
+//! perturbs results (even when its writes are fault-injected to fail),
+//! every snapshot is a run report, the final one diffs identical to the
+//! run's report, and `--metrics-out` is the exporter's rendering of that
+//! report.
 
 use mce_faultinject as fi;
 use memory_conex::appmodel::benchmarks;
@@ -35,16 +35,12 @@ fn session() -> ExplorationSession {
 }
 
 /// Runs `session` under a fresh recorder (`install` resets every
-/// registry, including the time-series rings) and captures the logical
-/// channel alongside the result, before uninstalling.
-fn run_traced(
-    session: &ExplorationSession,
-) -> (SessionResult, Vec<(&'static str, Vec<obs::SeriesPoint>)>) {
+/// registry, including the time-series rings), uninstalling afterwards.
+fn run_traced(session: &ExplorationSession) -> SessionResult {
     obs::install(Arc::new(obs::NullSink::new()));
     let result = session.run();
-    let logical = obs::logical_series();
     obs::uninstall();
-    (result.expect("exploration runs"), logical)
+    result.expect("exploration runs")
 }
 
 /// The `wall_clock.live` object of a parsed live-status snapshot.
@@ -73,74 +69,32 @@ fn watch(path: &Path, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<Vec<Stri
     })
 }
 
-/// The `wall_clock.timeseries.logical` object of a parsed report.
-fn embedded_logical(doc: &Value) -> Value {
-    doc.get("wall_clock")
-        .and_then(|w| w.get("timeseries"))
-        .and_then(|t| t.get("logical"))
-        .expect("report embeds wall_clock.timeseries.logical")
-        .clone()
-}
-
 #[test]
-fn logical_series_identical_across_threads_and_cache_state() {
+fn report_identical_across_threads_and_cache_state() {
     let _guard = lock();
     fi::disarm();
     obs::uninstall();
-    let spill = tmp("logical_spill.json");
+    let spill = tmp("report_spill.json");
     let _ = std::fs::remove_file(&spill);
 
-    let (serial, serial_logical) = run_traced(&session().threads(1));
-    let (parallel, parallel_logical) = run_traced(&session().threads(4));
-    let (cold, cold_logical) = run_traced(&session().threads(4).eval_cache_file(&spill));
+    let serial = run_traced(&session().threads(1));
+    let parallel = run_traced(&session().threads(4));
+    let cold = run_traced(&session().threads(4).eval_cache_file(&spill));
 
-    // The logical channel snapshots per-architecture boundaries, where
-    // counters are deterministic: same marks, same values, any schedule.
-    assert!(
-        !serial_logical.is_empty(),
-        "a traced run records logical sampling points"
-    );
-    assert!(
-        serial_logical
-            .iter()
-            .any(|(name, _)| *name == "conex.candidates_estimated"),
-        "funnel counters have logical series: {serial_logical:?}"
-    );
-    for (name, points) in &serial_logical {
-        assert!(
-            points.windows(2).all(|w| w[0].at < w[1].at),
-            "logical ticks increase strictly for {name}: {points:?}"
-        );
-    }
+    // The deterministic sections of the report — funnel counters,
+    // fronts, frontier evolution — do not depend on the schedule or on
+    // cache persistence.
+    let serial_view = report::stable_view(&serial.report.to_json()).unwrap();
     assert_eq!(
-        serial_logical, parallel_logical,
-        "logical channel must not depend on the thread count"
+        serial_view,
+        report::stable_view(&parallel.report.to_json()).unwrap(),
+        "the report must not depend on the thread count"
     );
     assert_eq!(
-        serial_logical, cold_logical,
-        "logical channel must not depend on cache persistence"
+        serial_view,
+        report::stable_view(&cold.report.to_json()).unwrap(),
+        "the report must not depend on cache persistence"
     );
-
-    // The same holds for the serialized form the report embeds, and for
-    // the deterministic report prefix around it.
-    let (s_json, p_json, c_json) = (
-        serial.report.to_json(),
-        parallel.report.to_json(),
-        cold.report.to_json(),
-    );
-    assert_eq!(
-        RunReport::stable_json_prefix(&s_json),
-        RunReport::stable_json_prefix(&p_json)
-    );
-    assert_eq!(
-        RunReport::stable_json_prefix(&s_json),
-        RunReport::stable_json_prefix(&c_json)
-    );
-    let s_doc = json::parse(&s_json).expect("report parses");
-    let p_doc = json::parse(&p_json).expect("report parses");
-    let c_doc = json::parse(&c_json).expect("report parses");
-    assert_eq!(embedded_logical(&s_doc), embedded_logical(&p_doc));
-    assert_eq!(embedded_logical(&s_doc), embedded_logical(&c_doc));
 
     let _ = std::fs::remove_file(&spill);
 }
@@ -155,10 +109,10 @@ fn live_status_publishes_valid_snapshots_without_perturbing_the_report() {
     let _ = std::fs::remove_file(&status);
     let _ = std::fs::remove_file(&metrics);
 
-    let (clean, _) = run_traced(&session().threads(2));
+    let clean = run_traced(&session().threads(2));
     let stop = Arc::new(AtomicBool::new(false));
     let watcher = watch(&status, stop.clone());
-    let (live_run, _) = run_traced(
+    let live_run = run_traced(
         &session()
             .threads(2)
             .live_status_file(&status)
@@ -168,21 +122,22 @@ fn live_status_publishes_valid_snapshots_without_perturbing_the_report() {
     stop.store(true, Ordering::SeqCst);
     let snapshots = watcher.join().expect("watcher thread");
 
-    // Live monitoring is read-only: the deterministic report prefix is
-    // byte-identical with `--live-status` on or off.
+    // Live monitoring is read-only: the deterministic report sections
+    // are identical with `--live-status` on or off.
     assert_eq!(
-        RunReport::stable_json_prefix(&clean.report.to_json()),
-        RunReport::stable_json_prefix(&live_run.report.to_json()),
+        report::stable_view(&clean.report.to_json()).unwrap(),
+        report::stable_view(&live_run.report.to_json()).unwrap(),
         "live-status publishing must not perturb results"
     );
 
     // Wall-clock-sampled series are quarantined inside `wall_clock`:
-    // present in the full report, absent from the stable prefix.
+    // present in the full report, absent from the stable view.
     let full = live_run.report.to_json();
-    let prefix = RunReport::stable_json_prefix(&full);
     assert!(
-        !prefix.contains("\"timeseries\""),
-        "time series must live inside wall_clock, not the stable prefix"
+        !report::stable_view(&full)
+            .unwrap()
+            .contains("\"timeseries\""),
+        "time series must live inside wall_clock, not the stable view"
     );
     assert!(
         !full.contains("\"live\""),
@@ -226,7 +181,7 @@ fn live_status_publishes_valid_snapshots_without_perturbing_the_report() {
     }
 
     // The final on-disk snapshot is the run's report plus the live
-    // object: it diffs identical, and byte-equal once the object is cut.
+    // object: it diffs identical, and equal once the object is cut.
     let text = std::fs::read_to_string(&status).expect("live-status file exists");
     let snap = json::parse(&text).expect("live-status file parses");
     assert_eq!(snap.get("status").and_then(Value::as_str), Some("complete"));
@@ -250,12 +205,13 @@ fn live_status_publishes_valid_snapshots_without_perturbing_the_report() {
     );
     let outcome = diff::diff_texts("live", &text, "report", &full).expect("live file diffs");
     assert!(outcome.identical, "{}", outcome.markdown);
-    let without_live: String = text
-        .lines()
-        .filter(|l| !l.starts_with("    \"live\": "))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert_eq!(without_live, full, "the final snapshot is the report");
+    let mut without_live = snap.clone();
+    if let Value::Object(sections) = &mut without_live {
+        if let Some(Value::Object(wall_clock)) = sections.get_mut("wall_clock") {
+            wall_clock.remove("live");
+        }
+    }
+    assert_eq!(without_live, doc, "the final snapshot is the report");
 
     // `--metrics-out` is the exporter's rendering of the run's report.
     let om = std::fs::read_to_string(&metrics).expect("--metrics-out file exists");
@@ -284,7 +240,7 @@ fn failed_live_status_writes_never_fail_or_perturb_the_run() {
     let _ = std::fs::remove_file(&status);
 
     fi::disarm();
-    let (clean, _) = run_traced(&session());
+    let clean = run_traced(&session());
 
     // With only --live-status configured, every atomic write in the run
     // is a live-status publish; fail the very first one.
@@ -296,8 +252,8 @@ fn failed_live_status_writes_never_fail_or_perturb_the_run() {
     let faulted = result.expect("a failed live-status write must not fail the run");
 
     assert_eq!(
-        RunReport::stable_json_prefix(&clean.report.to_json()),
-        RunReport::stable_json_prefix(&faulted.report.to_json()),
+        report::stable_view(&clean.report.to_json()).unwrap(),
+        report::stable_view(&faulted.report.to_json()).unwrap(),
         "a failed live-status write must not perturb results"
     );
     // Later publishes succeeded, and the failure was tallied, not raised.
@@ -324,7 +280,7 @@ fn top_renders_a_finished_report() {
     };
     let _guard = lock();
     fi::disarm();
-    let (result, _) = run_traced(&session());
+    let result = run_traced(&session());
     let path = tmp("top_report.json");
     std::fs::write(&path, result.report.to_json()).expect("report written");
     let out = std::process::Command::new(bin)

@@ -6,7 +6,7 @@
 use memory_conex::appmodel::benchmarks;
 use memory_conex::obs;
 use memory_conex::prelude::*;
-use memory_conex::report::{check_report_schema, PROVENANCE_SCHEMA};
+use memory_conex::report::{check_report_schema, stable_sections, stable_view, PROVENANCE_SCHEMA};
 use memory_conex::MceError;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -77,9 +77,9 @@ fn run_report_json_is_byte_stable_across_identical_runs() {
     let a = report_json();
     let b = report_json();
     assert_eq!(
-        RunReport::stable_json_prefix(&a),
-        RunReport::stable_json_prefix(&b),
-        "identical runs must produce byte-identical reports up to wall_clock"
+        stable_view(&a).unwrap(),
+        stable_view(&b).unwrap(),
+        "identical runs must produce equal reports outside wall_clock"
     );
     // Only the explicit wall-clock section may differ.
     assert!(a.contains("\"wall_clock\""), "wall_clock section present");
@@ -109,24 +109,26 @@ fn explain_is_byte_identical_outside_the_provenance_section() {
     let explained = report_json_with(true);
 
     assert!(
-        RunReport::stable_json_prefix(&explained).contains("\"provenance\""),
-        "explained run embeds the provenance section in its deterministic prefix"
+        stable_view(&explained).unwrap().contains("\"provenance\""),
+        "explained run embeds the provenance section in its deterministic sections"
     );
     assert!(
-        !RunReport::stable_json_prefix(&plain).contains("\"provenance\""),
+        !stable_view(&plain).unwrap().contains("\"provenance\""),
         "unexplained run carries no provenance section"
     );
     // The provenance determinism contract: masking the section out of the
-    // explained report reproduces the plain report byte for byte, up to
-    // the nondeterministic wall_clock tail.
+    // explained report reproduces the plain report's deterministic
+    // sections, value for value.
+    let doc = obs::json::parse(&explained).expect("explained report parses");
+    let mut masked = stable_sections(&doc);
+    assert!(masked.remove("provenance").is_some());
     assert_eq!(
-        RunReport::stable_json_prefix(&plain),
-        RunReport::stable_json_prefix(&RunReport::without_provenance(&explained)),
+        masked,
+        stable_sections(&obs::json::parse(&plain).expect("plain report parses")),
         "--explain may change nothing outside the provenance section"
     );
 
     // The section itself is schema-versioned and carries per-point origins.
-    let doc = obs::json::parse(&explained).expect("explained report parses");
     let prov = doc.get("provenance").expect("provenance section present");
     assert_eq!(
         prov.get("schema").and_then(obs::json::Value::as_u64),
