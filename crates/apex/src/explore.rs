@@ -6,6 +6,7 @@ use crate::extract::classify;
 use mce_appmodel::{TraceBlocks, Workload};
 use mce_memlib::MemoryArchitecture;
 use mce_obs as obs;
+use mce_sim::par::try_par_map_named;
 use mce_sim::{simulate_blocks, Preset, SystemConfig};
 use std::fmt;
 
@@ -99,12 +100,23 @@ impl ApexResult {
 #[derive(Debug, Clone)]
 pub struct ApexExplorer {
     config: ApexConfig,
+    threads: usize,
 }
 
 impl ApexExplorer {
-    /// Creates an explorer with the given configuration.
+    /// Creates a serial explorer with the given configuration.
     pub fn new(config: ApexConfig) -> Self {
-        ApexExplorer { config }
+        ApexExplorer { config, threads: 1 }
+    }
+
+    /// Evaluates candidates on up to `threads` worker threads (0 = one
+    /// per available core). The result is identical for every count. A
+    /// knob on the explorer (not [`ApexConfig`]), so it stays out of
+    /// checkpoint config digests.
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
     }
 
     /// The configuration.
@@ -144,20 +156,26 @@ impl ApexExplorer {
         obs::counter_add("apex.candidates_generated", candidates.len() as u64);
         let mut points: Vec<ApexPoint> = {
             let _s = obs::span("apex.evaluate");
-            candidates
-                .into_iter()
-                .filter_map(|arch| {
-                    let _t = obs::time_scope("apex.candidate_eval_us");
-                    let sys = SystemConfig::with_shared_bus(workload, arch.clone()).ok()?;
-                    let stats = simulate_blocks(&sys, workload, blocks, self.config.trace_len);
-                    Some(ApexPoint {
-                        cost_gates: arch.gate_cost(),
-                        miss_ratio: stats.miss_ratio(),
-                        avg_latency_cycles: stats.avg_latency_cycles,
-                        arch,
-                    })
+            // Order-preserving fan-out: `points` is in candidate order for
+            // any thread count, ahead of the stable sort below.
+            try_par_map_named("apex.evaluate", &candidates, self.threads, |arch| {
+                let _t = obs::time_scope("apex.candidate_eval_us");
+                let sys = SystemConfig::with_shared_bus(workload, arch.clone()).ok()?;
+                let stats = simulate_blocks(&sys, workload, blocks, self.config.trace_len);
+                Some(ApexPoint {
+                    cost_gates: arch.gate_cost(),
+                    miss_ratio: stats.miss_ratio(),
+                    avg_latency_cycles: stats.avg_latency_cycles,
+                    arch: arch.clone(),
                 })
-                .collect()
+            })
+            // A candidate whose simulation panics twice is a simulator
+            // bug, not a degraded result: propagate it as the serial
+            // loop did.
+            .unwrap_or_else(|e| panic!("{e}"))
+            .into_iter()
+            .flatten()
+            .collect()
         };
         obs::counter_add("apex.candidates_evaluated", points.len() as u64);
         let (pareto, selected) = {
@@ -267,6 +285,26 @@ mod tests {
             assert!(p.miss_ratio.is_finite());
             assert!((0.0..=1.0).contains(&p.miss_ratio));
             assert!(p.avg_latency_cycles >= 0.0);
+        }
+    }
+
+    #[test]
+    fn result_is_identical_for_any_thread_count() {
+        for w in [
+            benchmarks::compress(),
+            benchmarks::li(),
+            benchmarks::vocoder(),
+        ] {
+            let explorer = ApexExplorer::new(ApexConfig::preset(Preset::Fast));
+            let serial = explorer.clone().with_threads(1).explore(&w);
+            for threads in [2, 4, 0] {
+                assert_eq!(
+                    explorer.clone().with_threads(threads).explore(&w),
+                    serial,
+                    "{} at {threads} threads",
+                    w.name()
+                );
+            }
         }
     }
 

@@ -30,13 +30,13 @@ use crate::design_point::{
     conn_digest, eval_key, mem_digest, workload_digest, CanonKey, DesignPoint, EvalMode, Metrics,
 };
 use crate::eval_cache::EvalCache;
-use crate::par::try_par_map_named;
 use mce_appmodel::{TraceBlocks, Workload};
 use mce_budget::Bounds;
 use mce_connlib::ConnectivityArchitecture;
 use mce_error::MceError;
 use mce_memlib::MemoryArchitecture;
 use mce_obs as obs;
+use mce_sim::par::try_par_map_named;
 use mce_sim::{
     simulate_blocks_cancellable, simulate_sampled_blocks_cancellable, SamplingConfig, SystemConfig,
 };

@@ -57,7 +57,6 @@ pub mod engine;
 pub mod estimate;
 pub mod eval_cache;
 pub mod explore;
-pub mod par;
 pub mod pareto;
 pub mod reconfig;
 pub mod scenario;

@@ -9,6 +9,7 @@
 //! percentile deviation of the closest substitute for each missed point.
 
 use crate::design_point::Metrics;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A metric axis.
@@ -80,23 +81,47 @@ pub struct ParetoFront {
 }
 
 impl ParetoFront {
-    /// Computes the front of `points` on `axes` (O(n²) dominance check —
-    /// exploration sets are small).
+    /// Computes the front of `points` on `axes` in O(n log n + n·front) by
+    /// sorting, then sweeping (cf. Kung, Luccio & Preparata, "On finding
+    /// the maxima of a set of vectors", JACM 1975).
+    ///
+    /// The points are visited in lexicographic order on `axes`, with the
+    /// index as the final tie-break, so every point that dominates or
+    /// equals point `i` is visited before it; a point joins the front
+    /// unless a point already on it dominates or equals it. The sort key
+    /// folds −0.0 into 0.0, as dominance does. Metric values are finite
+    /// ([`Metrics::new`] enforces it), which makes dominance transitive.
     ///
     /// Duplicate-metric points: the first occurrence is kept.
     pub fn of(points: &[Metrics], axes: &[Axis]) -> Self {
-        let mut indices = Vec::new();
-        'outer: for (i, p) in points.iter().enumerate() {
-            for (j, q) in points.iter().enumerate() {
-                if i != j && (dominates(q, p, axes) || (j < i && metrics_eq(q, p, axes))) {
-                    continue 'outer;
-                }
+        let key = |i: usize, ax: Axis| ax.value(&points[i]) + 0.0;
+        let mut order: Vec<usize> = (0..points.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            axes.iter()
+                .map(|&ax| key(a, ax).total_cmp(&key(b, ax)))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        let mut indices: Vec<usize> = Vec::new();
+        for i in order {
+            let p = &points[i];
+            if !indices.iter().any(|&k| {
+                let q = &points[k];
+                dominates(q, p, axes) || metrics_eq(q, p, axes)
+            }) {
+                indices.push(i);
             }
-            indices.push(i);
         }
-        // Sort by the first axis for presentation.
+        // Sort by the first axis for presentation, equal values in index
+        // order.
         if let Some(&first) = axes.first() {
-            indices.sort_by(|&a, &b| first.value(&points[a]).total_cmp(&first.value(&points[b])));
+            indices.sort_unstable_by(|&a, &b| {
+                first
+                    .value(&points[a])
+                    .total_cmp(&first.value(&points[b]))
+                    .then(a.cmp(&b))
+            });
         }
         ParetoFront { indices }
     }
@@ -272,9 +297,109 @@ impl fmt::Display for CoverageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mce_appmodel::rng::Rng;
 
     fn m(c: u64, l: f64, e: f64) -> Metrics {
         Metrics::new(c, l, e)
+    }
+
+    /// The all-pairs definition of the front: `i` is on it unless another
+    /// point dominates it or an earlier one equals it; then a stable sort
+    /// on the first axis.
+    fn oracle_front(points: &[Metrics], axes: &[Axis]) -> Vec<usize> {
+        let mut indices = Vec::new();
+        'outer: for (i, p) in points.iter().enumerate() {
+            for (j, q) in points.iter().enumerate() {
+                if i != j && (dominates(q, p, axes) || (j < i && metrics_eq(q, p, axes))) {
+                    continue 'outer;
+                }
+            }
+            indices.push(i);
+        }
+        if let Some(&first) = axes.first() {
+            indices.sort_by(|&a, &b| first.value(&points[a]).total_cmp(&first.value(&points[b])));
+        }
+        indices
+    }
+
+    /// [`hypervolume_proxy`] over the oracle front.
+    fn oracle_hypervolume(points: &[Metrics], axes: [Axis; 2]) -> f64 {
+        if points.is_empty() {
+            return 0.0;
+        }
+        let axis_max = |ax: Axis| points.iter().map(|m| ax.value(m)).fold(f64::MIN, f64::max);
+        let ref_x = axis_max(axes[0]) * 1.05;
+        let ref_y = axis_max(axes[1]) * 1.05;
+        if !(ref_x > 0.0 && ref_y > 0.0) {
+            return 0.0;
+        }
+        let mut prev_y = ref_y;
+        let mut hv = 0.0;
+        for i in oracle_front(points, &axes) {
+            let (x, y) = (axes[0].value(&points[i]), axes[1].value(&points[i]));
+            if y < prev_y {
+                hv += (ref_x - x) * (prev_y - y);
+                prev_y = y;
+            }
+        }
+        hv / (ref_x * ref_y)
+    }
+
+    /// A random set of up to 300 points with ties on every axis (values
+    /// come from small pools), ±0.0 on the float axes, and exact or
+    /// sign-of-zero-flipped duplicates of earlier points.
+    fn random_points(rng: &mut Rng) -> Vec<Metrics> {
+        fn float(rng: &mut Rng) -> f64 {
+            match rng.next_up_to(3) {
+                0 => -0.0,
+                1 => 0.0,
+                2 => rng.next_up_to(8) as f64 * 0.5,
+                _ => rng.next_f64() * 4.0,
+            }
+        }
+        let n = rng.next_up_to(300) as usize;
+        let mut points: Vec<Metrics> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let p = if !points.is_empty() && rng.next_up_to(5) == 0 {
+                let mut q = points[rng.next_up_to(points.len() as u64 - 1) as usize];
+                if q.latency_cycles == 0.0 && rng.next_bool() {
+                    q.latency_cycles = -q.latency_cycles;
+                }
+                q
+            } else {
+                m(rng.next_up_to(12), float(rng), float(rng))
+            };
+            points.push(p);
+        }
+        points
+    }
+
+    #[test]
+    fn front_matches_all_pairs_oracle() {
+        let axis_sets: [&[Axis]; 4] = [
+            &[Axis::Cost, Axis::Latency],
+            &[Axis::Cost, Axis::Energy],
+            &[Axis::Latency, Axis::Energy],
+            &Axis::ALL,
+        ];
+        let mut rng = Rng::seed_from_u64(0x9a2e70);
+        for round in 0..200 {
+            let points = random_points(&mut rng);
+            for axes in axis_sets {
+                assert_eq!(
+                    ParetoFront::of(&points, axes).indices(),
+                    oracle_front(&points, axes),
+                    "round {round}, axes {axes:?}, points {points:?}"
+                );
+                if let &[x, y] = axes {
+                    assert_eq!(
+                        hypervolume_proxy(&points, [x, y]).to_bits(),
+                        oracle_hypervolume(&points, [x, y]).to_bits(),
+                        "round {round}, axes {axes:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //!   on/off ratio (default 1:9), used for the fast relative estimates that
 //!   guide Phase-I pruning.
 //!
+//! [`par::try_par_map_named`] is the deterministic, order-preserving
+//! parallel map that APEX and ConEx fan their candidate replays out
+//! through.
+//!
 //! ## Example
 //!
 //! ```
@@ -33,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod par;
 pub mod preset;
 pub mod replay;
 pub mod sampling;

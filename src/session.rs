@@ -169,8 +169,9 @@ impl ExplorationSession {
         self
     }
 
-    /// Worker threads for estimation and full simulation (0 = one per
-    /// core). Results are identical for any thread count.
+    /// Worker threads for APEX evaluation, ConEx estimation and full
+    /// simulation (0 = one per core). Results are identical for any
+    /// thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.conex.threads = threads;
@@ -362,8 +363,9 @@ impl ExplorationSession {
             &self.workload,
             self.apex.trace_len.max(self.conex.trace_len),
         ));
-        let apex =
-            ApexExplorer::new(self.apex.clone()).explore_with_blocks(&self.workload, &blocks);
+        let apex = ApexExplorer::new(self.apex.clone())
+            .with_threads(self.conex.threads)
+            .explore_with_blocks(&self.workload, &blocks);
         // The run's bounds. The logical budget is created here — fresh
         // per run() call — and shared with the resume replay below, so a
         // resumed run re-consumes exactly the units its replayed
