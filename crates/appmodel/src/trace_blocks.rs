@@ -48,13 +48,31 @@ pub struct TraceBlocks {
 impl TraceBlocks {
     /// Decodes the first `trace_len` accesses of `workload` into blocks.
     pub fn compile(workload: &Workload, trace_len: usize) -> Self {
+        Self::from_accesses(workload.trace(trace_len))
+    }
+
+    /// Compiles an arbitrary access stream — e.g. one loaded with
+    /// [`read_trace`](crate::read_trace) — in order. As with
+    /// `simulate_trace`, ticks must be nondecreasing for replay to be
+    /// exact.
+    ///
+    /// ```
+    /// use mce_appmodel::{benchmarks, TraceBlocks};
+    ///
+    /// let w = benchmarks::li();
+    /// let accesses: Vec<_> = w.trace(300).collect();
+    /// assert_eq!(TraceBlocks::from_accesses(accesses), TraceBlocks::compile(&w, 300));
+    /// ```
+    pub fn from_accesses(accesses: impl IntoIterator<Item = MemAccess>) -> Self {
+        let accesses = accesses.into_iter();
+        let n = accesses.size_hint().0;
         let mut blocks = TraceBlocks {
-            addrs: Vec::with_capacity(trace_len),
-            kinds: Vec::with_capacity(trace_len),
-            ds: Vec::with_capacity(trace_len),
-            ticks: Vec::with_capacity(trace_len),
+            addrs: Vec::with_capacity(n),
+            kinds: Vec::with_capacity(n),
+            ds: Vec::with_capacity(n),
+            ticks: Vec::with_capacity(n),
         };
-        for acc in workload.trace(trace_len) {
+        for acc in accesses {
             blocks.addrs.push(acc.addr.raw());
             blocks.kinds.push(acc.kind.is_write() as u8);
             blocks.ds.push(acc.ds.index() as u32);

@@ -12,10 +12,14 @@
 //! per-link, per-module and per-data-structure vectors included — is
 //! pinned per system.
 //!
+//! The same fixtures, compiled with `TraceBlocks::from_accesses`, also
+//! pin the sampled block replay Phase I runs
+//! (`simulate_sampled_blocks` at the paper's 1:9 windows).
+//!
 //! A simulator change that alters any simulated number fails here. If the
 //! change is intended, say so in the change log and re-pin.
 
-use memory_conex::appmodel::{benchmarks, read_trace, DsId, MemAccess, Workload};
+use memory_conex::appmodel::{benchmarks, read_trace, DsId, MemAccess, TraceBlocks, Workload};
 use memory_conex::connlib::{
     ArbiterKind, ChannelId, ConnComponent, ConnComponentKind, ConnectivityArchitecture, LinkId,
 };
@@ -24,7 +28,10 @@ use memory_conex::memlib::{
 };
 use memory_conex::obs;
 use memory_conex::sim::system::{channel_endpoints, channels_for};
-use memory_conex::sim::{simulate_trace, ChannelEndpoint, SimStats, SystemConfig};
+use memory_conex::sim::{
+    simulate_sampled_blocks, simulate_trace, ChannelEndpoint, SamplingConfig, SimStats,
+    SystemConfig,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -46,6 +53,19 @@ const PINS: [(&str, u64); 8] = [
     ("li_sram_fifo_replacement", 0xe742_2ce9_b491_c338),
     ("vocoder_direct_dram_tdma", 0x895b_6076_8c40_3d17),
     ("vocoder_stream_fifo_apb", 0xb5d6_235d_44c4_feb9),
+];
+
+/// `(system name, pinned digest)` of `simulate_sampled_blocks` with
+/// [`SamplingConfig::paper`] over each fixture, in [`systems`] order.
+const SAMPLED_PINS: [(&str, u64); 8] = [
+    ("compress_shared_wb", 0x53f4_5e97_8aba_c46c),
+    ("compress_template_ahb", 0x090d_4fe7_4fc2_404e),
+    ("compress_wt_around_asb", 0x3834_17c9_7772_0d52),
+    ("compress_backed_l2", 0xcc27_f58b_4974_63f4),
+    ("li_dma_mux_wt", 0x7ed0_8b23_db5c_b66b),
+    ("li_sram_fifo_replacement", 0x3cde_8e30_af82_7f9f),
+    ("vocoder_direct_dram_tdma", 0x3c44_ab44_eb6c_c843),
+    ("vocoder_stream_fifo_apb", 0x9329_3246_37e9_38b5),
 ];
 
 fn fixture(name: &str) -> Vec<MemAccess> {
@@ -366,15 +386,18 @@ fn replay(w: &Workload, sys: &SystemConfig) -> SimStats {
     simulate_trace(sys, w, fixture(w.name()))
 }
 
-#[test]
-fn golden_sim_stats_are_pinned() {
-    let _guard = lock();
+fn blocks(w: &Workload) -> TraceBlocks {
+    TraceBlocks::from_accesses(fixture(w.name()))
+}
+
+/// Checks `run`'s digest per golden system against `pins`.
+fn check_pins(pins: [(&str, u64); 8], run: impl Fn(&Workload, &SystemConfig) -> SimStats) {
     let systems = systems();
-    assert_eq!(systems.len(), PINS.len());
+    assert_eq!(systems.len(), pins.len());
     let mut mismatches = Vec::new();
-    for ((name, w, sys), (pin_name, pin)) in systems.iter().zip(PINS) {
-        assert_eq!(*name, pin_name, "PINS is in systems() order");
-        let got = digest(&replay(w, sys));
+    for ((name, w, sys), (pin_name, pin)) in systems.iter().zip(pins) {
+        assert_eq!(*name, pin_name, "pins are in systems() order");
+        let got = digest(&run(w, sys));
         if got != pin {
             mismatches.push(format!("{name}: got {got:#018x}, pinned {pin:#018x}"));
         }
@@ -384,6 +407,21 @@ fn golden_sim_stats_are_pinned() {
         "simulated values moved:\n{}",
         mismatches.join("\n")
     );
+}
+
+#[test]
+fn golden_sim_stats_are_pinned() {
+    let _guard = lock();
+    check_pins(PINS, replay);
+}
+
+#[test]
+fn golden_sampled_replay_stats_are_pinned() {
+    let _guard = lock();
+    check_pins(SAMPLED_PINS, |w, sys| {
+        let blocks = blocks(w);
+        simulate_sampled_blocks(sys, w, &blocks, blocks.len(), SamplingConfig::paper())
+    });
 }
 
 #[test]
