@@ -17,11 +17,16 @@
 //!    [`simulate_sampled_blocks`](mce_sim::replay::simulate_sampled_blocks))
 //!    over the
 //!    engine's shared [`TraceBlocks`], compiled once per workload and
-//!    shared immutably across worker threads.
+//!    shared immutably across worker threads. When two or more of a
+//!    batch's simulations share a memory architecture, its cache, SRAM
+//!    and stream-buffer responses are recorded once into a
+//!    [`ModuleTape`] that those replays read instead of running the
+//!    models.
 //!
-//! Determinism: cache probes, coalescing and cache population all run
-//! serially on the calling thread; only the unique simulations fan out
-//! through [`try_par_map_named`], whose output is order-preserving.
+//! Determinism: cache probes, coalescing, tape recording and cache
+//! population all run serially on the calling thread; only the unique
+//! simulations fan out through [`try_par_map_named`], whose output is
+//! order-preserving.
 //! Results are therefore bit-identical with the cache on or off and for
 //! any thread count — the cache only removes redundant work, it never
 //! reorders floating-point accumulation within an evaluation.
@@ -38,7 +43,8 @@ use mce_memlib::MemoryArchitecture;
 use mce_obs as obs;
 use mce_sim::par::try_par_map_named;
 use mce_sim::{
-    simulate_blocks_cancellable, simulate_sampled_blocks_cancellable, SamplingConfig, SystemConfig,
+    simulate_blocks_cancellable, simulate_sampled_blocks_cancellable, ModuleTape, SamplingConfig,
+    SystemConfig,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -103,6 +109,9 @@ pub struct EvalEngine {
     cache: Option<Arc<EvalCache>>,
     bounds: Bounds,
 }
+
+/// A simulation job's cancellation check, polled per replay batch.
+type CancelCheck<'a> = dyn Fn() -> bool + Sync + 'a;
 
 /// Each slot paired with its job's metrics (`None` for non-job and
 /// timed-out slots), plus how the batch ended.
@@ -208,6 +217,7 @@ impl EvalEngine {
             "conex.estimate",
             candidates.len(),
             threads,
+            (trace_len, Some(sampling)),
             |i| {
                 let conn = &candidates[i];
                 let conn_key = conn_digest(conn);
@@ -215,7 +225,7 @@ impl EvalEngine {
                 let key = eval_key(self.workload_key, mem_key, conn_key, trace_len, mode);
                 Some((key, sys))
             },
-            |sys, cancelled| {
+            |sys, tape, cancelled| {
                 let _t = obs::time_scope("conex.estimate.item_us");
                 #[cfg(feature = "fault-injection")]
                 if mce_faultinject::on_eval_blocking(cancelled) {
@@ -227,6 +237,7 @@ impl EvalEngine {
                     &self.blocks,
                     trace_len,
                     sampling,
+                    tape,
                     cancelled,
                 )?;
                 Some(Metrics::new(
@@ -325,6 +336,7 @@ impl EvalEngine {
             "conex.simulate",
             points.len(),
             threads,
+            (trace_len, None),
             |i| {
                 let sys = &points[i].system;
                 let key = eval_key(
@@ -336,7 +348,7 @@ impl EvalEngine {
                 );
                 Some((key, sys.clone()))
             },
-            |sys, cancelled| {
+            |sys, tape, cancelled| {
                 let _t = obs::time_scope("conex.simulate.item_us");
                 #[cfg(feature = "fault-injection")]
                 if mce_faultinject::on_eval_blocking(cancelled) {
@@ -347,6 +359,7 @@ impl EvalEngine {
                     &self.workload,
                     &self.blocks,
                     trace_len,
+                    tape,
                     cancelled,
                 )?;
                 Some(Metrics::new(
@@ -392,13 +405,15 @@ impl EvalEngine {
         })
     }
 
-    /// The shared probe → simulate → populate machinery.
+    /// The shared probe → record tapes → simulate → populate machinery.
     ///
     /// `prepare(i)` keys slot `i` (returning `None` for infeasible
     /// pairings); `evaluate` runs the unique simulation jobs in parallel,
-    /// returning `None` when its cancellation check cut the simulation
-    /// short. Returns each slot paired with its job's metrics (`None` for
-    /// non-job slots and for timed-out jobs), plus the batch status.
+    /// each replaying `replay` (trace length, sampling window) with its
+    /// architecture's tape if one was recorded, and returns `None` when
+    /// its cancellation check cut the simulation short. Returns each slot
+    /// paired with its job's metrics (`None` for non-job slots and for
+    /// timed-out jobs), plus the batch status.
     ///
     /// Bounds discipline:
     /// * the cancel token is checked once before the probe and inside
@@ -418,8 +433,10 @@ impl EvalEngine {
         region: &'static str,
         len: usize,
         threads: usize,
+        replay: (usize, Option<SamplingConfig>),
         prepare: impl Fn(usize) -> Option<(CanonKey, SystemConfig)>,
-        evaluate: impl Fn(&SystemConfig, &(dyn Fn() -> bool + Sync)) -> Option<Metrics> + Sync,
+        evaluate: impl Fn(&SystemConfig, Option<&ModuleTape>, &CancelCheck<'_>) -> Option<Metrics>
+            + Sync,
     ) -> Result<BatchOutput, MceError> {
         let bounds = &self.bounds;
         if bounds.token.is_cancelled() {
@@ -457,19 +474,26 @@ impl EvalEngine {
                 slots.push(Slot::Job(sys, j));
             }
         }
+        let job_system = |owner: usize| match &slots[owner] {
+            Slot::Job(sys, _) => sys,
+            _ => unreachable!("job owners are Job slots"),
+        };
+        let (tapes, job_tape) =
+            self.record_tapes(jobs.iter().map(|&(_, owner)| job_system(owner)), replay);
+        let work: Vec<(usize, Option<usize>)> = jobs
+            .iter()
+            .zip(job_tape)
+            .map(|(&(_, owner), tape)| (owner, tape))
+            .collect();
         // Parallel phase: only the unique misses simulate. A twice-failed
         // evaluation surfaces here as a clean error instead of unwinding
         // through the batch.
         let results: Vec<Option<Metrics>> =
-            try_par_map_named(region, &jobs, threads, |&(_, owner)| match &slots[owner] {
-                Slot::Job(sys, _) => {
-                    let lane = bounds.watchdog.as_ref().map(|w| w.watch());
-                    let cancelled = || {
-                        bounds.token.is_cancelled() || lane.as_ref().is_some_and(|l| l.expired())
-                    };
-                    evaluate(sys, &cancelled)
-                }
-                _ => unreachable!("job owners are Job slots"),
+            try_par_map_named(region, &work, threads, |&(owner, tape)| {
+                let lane = bounds.watchdog.as_ref().map(|w| w.watch());
+                let cancelled =
+                    || bounds.token.is_cancelled() || lane.as_ref().is_some_and(|l| l.expired());
+                evaluate(job_system(owner), tape.map(|t| &tapes[t]), &cancelled)
             })?;
         // A tripped token discards the whole batch: partially cancelled
         // results must never be committed, or resumed runs would diverge.
@@ -521,6 +545,54 @@ impl EvalEngine {
             })
             .collect();
         Ok((out, BatchStatus::Complete))
+    }
+
+    /// Records one [`ModuleTape`] per memory architecture that at least
+    /// two of `systems` share (a single replay gains nothing from a
+    /// recording pass). Returns the tapes and, per system, the index of
+    /// its architecture's tape.
+    ///
+    /// Runs serially on the calling thread, so tape contents never depend
+    /// on the thread count.
+    fn record_tapes<'s>(
+        &self,
+        systems: impl Iterator<Item = &'s SystemConfig>,
+        (trace_len, window): (usize, Option<SamplingConfig>),
+    ) -> (Vec<ModuleTape>, Vec<Option<usize>>) {
+        // (architecture, systems replaying it), in first-seen order.
+        let mut archs: Vec<(&MemoryArchitecture, usize)> = Vec::new();
+        let arch_of: Vec<usize> = systems
+            .map(
+                |sys| match archs.iter().position(|(m, _)| *m == sys.mem()) {
+                    Some(a) => {
+                        archs[a].1 += 1;
+                        a
+                    }
+                    None => {
+                        archs.push((sys.mem(), 1));
+                        archs.len() - 1
+                    }
+                },
+            )
+            .collect();
+        let mut tapes = Vec::new();
+        let tape_of: Vec<Option<usize>> = archs
+            .into_iter()
+            .map(|(mem, replays)| {
+                if replays < 2 {
+                    return None;
+                }
+                tapes.push(ModuleTape::record(
+                    mem,
+                    &self.workload,
+                    &self.blocks,
+                    trace_len,
+                    window,
+                )?);
+                Some(tapes.len() - 1)
+            })
+            .collect();
+        (tapes, arch_of.into_iter().map(|a| tape_of[a]).collect())
     }
 }
 

@@ -140,6 +140,8 @@ const INVALID_LINE: Line = Line {
 #[derive(Debug, Clone)]
 pub struct CacheState {
     config: CacheConfig,
+    /// `config.num_sets()`, computed once: `set_range` runs per access.
+    sets: u64,
     /// `sets × ways` lines, row-major.
     lines: Vec<Line>,
     clock: u64,
@@ -150,9 +152,11 @@ pub struct CacheState {
 impl CacheState {
     /// Creates a cold cache.
     pub fn new(config: CacheConfig) -> Self {
-        let n = (config.num_sets() * config.ways as u64) as usize;
+        let sets = config.num_sets();
+        let n = (sets * config.ways as u64) as usize;
         CacheState {
             config,
+            sets,
             lines: vec![INVALID_LINE; n],
             clock: 0,
             hits: 0,
@@ -187,9 +191,8 @@ impl CacheState {
 
     fn set_range(&self, addr: Addr) -> (usize, u64) {
         let block = addr.block(self.config.line_bytes as u64);
-        let sets = self.config.num_sets();
-        let set = (block % sets) as usize;
-        let tag = block / sets;
+        let set = (block % self.sets) as usize;
+        let tag = block / self.sets;
         (set * self.config.ways as usize, tag)
     }
 }

@@ -12,6 +12,7 @@
 
 use crate::stats::{ChannelStats, DsLatencyStats, ModuleStats, SimStats};
 use crate::system::SystemConfig;
+use crate::tape::{ModuleTape, TapeReader};
 use mce_appmodel::{DsId, MemAccess, Workload};
 use mce_connlib::{ChannelId, LinkId, LinkState};
 use mce_memlib::energy::{dram_transaction_nj, module_access_nj, CPU_INTERFACE_NJ};
@@ -60,8 +61,12 @@ pub struct Simulator<'a> {
     sys: &'a SystemConfig,
     workload: &'a Workload,
     /// Behavioural state per module (None for the DRAM slot — the DRAM is
-    /// modelled by `dram` below so row state is shared by all requesters).
+    /// modelled by `dram` below so row state is shared by all requesters —
+    /// and for modules whose responses come from `tape`).
     modules: Vec<Option<Box<dyn ModuleModel>>>,
+    /// Responses of the taped modules, in step order (empty when the run
+    /// has no tape).
+    tape: TapeReader<'a>,
     links: Vec<LinkState>,
     dram: DramState,
     channels: Vec<ChannelPlan>,
@@ -98,6 +103,17 @@ pub struct Simulator<'a> {
 impl<'a> Simulator<'a> {
     /// Prepares a cold simulation of `sys` for `workload`.
     pub fn new(sys: &'a SystemConfig, workload: &'a Workload) -> Self {
+        Self::with_tape(sys, workload, None)
+    }
+
+    /// A cold simulation whose taped modules answer from `tape` instead of
+    /// live models. The caller steps exactly the accesses the tape was
+    /// recorded over, in order.
+    pub(crate) fn with_tape(
+        sys: &'a SystemConfig,
+        workload: &'a Workload,
+        tape: Option<&'a ModuleTape>,
+    ) -> Self {
         let mem = sys.mem();
         let dram_id = mem.dram_id();
         let modules = mem
@@ -105,11 +121,8 @@ impl<'a> Simulator<'a> {
             .iter()
             .enumerate()
             .map(|(i, m)| {
-                if i == dram_id.index() {
-                    None
-                } else {
-                    Some(m.kind().instantiate())
-                }
+                let taped = tape.is_some_and(|t| t.is_taped(ModuleId::new(i)));
+                (i != dram_id.index() && !taped).then(|| m.kind().instantiate())
             })
             .collect();
         let conn = sys.conn();
@@ -152,6 +165,7 @@ impl<'a> Simulator<'a> {
             sys,
             workload,
             modules,
+            tape: tape.map(ModuleTape::reader).unwrap_or_default(),
             links,
             dram: DramState::new(mem.dram_config()),
             channels,
@@ -303,10 +317,10 @@ impl<'a> Simulator<'a> {
         } else {
             let plan = self.module_plans[serving.index()];
             self.energy_nj += plan.access_nj;
-            let resp = self.modules[serving.index()]
-                .as_mut()
-                .expect("on-chip module has a behavioural model")
-                .access(acc.addr, acc.kind, issue);
+            let resp = match self.modules[serving.index()].as_mut() {
+                Some(model) => model.access(acc.addr, acc.kind, issue),
+                None => self.tape.next_response(),
+            };
 
             // CPU <-> module element transfer.
             let cpu_ch = plan.cpu_channel.expect("on-chip module has a CPU channel");
@@ -357,7 +371,15 @@ impl<'a> Simulator<'a> {
     }
 
     /// Finalizes the run and produces the statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run had a module tape and did not read all of it.
     pub fn finish(self) -> SimStats {
+        assert!(
+            self.tape.is_done(),
+            "replay stepped fewer taped accesses than were recorded"
+        );
         // Flush the run's observability tallies in one go (each call is a
         // no-op relaxed load when no sink is installed).
         obs::counter_add("sim.accesses_replayed", self.accesses);

@@ -14,6 +14,14 @@
 //!   on/off ratio (default 1:9), used for the fast relative estimates that
 //!   guide Phase-I pruning.
 //!
+//! The explorer replays compiled [`TraceBlocks`](mce_appmodel::TraceBlocks)
+//! instead ([`replay`]). Every connectivity candidate of one memory
+//! architecture sees the same cache, SRAM and stream-buffer responses,
+//! since those models ignore timing; a [`ModuleTape`] records them once
+//! per architecture, and [`simulate_blocks_cancellable`] /
+//! [`simulate_sampled_blocks_cancellable`] read them back instead of
+//! running the models — with bit-identical results.
+//!
 //! [`par::try_par_map_named`] is the deterministic, order-preserving
 //! parallel map that APEX and ConEx fan their candidate replays out
 //! through.
@@ -43,6 +51,7 @@ pub mod replay;
 pub mod sampling;
 pub mod stats;
 pub mod system;
+pub mod tape;
 
 pub use engine::{simulate, simulate_trace, Simulator};
 pub use preset::Preset;
@@ -53,3 +62,4 @@ pub use replay::{
 pub use sampling::{simulate_sampled, SamplingConfig};
 pub use stats::{ChannelStats, ModuleStats, SimStats};
 pub use system::{ChannelEndpoint, SystemConfig, SystemError};
+pub use tape::ModuleTape;

@@ -15,8 +15,10 @@ use crate::engine::Simulator;
 use crate::sampling::SamplingConfig;
 use crate::stats::SimStats;
 use crate::system::SystemConfig;
+use crate::tape::ModuleTape;
 use mce_appmodel::{TraceBlocks, Workload};
 use mce_obs as obs;
+use std::ops::Range;
 
 /// Fully simulates the first `trace_len` compiled accesses on `sys`.
 ///
@@ -35,42 +37,38 @@ pub fn simulate_blocks(
     blocks: &TraceBlocks,
     trace_len: usize,
 ) -> SimStats {
-    simulate_blocks_cancellable(sys, workload, blocks, trace_len, &|| false)
+    simulate_blocks_cancellable(sys, workload, blocks, trace_len, None, &|| false)
         .expect("a never-tripping check cannot cancel")
 }
 
-/// [`simulate_blocks`] with a cooperative cancellation check.
+/// [`simulate_blocks`] with a cooperative cancellation check, optionally
+/// reading module responses from a [`ModuleTape`].
 ///
 /// `cancelled` is polled once per compiled block batch — coarse enough
 /// to stay off the per-access hot path, fine enough that a tripped
 /// deadline or watchdog reclaims the evaluation within one batch. When
 /// it trips, the partial simulation is discarded and `None` is returned.
 ///
-/// [`simulate_blocks`] is this function with a check that never trips,
-/// so a bounded run that never hits its bounds matches an unbounded one
-/// bit for bit, and each mode has exactly one replay loop.
+/// [`simulate_blocks`] is this function with no tape and a check that
+/// never trips, so a bounded run that never hits its bounds matches an
+/// unbounded one bit for bit; full and sampled replay share one loop.
+/// A tape changes no result either: its modules' responses are the ones
+/// their live models would give.
 ///
 /// # Panics
 ///
-/// Panics if `trace_len` exceeds the compiled length.
+/// Panics if `trace_len` exceeds the compiled length, or if `tape` was
+/// recorded for another memory architecture, trace length or window.
 pub fn simulate_blocks_cancellable(
     sys: &SystemConfig,
     workload: &Workload,
     blocks: &TraceBlocks,
     trace_len: usize,
+    tape: Option<&ModuleTape>,
     cancelled: &(dyn Fn() -> bool + Sync),
 ) -> Option<SimStats> {
     let _t = obs::time_scope("sim.replay_us");
-    let mut sim = Simulator::new(sys, workload);
-    for batch in blocks.batches(trace_len) {
-        if cancelled() {
-            return None;
-        }
-        for i in batch {
-            sim.step(&blocks.get(i));
-        }
-    }
-    Some(sim.finish())
+    replay(sys, workload, blocks, trace_len, None, tape, cancelled)
 }
 
 /// Time-sampled estimation over the first `trace_len` compiled accesses.
@@ -88,63 +86,126 @@ pub fn simulate_sampled_blocks(
     trace_len: usize,
     config: SamplingConfig,
 ) -> SimStats {
-    simulate_sampled_blocks_cancellable(sys, workload, blocks, trace_len, config, &|| false)
+    simulate_sampled_blocks_cancellable(sys, workload, blocks, trace_len, config, None, &|| false)
         .expect("a never-tripping check cannot cancel")
 }
 
 /// [`simulate_sampled_blocks`] with a cooperative cancellation check,
-/// polled once per compiled block batch (see
-/// [`simulate_blocks_cancellable`] for the contract).
+/// polled once per compiled block batch, and an optional [`ModuleTape`]
+/// recorded for the same `config` (see [`simulate_blocks_cancellable`]
+/// for the contract).
 ///
 /// # Panics
 ///
-/// Panics if `trace_len` exceeds the compiled length.
+/// Panics if `trace_len` exceeds the compiled length, or if `tape` was
+/// recorded for another memory architecture, trace length or window.
 pub fn simulate_sampled_blocks_cancellable(
     sys: &SystemConfig,
     workload: &Workload,
     blocks: &TraceBlocks,
     trace_len: usize,
     config: SamplingConfig,
+    tape: Option<&ModuleTape>,
     cancelled: &(dyn Fn() -> bool + Sync),
 ) -> Option<SimStats> {
     let _t = obs::time_scope("sim.replay_sampled_us");
-    let mut sim = Simulator::new(sys, workload);
-    // An off window skips at least the access that closed the on window,
-    // as the per-access loop in `simulate_sampled` does.
-    let off = config.off_accesses().max(1);
-    let mut in_window = 0u64;
-    let mut skipping = false;
-    let mut skipped = 0u64;
+    replay(
+        sys,
+        workload,
+        blocks,
+        trace_len,
+        Some(config),
+        tape,
+        cancelled,
+    )
+}
+
+/// The one block replay loop: steps the accesses `window`'s on-windows
+/// cover (all of them for `None`) and skips the rest.
+fn replay(
+    sys: &SystemConfig,
+    workload: &Workload,
+    blocks: &TraceBlocks,
+    trace_len: usize,
+    window: Option<SamplingConfig>,
+    tape: Option<&ModuleTape>,
+    cancelled: &(dyn Fn() -> bool + Sync),
+) -> Option<SimStats> {
+    let mut walk = WindowWalk::new(window);
+    if let Some(tape) = tape {
+        tape.check(sys.mem(), trace_len, walk);
+    }
+    let mut sim = Simulator::with_tape(sys, workload, tape);
     for batch in blocks.batches(trace_len) {
         if cancelled() {
             return None;
         }
-        let mut i = batch.start;
-        while i < batch.end {
-            if skipping {
+        walk.runs(batch, |on, run| {
+            if on {
+                for i in run {
+                    sim.step(&blocks.get(i));
+                }
+            } else {
                 // Compiled ticks never decrease, so one skip to the last
                 // access of the window's part in this batch advances time
                 // exactly as skipping each access would.
-                let n = (off - skipped).min((batch.end - i) as u64);
-                i += n as usize;
-                sim.skip(&blocks.get(i - 1));
-                skipped += n;
-                if skipped >= off {
-                    skipping = false;
-                    in_window = 0;
-                }
-            } else {
-                sim.step(&blocks.get(i));
-                i += 1;
-                in_window += 1;
-                if in_window >= config.on_accesses as u64 && config.off_ratio > 0 {
-                    skipping = true;
-                    skipped = 0;
-                }
+                sim.skip(&blocks.get(run.end - 1));
+            }
+        });
+    }
+    Some(sim.finish())
+}
+
+/// The on/off sampling-window walk, shared by block replay and
+/// [`ModuleTape::record`] so both visit exactly the same accesses.
+///
+/// An on window steps `on_accesses` accesses (at least one, as the
+/// per-access loop in [`simulate_sampled`](crate::simulate_sampled) does)
+/// and the following off window skips `on_accesses × off_ratio` (at least
+/// the one access that closed the on window). With no window, or with
+/// `off_ratio` 0, the walk never leaves its first on window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WindowWalk {
+    on_len: u64,
+    off_len: u64,
+    on: bool,
+    /// Accesses left in the current window.
+    left: u64,
+}
+
+impl WindowWalk {
+    /// A walk at the start of its first on window.
+    pub(crate) fn new(window: Option<SamplingConfig>) -> Self {
+        let (on_len, off_len) = match window {
+            Some(c) if c.off_ratio > 0 => {
+                (u64::from(c.on_accesses).max(1), c.off_accesses().max(1))
+            }
+            _ => (u64::MAX, 0),
+        };
+        WindowWalk {
+            on_len,
+            off_len,
+            on: true,
+            left: on_len,
+        }
+    }
+
+    /// Splits `batch` into runs that each lie in one window, calling
+    /// `run(on, range)` for each in order and advancing the walk past it.
+    pub(crate) fn runs(&mut self, batch: Range<usize>, mut run: impl FnMut(bool, Range<usize>)) {
+        let mut i = batch.start;
+        while i < batch.end {
+            let n = self.left.min((batch.end - i) as u64);
+            let end = i + n as usize;
+            run(self.on, i..end);
+            i = end;
+            self.left -= n;
+            if self.left == 0 {
+                self.on = !self.on;
+                self.left = if self.on { self.on_len } else { self.off_len };
             }
         }
     }
-    Some(sim.finish())
 }
 
 #[cfg(test)]
@@ -162,15 +223,29 @@ mod tests {
         SystemConfig::with_shared_bus(w, mem).unwrap()
     }
 
+    /// `replay` over `sys` with a tape recorded for it.
+    fn taped(
+        sys: &SystemConfig,
+        w: &Workload,
+        blocks: &TraceBlocks,
+        len: usize,
+        window: Option<SamplingConfig>,
+    ) -> SimStats {
+        let tape = ModuleTape::record(sys.mem(), w, blocks, len, window).expect("cache is taped");
+        replay(sys, w, blocks, len, window, Some(&tape), &|| false).unwrap()
+    }
+
     #[test]
     fn full_replay_is_bit_identical() {
         for w in [benchmarks::compress(), benchmarks::vocoder()] {
             let sys = system(&w, 4);
             let blocks = TraceBlocks::compile(&w, N);
+            let full = simulate(&sys, &w, N);
+            assert_eq!(full, simulate_blocks(&sys, &w, &blocks, N), "{}", w.name());
             assert_eq!(
-                simulate(&sys, &w, N),
-                simulate_blocks(&sys, &w, &blocks, N),
-                "{}",
+                full,
+                taped(&sys, &w, &blocks, N, None),
+                "{} taped",
                 w.name()
             );
         }
@@ -200,10 +275,17 @@ mod tests {
             let sys = system(&w, 4);
             let blocks = TraceBlocks::compile(&w, N);
             for (cfg, len) in cases {
+                let reference = simulate_sampled(&sys, &w, len, cfg);
                 assert_eq!(
-                    simulate_sampled(&sys, &w, len, cfg),
+                    reference,
                     simulate_sampled_blocks(&sys, &w, &blocks, len, cfg),
                     "{} {cfg:?} over {len}",
+                    w.name()
+                );
+                assert_eq!(
+                    reference,
+                    taped(&sys, &w, &blocks, len, Some(cfg)),
+                    "{} {cfg:?} over {len}, taped",
                     w.name()
                 );
             }
@@ -242,12 +324,12 @@ mod tests {
         let blocks = TraceBlocks::compile(&w, N);
         assert_eq!(
             Some(simulate_blocks(&sys, &w, &blocks, N)),
-            simulate_blocks_cancellable(&sys, &w, &blocks, N, &|| false)
+            simulate_blocks_cancellable(&sys, &w, &blocks, N, None, &|| false)
         );
         let cfg = SamplingConfig::paper();
         assert_eq!(
             Some(simulate_sampled_blocks(&sys, &w, &blocks, N, cfg)),
-            simulate_sampled_blocks_cancellable(&sys, &w, &blocks, N, cfg, &|| false)
+            simulate_sampled_blocks_cancellable(&sys, &w, &blocks, N, cfg, None, &|| false)
         );
     }
 
@@ -257,19 +339,19 @@ mod tests {
         let sys = system(&w, 4);
         let blocks = TraceBlocks::compile(&w, N);
         assert_eq!(
-            simulate_blocks_cancellable(&sys, &w, &blocks, N, &|| true),
+            simulate_blocks_cancellable(&sys, &w, &blocks, N, None, &|| true),
             None
         );
         // Tripping mid-replay bails out at the next batch boundary.
         let calls = std::sync::atomic::AtomicUsize::new(0);
         let after_two = || calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= 2;
         assert_eq!(
-            simulate_blocks_cancellable(&sys, &w, &blocks, N, &after_two),
+            simulate_blocks_cancellable(&sys, &w, &blocks, N, None, &after_two),
             None
         );
         let cfg = SamplingConfig::paper();
         assert_eq!(
-            simulate_sampled_blocks_cancellable(&sys, &w, &blocks, N, cfg, &|| true),
+            simulate_sampled_blocks_cancellable(&sys, &w, &blocks, N, cfg, None, &|| true),
             None
         );
     }
@@ -293,14 +375,36 @@ mod tests {
         for len in [N, 3 * BLOCK_LEN + 900] {
             let batches = blocks.batches(len).count();
             polls.store(0, Relaxed);
-            assert!(simulate_blocks_cancellable(&sys, &w, &blocks, len, &count).is_some());
+            assert!(simulate_blocks_cancellable(&sys, &w, &blocks, len, None, &count).is_some());
             assert_eq!(polls.load(Relaxed), batches, "full replay of {len}");
             polls.store(0, Relaxed);
             assert!(
-                simulate_sampled_blocks_cancellable(&sys, &w, &blocks, len, cfg, &count).is_some()
+                simulate_sampled_blocks_cancellable(&sys, &w, &blocks, len, cfg, None, &count)
+                    .is_some()
             );
             assert_eq!(polls.load(Relaxed), batches, "sampled replay of {len}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded for another replay")]
+    fn tape_for_another_window_panics() {
+        let w = benchmarks::vocoder();
+        let sys = system(&w, 4);
+        let blocks = TraceBlocks::compile(&w, N);
+        let tape = ModuleTape::record(sys.mem(), &w, &blocks, N, None).unwrap();
+        let cfg = SamplingConfig::paper();
+        let _ =
+            simulate_sampled_blocks_cancellable(&sys, &w, &blocks, N, cfg, Some(&tape), &|| false);
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded for another replay")]
+    fn tape_for_another_architecture_panics() {
+        let w = benchmarks::vocoder();
+        let blocks = TraceBlocks::compile(&w, N);
+        let tape = ModuleTape::record(system(&w, 8).mem(), &w, &blocks, N, None).unwrap();
+        let _ = simulate_blocks_cancellable(&system(&w, 4), &w, &blocks, N, Some(&tape), &|| false);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! A simulator change that alters any simulated number fails here. If the
 //! change is intended, say so in the change log and re-pin.
 
-use memory_conex::appmodel::{benchmarks, read_trace, DsId, MemAccess, TraceBlocks, Workload};
+use memory_conex::appmodel::{
+    benchmarks, read_trace, DsId, MemAccess, TraceBlocks, Workload, BLOCK_LEN,
+};
 use memory_conex::connlib::{
     ArbiterKind, ChannelId, ConnComponent, ConnComponentKind, ConnectivityArchitecture, LinkId,
 };
@@ -28,9 +30,10 @@ use memory_conex::memlib::{
 };
 use memory_conex::obs;
 use memory_conex::sim::system::{channel_endpoints, channels_for};
+use memory_conex::sim::tape::is_tapeable;
 use memory_conex::sim::{
-    simulate_sampled_blocks, simulate_trace, ChannelEndpoint, SamplingConfig, SimStats,
-    SystemConfig,
+    simulate_blocks_cancellable, simulate_sampled_blocks, simulate_sampled_blocks_cancellable,
+    simulate_trace, ChannelEndpoint, ModuleTape, SamplingConfig, SimStats, SystemConfig,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -422,6 +425,66 @@ fn golden_sampled_replay_stats_are_pinned() {
         let blocks = blocks(w);
         simulate_sampled_blocks(sys, w, &blocks, blocks.len(), SamplingConfig::paper())
     });
+}
+
+#[test]
+fn taped_replay_matches_live_replay_on_every_golden_system() {
+    let _guard = lock();
+    let sampling = |on_accesses, off_ratio| {
+        Some(SamplingConfig {
+            on_accesses,
+            off_ratio,
+        })
+    };
+    let fixture_len = 3_000;
+    let cases = [
+        // Full replay.
+        (None, fixture_len),
+        (Some(SamplingConfig::paper()), fixture_len),
+        // Off windows (2,100 accesses) straddle BLOCK_LEN boundaries.
+        (sampling(700, 3), fixture_len),
+        // The trace ends mid-off-window, partway through a block.
+        (sampling(700, 3), 2 * BLOCK_LEN + 500),
+        // Windows shorter than a block, several per batch.
+        (sampling(37, 2), fixture_len),
+        // No off windows.
+        (sampling(500, 0), fixture_len),
+        // Empty on windows: each on window steps one access.
+        (sampling(0, 4), fixture_len),
+    ];
+    for (name, w, sys) in systems() {
+        let blocks = blocks(&w);
+        assert_eq!(blocks.len(), fixture_len, "{name}");
+        let mem = sys.mem();
+        for (i, module) in mem.modules().iter().enumerate() {
+            let id = ModuleId::new(i);
+            let live = match module.kind() {
+                MemModuleKind::SelfIndirectDma { .. }
+                | MemModuleKind::Fifo { .. }
+                | MemModuleKind::OffChipDram(_) => true,
+                _ => mem.is_backing_target(id),
+            };
+            assert_eq!(is_tapeable(mem, id), !live, "{name}: {}", module.name());
+        }
+        for (window, len) in cases {
+            let replay = |tape: Option<&ModuleTape>| match window {
+                None => simulate_blocks_cancellable(&sys, &w, &blocks, len, tape, &|| false),
+                Some(cfg) => {
+                    simulate_sampled_blocks_cancellable(&sys, &w, &blocks, len, cfg, tape, &|| {
+                        false
+                    })
+                }
+            };
+            let tape = ModuleTape::record(mem, &w, &blocks, len, window)
+                .expect("every golden system has a tapeable module serving data");
+            assert!(!tape.is_empty(), "{name} {window:?} over {len}");
+            assert_eq!(
+                replay(Some(&tape)),
+                replay(None),
+                "{name} {window:?} over {len}"
+            );
+        }
+    }
 }
 
 #[test]
