@@ -14,7 +14,8 @@
 //!
 //! The same fixtures, compiled with `TraceBlocks::from_accesses`, also
 //! pin the sampled block replay Phase I runs
-//! (`simulate_sampled_blocks` at the paper's 1:9 windows).
+//! (`simulate_sampled_blocks` at the paper's 1:9 windows, and at 100:700
+//! windows that re-enter an on window three times per fixture).
 //!
 //! A simulator change that alters any simulated number fails here. If the
 //! change is intended, say so in the change log and re-pin.
@@ -69,6 +70,28 @@ const SAMPLED_PINS: [(&str, u64); 8] = [
     ("li_sram_fifo_replacement", 0x3cde_8e30_af82_7f9f),
     ("vocoder_direct_dram_tdma", 0x3c44_ab44_eb6c_c843),
     ("vocoder_stream_fifo_apb", 0x9329_3246_37e9_38b5),
+];
+
+/// The sampled window of [`SAMPLED_REENTRY_PINS`]: 100 on, 700 off. Over
+/// a 3,000-access fixture it re-enters an on window at 800, 1,600 and
+/// 2,400; its off windows straddle the 1,024 and 2,048 block boundaries,
+/// and the trace ends 500 accesses into a 700-access off window.
+const REENTRY_WINDOW: SamplingConfig = SamplingConfig {
+    on_accesses: 100,
+    off_ratio: 7,
+};
+
+/// `(system name, pinned digest)` of `simulate_sampled_blocks` with
+/// [`REENTRY_WINDOW`] over each fixture, in [`systems`] order.
+const SAMPLED_REENTRY_PINS: [(&str, u64); 8] = [
+    ("compress_shared_wb", 0xcb57_2103_b4e0_c80c),
+    ("compress_template_ahb", 0x2f27_0232_80e6_fae6),
+    ("compress_wt_around_asb", 0x13da_2a57_1709_3b18),
+    ("compress_backed_l2", 0x52d2_a439_2e6e_1e13),
+    ("li_dma_mux_wt", 0x8226_a441_799d_dad6),
+    ("li_sram_fifo_replacement", 0xefc5_f2d1_2d5d_f657),
+    ("vocoder_direct_dram_tdma", 0x5434_fa23_b505_606d),
+    ("vocoder_stream_fifo_apb", 0x468a_99d1_6c8a_90fa),
 ];
 
 fn fixture(name: &str) -> Vec<MemAccess> {
@@ -421,10 +444,15 @@ fn golden_sim_stats_are_pinned() {
 #[test]
 fn golden_sampled_replay_stats_are_pinned() {
     let _guard = lock();
-    check_pins(SAMPLED_PINS, |w, sys| {
-        let blocks = blocks(w);
-        simulate_sampled_blocks(sys, w, &blocks, blocks.len(), SamplingConfig::paper())
-    });
+    for (pins, window) in [
+        (SAMPLED_PINS, SamplingConfig::paper()),
+        (SAMPLED_REENTRY_PINS, REENTRY_WINDOW),
+    ] {
+        check_pins(pins, |w, sys| {
+            let blocks = blocks(w);
+            simulate_sampled_blocks(sys, w, &blocks, blocks.len(), window)
+        });
+    }
 }
 
 #[test]
