@@ -7,20 +7,22 @@
 //! (module latency + connectivity latency including bus conflicts and
 //! arbitration), and average **energy** per access in nJ.
 //!
-//! Two fidelity levels, as in the paper:
-//!
-//! * [`simulate`] — full simulation of the whole trace (Phase II).
-//! * [`simulate_sampled`] — Kessler-style time sampling with a configurable
-//!   on/off ratio (default 1:9), used for the fast relative estimates that
-//!   guide Phase-I pruning.
+//! Two fidelity levels, as in the paper: full simulation of the whole
+//! trace (Phase II) and Kessler-style time sampling with a configurable
+//! on/off ratio (default 1:9), whose fast relative estimates guide
+//! Phase-I pruning.
 //!
 //! The explorer replays compiled [`TraceBlocks`](mce_appmodel::TraceBlocks)
-//! instead ([`replay`]). Every connectivity candidate of one memory
-//! architecture sees the same cache, SRAM and stream-buffer responses,
-//! since those models ignore timing; a [`ModuleTape`] records them once
-//! per architecture, and [`simulate_blocks_cancellable`] /
-//! [`simulate_sampled_blocks_cancellable`] read them back instead of
-//! running the models — with bit-identical results.
+//! ([`replay`]): Phase I runs [`simulate_sampled_blocks_cancellable`] and
+//! Phase II [`simulate_blocks_cancellable`]. The per-access [`simulate`]
+//! and [`simulate_sampled`] generate the trace as they go; they are the
+//! reference paths that block replay is tested against.
+//!
+//! Every connectivity candidate of one memory architecture sees the same
+//! cache, SRAM and stream-buffer responses, since those models ignore
+//! timing; a [`ModuleTape`] records them once per architecture, and both
+//! block replays read them back instead of running the models — with
+//! bit-identical results.
 //!
 //! [`par::try_par_map_named`] is the deterministic, order-preserving
 //! parallel map that APEX and ConEx fan their candidate replays out
