@@ -58,7 +58,6 @@ pub mod estimate;
 pub mod eval_cache;
 pub mod explore;
 pub mod pareto;
-pub mod reconfig;
 pub mod scenario;
 
 pub use allocate::{enumerate_allocations, enumerate_allocations_filtered};
@@ -72,5 +71,4 @@ pub use explore::{
     FrontierSnapshot, Phase1State, PointProvenance,
 };
 pub use pareto::{hypervolume_proxy, Axis, CoverageReport, ParetoFront};
-pub use reconfig::{PhaseChoice, ReconfigReport};
 pub use scenario::Scenario;

@@ -80,10 +80,10 @@ pub enum MceError {
         /// Why the checkpoint was rejected.
         reason: String,
     },
-    /// A schema-versioned artifact (run report, live-status file,
-    /// archive index) whose `schema` field is newer than this build
-    /// understands, or missing entirely. Older schemas load; newer ones
-    /// fail here rather than being silently misread.
+    /// A schema-versioned artifact (a run report or live-status file)
+    /// whose `schema` field is newer than this build understands, or
+    /// missing entirely. Older schemas load; newer ones fail here rather
+    /// than being silently misread.
     SchemaVersion {
         /// What kind of artifact carried the bad version (e.g.
         /// `run report`).
@@ -279,9 +279,9 @@ pub fn atomic_write(path: impl AsRef<std::path::Path>, bytes: &[u8]) -> Result<(
 
 /// Removes temp files leaked next to `target` by [`atomic_write`] calls
 /// that died between write and rename, returning how many were swept.
-/// Call at writer startup — before the first checkpoint, archive, live
-/// status or heartbeat write — never concurrently with live writers of
-/// *other* processes' files.
+/// Call at writer startup — before the first checkpoint or live-status
+/// write — never concurrently with live writers of *other* processes'
+/// files.
 ///
 /// A sibling `<name>.<pid>.<seq>.tmp` is stale when `<pid>` is not this
 /// process and is no longer alive; liveness is read from `/proc`, and on

@@ -1,9 +1,9 @@
 //! The workspace's one non-cryptographic hash: two-lane FNV-1a. Lane one
 //! is standard 64-bit FNV-1a; lane two starts from the upper half of the
 //! 128-bit FNV offset basis and multiplies by a constant decorrelated
-//! from the FNV prime. Checkpoint headers, archive ids, canonical
-//! design-point keys and spill checksums are all pinned to it, so the
-//! constants never change.
+//! from the FNV prime. Checkpoint headers, canonical design-point keys
+//! and spill checksums are all pinned to it, so the constants never
+//! change.
 
 const OFFSET_1: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME_1: u64 = 0x0000_0100_0000_01b3;

@@ -28,8 +28,8 @@
 //!   wall-clock registry snapshots taken by a background [`Sampler`],
 //!   feeding live status files and `mce top` sparklines.
 //! * **JSON** ([`json`]) is the workspace's JSON reader and writer: run
-//!   reports, archive index lines and every [`json_codec!`] type print
-//!   through [`json::Writer`].
+//!   reports and every [`json_codec!`] type print through
+//!   [`json::Writer`].
 //!
 //! Events go to a process-global [`Sink`] installed with [`install`]. With
 //! no sink installed (the default), every instrumentation call

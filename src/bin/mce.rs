@@ -28,15 +28,11 @@
 //! mce cache-check <spill.json> [--capacity N] [--repair]
 //!                                              validate (and optionally
 //!                                              repair) an eval-cache spill
-//! mce runs     add|list|show|gc [--archive DIR]
-//!                                              content-addressed archive of
-//!                                              run reports for cross-run
-//!                                              analytics
-//! mce diff     <A> <B> [--html] [--out FILE] [--archive DIR]
+//! mce diff     <A> <B> [--html] [--out FILE]
 //!                                              structural comparison of two
-//!                                              runs (files or archive
-//!                                              digests); exits 0 iff their
-//!                                              deterministic sections match
+//!                                              run reports; exits 0 iff
+//!                                              their deterministic sections
+//!                                              match
 //! ```
 //!
 //! `<workload>` is either a built-in name (`compress`, `li`, `vocoder`,
@@ -165,9 +161,7 @@ const USAGE: &str = "usage:
   mce report   <report.json>... [--out FILE] [--html]
   mce export-metrics <report.json> [--out FILE]
   mce cache-check <spill.json> [--capacity N] [--repair]
-  mce runs     add <report.json> | list | show <digest> | gc [--keep N]
-               [--archive DIR]
-  mce diff     <A> <B> [--html] [--out FILE] [--archive DIR]
+  mce diff     <A> <B> [--html] [--out FILE]
 
 <workload> = compress | li | vocoder | adpcm | jpeg | mix | path/to/workload.json
 
@@ -232,25 +226,12 @@ cache-check options:
                    exits 0 when the spill was already clean, 2 when
                    corrupt entries were dropped, 1 on unrepairable damage
 
-runs subcommands (content-addressed run archive, default DIR target/mce-runs):
-  add <report.json> archive a run report under the digest of its
-                   deterministic sections; a re-run of the same
-                   configuration is reported as a duplicate
-  list             one line per archived run: digest, workload, preset,
-                   status, funnel totals, frontier hypervolume
-  show <digest>    print an archived report (digest prefixes resolve)
-  gc [--keep N]    drop all but the newest N entries and delete
-                   orphaned objects
-
 diff options:
-  <A> <B>          run-report files (a live-status file is one) or
-                   archived run digests (paths are tried first, then
-                   the archive);
+  <A> <B>          run-report files (a live-status file is one);
                    exits 0 iff the deterministic sections are identical,
                    1 when they differ
   --html           render a self-contained HTML document instead of markdown
-  --out FILE       write the rendered diff to FILE instead of stdout
-  --archive DIR    archive to resolve digests against (default target/mce-runs)";
+  --out FILE       write the rendered diff to FILE instead of stdout";
 
 type CliError = Box<dyn std::error::Error>;
 
@@ -269,7 +250,6 @@ fn run(args: &[String]) -> Result<u8, CliError> {
         "report" => cmd_report(&args[1..]).map(|()| 0),
         "export-metrics" => cmd_export_metrics(&args[1..]).map(|()| 0),
         "cache-check" => cmd_cache_check(&args[1..]),
-        "runs" => cmd_runs(&args[1..]).map(|()| 0),
         "diff" => cmd_diff(&args[1..]),
         other => Err(format!("unknown command `{other}`").into()),
     }
@@ -976,104 +956,20 @@ fn cmd_cache_check(args: &[String]) -> Result<u8, CliError> {
     }
 }
 
-fn archive_at(args: &[String]) -> memory_conex::RunArchive {
-    memory_conex::RunArchive::open(flag_value(args, "--archive").unwrap_or("target/mce-runs"))
-}
-
-/// `mce runs`: the content-addressed run archive. `add` stores a report
-/// under the digest of its deterministic sections (a re-run of the same
-/// configuration is a duplicate, not a second entry), `list` summarizes
-/// the index, `show` prints an archived report by digest prefix, and
-/// `gc` prunes old entries and orphaned objects.
-fn cmd_runs(args: &[String]) -> Result<(), CliError> {
-    let operands = check_flags("runs", args, "[--archive DIR] [--keep N]")?;
-    let sub = operands
-        .first()
-        .ok_or("runs needs a subcommand: add | list | show | gc")?;
-    let archive = archive_at(args);
-    match *sub {
-        "add" => {
-            let path = operands
-                .get(1)
-                .ok_or("runs add needs a run-report JSON file")?;
-            let body = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read report file `{path}`: {e}"))?;
-            let outcome = archive.add(&body).map_err(|e| format!("`{path}`: {e}"))?;
-            if outcome.duplicate {
-                println!("duplicate of {}", outcome.digest);
-            } else {
-                println!("archived {}", outcome.digest);
-            }
-            Ok(())
-        }
-        "list" => {
-            let entries = archive.entries()?;
-            if entries.is_empty() {
-                println!("archive {} is empty", archive.root().display());
-            } else {
-                print!("{}", memory_conex::archive::render_listing(&entries));
-            }
-            Ok(())
-        }
-        "show" => {
-            let prefix = operands
-                .get(1)
-                .ok_or("runs show needs a digest (prefixes resolve)")?;
-            let (_digest, text) = archive.show(prefix)?;
-            print!("{text}");
-            Ok(())
-        }
-        "gc" => {
-            let keep = numeric_flag::<usize>(args, "--keep", 1, "--keep N (N >= 1)")?;
-            let stats = archive.gc(keep)?;
-            println!(
-                "gc: removed {} index entr{}, {} object file(s)",
-                stats.entries_removed,
-                if stats.entries_removed == 1 {
-                    "y"
-                } else {
-                    "ies"
-                },
-                stats.objects_removed
-            );
-            Ok(())
-        }
-        other => Err(format!("unknown runs subcommand `{other}` (add | list | show | gc)").into()),
-    }
-}
-
-/// Resolves a diff operand: an existing file wins; otherwise the name
-/// is tried as an archive digest prefix.
-fn resolve_diff_operand(
-    archive: &memory_conex::RunArchive,
-    operand: &str,
-) -> Result<String, CliError> {
-    if std::path::Path::new(operand).exists() {
-        return std::fs::read_to_string(operand)
-            .map_err(|e| format!("cannot read `{operand}`: {e}").into());
-    }
-    match archive.show(operand) {
-        Ok((_digest, text)) => Ok(text),
-        Err(e) => Err(format!(
-            "`{operand}` is neither a file nor a digest in {}: {e}",
-            archive.root().display()
-        )
-        .into()),
-    }
-}
-
-/// `mce diff`: structural comparison of two runs — report files
-/// (live-status snapshots included) or archived digests. Exits 0 iff the
-/// deterministic sections are equal (wall clock, cache state
-/// and provenance never affect the verdict), 1 when they differ.
+/// `mce diff`: structural comparison of two run-report files
+/// (live-status snapshots included). Exits 0 iff the deterministic
+/// sections are equal (wall clock, cache state and provenance never
+/// affect the verdict), 1 when they differ.
 fn cmd_diff(args: &[String]) -> Result<u8, CliError> {
-    let (a, b) = match check_flags("diff", args, "[--html] [--out FILE] [--archive DIR]")?[..] {
+    let (a, b) = match check_flags("diff", args, "[--html] [--out FILE]")?[..] {
         [a, b] => (a, b),
-        _ => return Err("diff needs exactly two runs: files or archive digests".into()),
+        _ => return Err("diff needs exactly two run-report files".into()),
     };
-    let archive = archive_at(args);
-    let text_a = resolve_diff_operand(&archive, a)?;
-    let text_b = resolve_diff_operand(&archive, b)?;
+    let read = |path: &str| {
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+    };
+    let text_a = read(a)?;
+    let text_b = read(b)?;
     let outcome = memory_conex::diff::diff_texts(a, &text_a, b, &text_b)?;
     emit_diff(args, outcome.markdown.clone())?;
     Ok(u8::from(!outcome.identical))
@@ -1285,7 +1181,6 @@ mod tests {
             (&["report", "r.json", "--out"], "--out"),
             (&["export-metrics", "s.json", "--html"], "--html"),
             (&["cache-check", "spill.json", "--fix"], "--fix"),
-            (&["runs", "list", "--archive"], "--archive"),
             (&["diff", "a.json", "b.json", "--out"], "--out"),
         ];
         for (args, flag) in cases {
@@ -1564,15 +1459,10 @@ mod tests {
     }
 
     #[test]
-    fn runs_and_diff_drive_the_archive_end_to_end() {
-        let dir = std::env::temp_dir().join(format!("mce_cli_runs_{}", std::process::id()));
+    fn diff_compares_report_files_end_to_end() {
+        let dir = std::env::temp_dir().join(format!("mce_cli_diff_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let archive_dir = dir.join("archive");
-        let archive_flag = [
-            "--archive".to_owned(),
-            archive_dir.to_str().unwrap().to_owned(),
-        ];
         let write = |name: &str, text: &str| {
             let p = dir.join(name);
             std::fs::write(&p, text).unwrap();
@@ -1582,62 +1472,28 @@ mod tests {
         let rerun = write("rerun.json", &sample_report_text(120, 9.0));
         let b = write("b.json", &sample_report_text(220, 1.5));
 
-        let with_archive = |base: &[&str]| {
-            let mut v = s(base);
-            v.extend(archive_flag.iter().cloned());
-            v
-        };
-        // add / duplicate / list / gc.
-        cmd_runs(&with_archive(&["add", &a])).unwrap();
-        cmd_runs(&with_archive(&["add", &rerun])).unwrap();
-        cmd_runs(&with_archive(&["add", &b])).unwrap();
-        cmd_runs(&with_archive(&["list"])).unwrap();
-        cmd_runs(&with_archive(&["gc", "--keep", "1"])).unwrap();
-        let err = cmd_runs(&with_archive(&["frobnicate"])).unwrap_err();
-        assert!(err.to_string().contains("unknown runs subcommand"), "{err}");
-        let err = cmd_runs(&s(&[])).unwrap_err();
-        assert!(err.to_string().contains("subcommand"), "{err}");
-
-        // diff: same deterministic sections (different wall clock) → 0;
+        // Same deterministic sections (different wall clock) → 0;
         // perturbed counters → 1.
-        assert_eq!(cmd_diff(&with_archive(&[&a, &rerun])).unwrap(), 0);
-        assert_eq!(cmd_diff(&with_archive(&[&a, &b])).unwrap(), 1);
+        assert_eq!(cmd_diff(&s(&[&a, &rerun])).unwrap(), 0);
+        assert_eq!(cmd_diff(&s(&[&a, &b])).unwrap(), 1);
         let out_md = dir.join("diff.md");
         assert_eq!(
-            cmd_diff(&with_archive(&[&a, &b, "--out", out_md.to_str().unwrap()])).unwrap(),
+            cmd_diff(&s(&[&a, &b, "--out", out_md.to_str().unwrap()])).unwrap(),
             1
         );
         let md = std::fs::read_to_string(&out_md).unwrap();
         assert!(md.contains("Deterministic sections differ"), "{md}");
         assert!(md.contains("conex.candidates_enumerated"), "{md}");
         let out_html = dir.join("diff.html");
-        cmd_diff(&with_archive(&[
-            &a,
-            &b,
-            "--html",
-            "--out",
-            out_html.to_str().unwrap(),
-        ]))
-        .unwrap();
+        cmd_diff(&s(&[&a, &b, "--html", "--out", out_html.to_str().unwrap()])).unwrap();
         assert!(std::fs::read_to_string(&out_html)
             .unwrap()
             .starts_with("<!DOCTYPE html>"));
 
-        // A digest prefix resolves an operand once the run is archived.
-        let digest = memory_conex::RunArchive::open(&archive_dir)
-            .entries()
-            .unwrap()
-            .last()
-            .unwrap()
-            .digest
-            .clone();
-        assert_eq!(cmd_diff(&with_archive(&[&b, &digest[..8]])).unwrap(), 0);
-        let err = cmd_diff(&with_archive(&["ffffffff", &b])).unwrap_err();
-        assert!(
-            err.to_string().contains("neither a file nor a digest"),
-            "{err}"
-        );
-        let err = cmd_diff(&with_archive(&[&a])).unwrap_err();
+        let missing = dir.join("missing.json");
+        let err = cmd_diff(&s(&[missing.to_str().unwrap(), &b])).unwrap_err();
+        assert!(err.to_string().contains("cannot read"), "{err}");
+        let err = cmd_diff(&s(&[&a])).unwrap_err();
         assert!(err.to_string().contains("exactly two"), "{err}");
 
         std::fs::remove_dir_all(&dir).unwrap();

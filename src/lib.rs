@@ -54,14 +54,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod archive;
 pub mod checkpoint;
 pub mod diff;
 pub mod live;
 pub mod report;
 pub mod session;
 
-pub use archive::{AddOutcome, ArchiveEntry, GcStats, RunArchive, ARCHIVE_SCHEMA};
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 pub use diff::DiffOutcome;
 pub use live::LiveShared;

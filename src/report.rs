@@ -16,9 +16,8 @@
 //!
 //! Report identity is structural. [`stable_view`] parses a report, drops
 //! `wall_clock` and prints the remaining sections canonically, so two
-//! identical runs have equal stable views; `mce diff`, the run archive's
-//! digest and the determinism tests all compare through it, never by
-//! byte offsets in the text.
+//! identical runs have equal stable views; `mce diff` and the determinism
+//! tests both compare through it, never by byte offsets in the text.
 //!
 //! Bounded runs add a `"status"`/`"stop_reason"` pair to the
 //! deterministic sections (logical budgets trip at the same point on every
@@ -55,7 +54,7 @@ pub const REPORT_SCHEMA: u64 = 1;
 /// Version of the report's embedded `provenance` section (`mce explore
 /// --explain`). Versioned separately from [`REPORT_SCHEMA`] because the
 /// section is optional: a report without it is still schema 1, and a
-/// future provenance layout change must not invalidate archived reports
+/// future provenance layout change must not invalidate stored reports
 /// that never carried the section.
 pub const PROVENANCE_SCHEMA: u64 = 1;
 
@@ -995,7 +994,7 @@ fn html_inline(text: &str) -> String {
 pub(crate) mod tests {
     use super::*;
 
-    /// A small complete report, for the report, archive and diff tests.
+    /// A small complete report, for the report and diff tests.
     pub(crate) fn sample_report() -> RunReport {
         RunReport {
             workload_name: "vocoder".to_owned(),

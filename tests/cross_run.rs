@@ -1,6 +1,5 @@
-//! Cross-run analytics integration: the run archive round-trips real
-//! session reports (content addressing, dedupe, `gc`), `mce diff`
-//! verdicts are invariant to thread count and cache temperature but not
+//! Cross-run analytics integration: `mce diff` verdicts over real session
+//! reports are invariant to thread count and cache temperature but not
 //! to config perturbations, and live-status files diff like the reports
 //! they are.
 
@@ -8,7 +7,6 @@ use memory_conex::appmodel::benchmarks;
 use memory_conex::diff;
 use memory_conex::obs;
 use memory_conex::prelude::*;
-use memory_conex::RunArchive;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -36,50 +34,6 @@ fn run_report(customize: impl FnOnce(ExplorationSession) -> ExplorationSession) 
     let result = session.run().expect("exploration runs");
     obs::uninstall();
     result.report.to_json()
-}
-
-#[test]
-fn archive_round_trips_dedupes_and_garbage_collects_real_reports() {
-    let root = temp_dir("archive");
-    let archive = RunArchive::open(&root);
-
-    let first = run_report(|s| s);
-    let rerun = run_report(|s| s); // differs only in wall_clock
-    let truncated = run_report(|s| s.max_evals(10)); // deterministic perturbation
-
-    // Archive operations record `archive.*` counters; hold the recorder
-    // lock so they never land in another test's installed sink.
-    let _guard = lock();
-    let a = archive.add(&first).expect("first add");
-    assert!(!a.duplicate);
-    let b = archive.add(&rerun).expect("rerun add");
-    assert!(b.duplicate, "identical deterministic prefix must dedupe");
-    assert_eq!(a.digest, b.digest, "content addressing ignores wall_clock");
-    let c = archive.add(&truncated).expect("perturbed add");
-    assert!(!c.duplicate);
-    assert_ne!(c.digest, a.digest);
-
-    let entries = archive.entries().expect("index parses");
-    assert_eq!(entries.len(), 2, "duplicate never lands in the index");
-    assert!(entries.iter().all(|e| e.workload == "vocoder"));
-    assert!(entries.iter().all(|e| e.preset == "fast"));
-
-    // Prefix lookup returns the stored report verbatim.
-    let (digest, text) = archive.show(&a.digest[..8]).expect("prefix resolves");
-    assert_eq!(digest, a.digest);
-    assert_eq!(text, first, "archived object is the full original report");
-
-    // gc keeps the newest entry and removes the orphaned object.
-    let stats = archive.gc(Some(1)).expect("gc runs");
-    assert_eq!(stats.entries_removed, 1);
-    assert_eq!(stats.objects_removed, 1);
-    let entries = archive.entries().expect("rewritten index parses");
-    assert_eq!(entries.len(), 1);
-    assert_eq!(entries[0].digest, c.digest, "newest entry survives gc");
-    assert!(archive.show(&c.digest).is_ok());
-    assert!(archive.show(&a.digest).is_err(), "collected run is gone");
-
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
