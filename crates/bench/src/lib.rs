@@ -12,10 +12,6 @@
 //!
 //! `all_experiments` runs everything and writes JSON artifacts next to the
 //! printed tables. Pass `--fast` to any binary for a reduced-scale run.
-//!
-//! The criterion benches in `benches/` measure the cost of each experiment
-//! stage and the ablations called out in `DESIGN.md` (clustering order,
-//! sampling ratio, pruning width).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

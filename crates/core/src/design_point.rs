@@ -29,7 +29,7 @@ use mce_connlib::{ConnComponent, ConnectivityArchitecture, LinkId};
 use mce_memlib::{
     MemModuleKind, MemoryArchitecture, ReplacementPolicy, WriteMissPolicy, WritePolicy,
 };
-use mce_obs::Fnv128;
+use mce_obs::{json, Fnv128};
 use mce_sim::{SamplingConfig, SystemConfig};
 use std::fmt;
 
@@ -156,6 +156,24 @@ impl CanonKey {
 impl fmt::Display for CanonKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_hex())
+    }
+}
+
+/// A key travels as its [`CanonKey::to_hex`] string.
+impl json::ToJson for CanonKey {
+    fn write_json(&self, w: &mut json::Writer) {
+        w.str(&self.to_hex());
+    }
+}
+
+impl json::FromJson for CanonKey {
+    fn from_json(value: &json::Value) -> Result<Self, json::Error> {
+        value
+            .as_str()
+            .and_then(CanonKey::from_hex)
+            .ok_or_else(|| json::Error {
+                message: "expected a 32-hex-digit key".to_owned(),
+            })
     }
 }
 
@@ -586,6 +604,9 @@ mod tests {
         };
         assert_eq!(CanonKey::from_hex(&k.to_hex()), Some(k));
         assert_eq!(k.to_hex().len(), 32);
+        assert_eq!(json::to_string(&k), format!("\"{k}\""));
+        assert_eq!(json::from_str(&json::to_string(&k)), Ok(k));
+        assert!(json::from_str::<CanonKey>("\"xyz\"").is_err());
         assert_eq!(CanonKey::from_hex("xyz"), None);
         assert_eq!(CanonKey::from_hex(""), None);
     }

@@ -15,7 +15,11 @@
 //! loops), so there is nothing for lock striping to spread. Zero
 //! dependencies beyond the standard library; the spill format is
 //! hand-written JSON read back with `mce_obs`'s parser, so it never
-//! drifts with a serialization framework.
+//! drifts with a serialization framework, and no other module knows its
+//! layout. Entries stay flat arrays of hex strings rather than codec
+//! objects: a flipped bit inside a hex digit still parses, so
+//! `cache-check --repair` can drop the one entry whose checksum fails
+//! instead of losing the whole file.
 //!
 //! Determinism: the evaluation engine probes and populates the cache
 //! serially (only the simulations between run in parallel), so hit/miss
@@ -49,6 +53,8 @@ pub struct CacheStats {
     /// Entries evicted by the FIFO capacity bound.
     pub evictions: u64,
 }
+
+mce_obs::json_codec! { struct CacheStats { hits, misses, inserts, evictions } }
 
 struct Fifo {
     map: HashMap<CanonKey, Metrics>,
@@ -339,9 +345,8 @@ fn entry_checksum(key_hex: &str, cost: &str, lat_hex: &str, energy_hex: &str) ->
 
 /// Formats one cache entry as its five spill fields — key hex, decimal
 /// gate cost, the two f64 metric bit patterns, and the FNV-1a checksum
-/// over the other four. Shared by the spill format and the session
-/// checkpoint, so both carry the same per-entry corruption detection.
-pub fn format_spill_entry(key: &CanonKey, m: &Metrics) -> [String; 5] {
+/// over the other four.
+fn format_spill_entry(key: &CanonKey, m: &Metrics) -> [String; 5] {
     let key = key.to_hex();
     let cost = m.cost_gates.to_string();
     let lat = format!("{:016x}", m.latency_cycles.to_bits());
@@ -353,7 +358,7 @@ pub fn format_spill_entry(key: &CanonKey, m: &Metrics) -> [String; 5] {
 /// Decodes one spill entry produced by [`format_spill_entry`], verifying
 /// shape, checksum and metric sanity. The error is a short reason,
 /// suitable for wrapping in [`MceError::Json`].
-pub fn parse_spill_entry(entry: &mce_obs::json::Value) -> Result<(CanonKey, Metrics), String> {
+fn parse_spill_entry(entry: &mce_obs::json::Value) -> Result<(CanonKey, Metrics), String> {
     let fields = entry
         .as_array()
         .filter(|f| f.len() == 5)

@@ -1,8 +1,8 @@
 //! The structured event model.
 //!
-//! Every observation the pipeline makes is one [`Event`]: a monotonic
-//! sequence number, a microsecond timestamp relative to sink installation,
-//! and a typed [`EventKind`] payload. Events split into two classes:
+//! Every observation the pipeline makes is one [`Event`]: a microsecond
+//! timestamp relative to sink installation and a typed [`EventKind`]
+//! payload. Events split into two classes:
 //!
 //! * **deterministic** events — phase spans, counter/gauge snapshots and
 //!   messages — are always emitted from the coordinating thread, so their
@@ -127,8 +127,6 @@ pub enum EventKind {
 /// One recorded observation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    /// Monotonic sequence number, unique per sink installation.
-    pub seq: u64,
     /// Microseconds since the sink was installed.
     pub t_us: u64,
     /// The payload.
@@ -169,92 +167,6 @@ impl Event {
             EventKind::Message { level, text } => format!("message:{level}:{text}"),
         }
     }
-
-    /// Renders the event as one line of JSON (the machine-readable log
-    /// format of [`JsonLinesSink`](crate::sink::JsonLinesSink)).
-    pub fn to_json_line(&self) -> String {
-        let mut s = format!("{{\"seq\":{},\"t_us\":{},", self.seq, self.t_us);
-        match &self.kind {
-            EventKind::SpanBegin { name } => {
-                s.push_str(&format!("\"type\":\"span_begin\",\"name\":\"{name}\""));
-            }
-            EventKind::SpanEnd { name, dur_us } => {
-                s.push_str(&format!(
-                    "\"type\":\"span_end\",\"name\":\"{name}\",\"dur_us\":{dur_us}"
-                ));
-            }
-            EventKind::Worker {
-                name,
-                lane,
-                start_us,
-                dur_us,
-                busy_us,
-                items,
-            } => {
-                s.push_str(&format!(
-                    "\"type\":\"worker\",\"name\":\"{name}\",\"lane\":{lane},\
-                     \"start_us\":{start_us},\"dur_us\":{dur_us},\
-                     \"busy_us\":{busy_us},\"items\":{items}"
-                ));
-            }
-            EventKind::Counter { name, value } => {
-                s.push_str(&format!(
-                    "\"type\":\"counter\",\"name\":\"{name}\",\"value\":{value}"
-                ));
-            }
-            EventKind::Gauge { name, value } => {
-                s.push_str(&format!(
-                    "\"type\":\"gauge\",\"name\":\"{name}\",\"value\":{value}"
-                ));
-            }
-            EventKind::Histogram {
-                name,
-                count,
-                sum,
-                min,
-                max,
-                p50,
-                p90,
-                p99,
-            } => {
-                s.push_str(&format!(
-                    "\"type\":\"histogram\",\"name\":\"{name}\",\"count\":{count},\
-                     \"sum\":{sum},\"min\":{min},\"max\":{max},\
-                     \"p50\":{p50},\"p90\":{p90},\"p99\":{p99}"
-                ));
-            }
-            EventKind::Progress { name, done, total } => {
-                s.push_str(&format!(
-                    "\"type\":\"progress\",\"name\":\"{name}\",\"done\":{done},\"total\":{total}"
-                ));
-            }
-            EventKind::Message { level, text } => {
-                s.push_str(&format!(
-                    "\"type\":\"message\",\"level\":\"{level}\",\"text\":\"{}\"",
-                    escape_json(text)
-                ));
-            }
-        }
-        s.push('}');
-        s
-    }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -264,7 +176,6 @@ mod tests {
     #[test]
     fn identity_ignores_timing_fields() {
         let a = Event {
-            seq: 1,
             t_us: 100,
             kind: EventKind::SpanEnd {
                 name: "x",
@@ -272,7 +183,6 @@ mod tests {
             },
         };
         let b = Event {
-            seq: 9,
             t_us: 777,
             kind: EventKind::SpanEnd {
                 name: "x",
@@ -284,11 +194,7 @@ mod tests {
 
     #[test]
     fn schedule_dependent_classes() {
-        let mk = |kind| Event {
-            seq: 0,
-            t_us: 0,
-            kind,
-        };
+        let mk = |kind| Event { t_us: 0, kind };
         assert!(mk(EventKind::Worker {
             name: "w",
             lane: 1,
@@ -310,42 +216,5 @@ mod tests {
             value: 1
         })
         .schedule_dependent());
-    }
-
-    #[test]
-    fn json_lines_are_valid_json() {
-        let events = vec![
-            EventKind::SpanBegin { name: "explore" },
-            EventKind::SpanEnd {
-                name: "explore",
-                dur_us: 42,
-            },
-            EventKind::Counter {
-                name: "c",
-                value: 3,
-            },
-            EventKind::Message {
-                level: Level::Debug,
-                text: "quote \" backslash \\ newline \n done".to_owned(),
-            },
-        ];
-        for (i, kind) in events.into_iter().enumerate() {
-            let ev = Event {
-                seq: i as u64,
-                t_us: 10 * i as u64,
-                kind,
-            };
-            let line = ev.to_json_line();
-            let parsed = crate::json::parse(&line)
-                .unwrap_or_else(|e| panic!("line {line} not valid JSON: {e}"));
-            assert_eq!(parsed.get("seq").and_then(|v| v.as_u64()), Some(i as u64));
-        }
-    }
-
-    #[test]
-    fn escape_json_handles_control_chars() {
-        assert_eq!(escape_json("a\"b"), "a\\\"b");
-        assert_eq!(escape_json("a\u{1}b"), "a\\u0001b");
-        assert_eq!(escape_json("plain"), "plain");
     }
 }

@@ -9,7 +9,6 @@
 //! enums are externally tagged, `Duration` is `{"secs","nanos"}`, floats
 //! print in shortest round-trip form and non-finite ones as `null`.
 
-use crate::event::escape_json;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::time::Duration;
@@ -446,6 +445,23 @@ impl Writer {
             self.out.push_str(&"  ".repeat(self.depth));
         }
     }
+}
+
+/// Escapes a string for embedding in a JSON string literal.
+pub(crate) fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// A type that writes itself as one JSON value.
@@ -996,6 +1012,48 @@ mod tests {
         assert_eq!(err.message, "integer 4294967296 out of range for u32");
         assert!(from_str::<u64>("1.0").is_err(), "a float is not an integer");
         assert_eq!(from_str::<f64>("3"), Ok(3.0));
+    }
+
+    #[test]
+    fn numbers_round_trip_bit_exactly() {
+        // SplitMix64: a seeded sweep with no dependency.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let sweep: Vec<u64> = (0..10_000).map(|_| next()).collect();
+
+        let edges = [0, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX];
+        for n in edges.into_iter().chain(sweep.iter().copied()) {
+            assert_eq!(from_str::<u64>(&to_string(&n)), Ok(n), "u64 {n}");
+        }
+
+        let edges = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let random = sweep.iter().map(|&b| f64::from_bits(b));
+        for x in edges.into_iter().chain(random).filter(|x| x.is_finite()) {
+            let text = to_string(&x);
+            let back = from_str::<f64>(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(back.to_bits(), x.to_bits(), "f64 {text}");
+        }
+    }
+
+    #[test]
+    fn escape_json_handles_control_chars() {
+        assert_eq!(escape_json("a\"b"), "a\\\"b");
+        assert_eq!(escape_json("a\u{1}b"), "a\\u0001b");
+        assert_eq!(escape_json("plain"), "plain");
     }
 
     #[test]

@@ -40,7 +40,6 @@
 //! ## Sinks
 //!
 //! * [`MemorySink`] — in-memory buffer (tests, programmatic inspection).
-//! * [`JsonLinesSink`] — machine-readable JSON-lines event log.
 //! * [`ChromeTraceSink`] — Chrome trace-event JSON; open the file in
 //!   `chrome://tracing` or <https://ui.perfetto.dev> to see the run as a
 //!   flame chart with per-worker lanes.
@@ -98,7 +97,6 @@ pub use recorder::{
     uninstall, worker_span, SpanGuard, TimeScope,
 };
 pub use sink::{
-    render_chrome_trace, ChromeTraceSink, JsonLinesSink, MemorySink, MultiSink, NullSink,
-    ProgressReporter, Sink,
+    render_chrome_trace, ChromeTraceSink, MemorySink, MultiSink, NullSink, ProgressReporter, Sink,
 };
 pub use timeseries::{wall_sample, wall_series, Sampler, SeriesPoint, SERIES_CAPACITY};

@@ -5,14 +5,14 @@
 //! [`span`], [`counter_add`], [`progress`] — short-circuits on
 //! [`tracing_enabled`] before touching any lock, formatting anything or
 //! reading the clock. Installing a sink with [`install`] resets the
-//! sequence counter, the epoch and the counter registry, so each run's
-//! event log starts from a clean slate.
+//! epoch and the counter registry, so each run's events start from a
+//! clean slate.
 
 use crate::event::{Event, EventKind, Level};
 use crate::hist::{HistRegistry, Histogram, HistogramSummary};
 use crate::sink::Sink;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -26,7 +26,6 @@ struct Installed {
 struct Global {
     enabled: AtomicBool,
     level: AtomicU8,
-    seq: AtomicU64,
     installed: RwLock<Option<Installed>>,
     counters: Mutex<BTreeMap<&'static str, u64>>,
     gauges: Mutex<BTreeMap<&'static str, u64>>,
@@ -38,7 +37,6 @@ fn global() -> &'static Global {
     GLOBAL.get_or_init(|| Global {
         enabled: AtomicBool::new(false),
         level: AtomicU8::new(level_to_u8(Level::Info)),
-        seq: AtomicU64::new(0),
         installed: RwLock::new(None),
         counters: Mutex::new(BTreeMap::new()),
         gauges: Mutex::new(BTreeMap::new()),
@@ -54,13 +52,12 @@ fn level_to_u8(level: Level) -> u8 {
 }
 
 /// Installs `sink` as the process-wide event sink, replacing any previous
-/// one. Resets sequence numbers, the timestamp epoch and all counters and
-/// gauges, so the new sink observes a fresh run.
+/// one. Resets the timestamp epoch and all counters and gauges, so the
+/// new sink observes a fresh run.
 pub fn install(sink: Arc<dyn Sink>) {
     let g = global();
     {
         let mut slot = g.installed.write().unwrap_or_else(PoisonError::into_inner);
-        g.seq.store(0, Ordering::SeqCst);
         reset_counters();
         *slot = Some(Installed {
             sink,
@@ -71,7 +68,7 @@ pub fn install(sink: Arc<dyn Sink>) {
 }
 
 /// Removes the installed sink (instrumentation returns to the no-op fast
-/// path) and returns it, so callers can flush file-backed sinks.
+/// path) and returns it, so callers can render buffering sinks.
 pub fn uninstall() -> Option<Arc<dyn Sink>> {
     let g = global();
     g.enabled.store(false, Ordering::SeqCst);
@@ -127,8 +124,8 @@ pub fn now_us() -> u64 {
         .unwrap_or(0)
 }
 
-/// Stamps `kind` with the next sequence number and the current timestamp
-/// and hands it to the installed sink. No-op when disabled.
+/// Stamps `kind` with the current timestamp and hands it to the
+/// installed sink. No-op when disabled.
 pub fn emit(kind: EventKind) {
     let g = global();
     if !g.enabled.load(Ordering::Relaxed) {
@@ -137,7 +134,6 @@ pub fn emit(kind: EventKind) {
     let slot = g.installed.read().unwrap_or_else(PoisonError::into_inner);
     if let Some(installed) = slot.as_ref() {
         let event = Event {
-            seq: g.seq.fetch_add(1, Ordering::Relaxed),
             t_us: installed.epoch.elapsed().as_micros() as u64,
             kind,
         };
@@ -562,21 +558,6 @@ mod tests {
             dur("outer"),
             dur("inner")
         );
-    }
-
-    #[test]
-    fn sequence_numbers_are_monotonic_and_reset() {
-        with_recorder(|sink| {
-            emit(EventKind::SpanBegin { name: "a" });
-            emit(EventKind::SpanBegin { name: "b" });
-            let events = sink.take();
-            assert_eq!(events[0].seq, 0);
-            assert_eq!(events[1].seq, 1);
-        });
-        with_recorder(|sink| {
-            emit(EventKind::SpanBegin { name: "c" });
-            assert_eq!(sink.take()[0].seq, 0, "install resets the sequence");
-        });
     }
 
     #[test]

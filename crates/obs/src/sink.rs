@@ -1,7 +1,6 @@
 //! Event sinks: where recorded events go.
 //!
 //! * [`MemorySink`] — buffers events for tests and programmatic inspection.
-//! * [`JsonLinesSink`] — streams one JSON object per event to any writer.
 //! * [`ChromeTraceSink`] — buffers events and renders them in the Chrome
 //!   trace-event format, openable in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev): phase spans on lane 0, one lane
@@ -13,16 +12,16 @@
 //!   counter/gauge/histogram registries are wanted (e.g. `--report-out`
 //!   without any trace sink).
 
-use crate::event::{escape_json, Event, EventKind};
+use crate::event::{Event, EventKind};
+use crate::json::escape_json;
 use std::collections::BTreeSet;
-use std::io::Write;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A destination for recorded events. Implementations must be cheap and
 /// non-blocking enough to sit on the exploration's coordinating thread.
 pub trait Sink: Send + Sync {
-    /// Receives one event. Events arrive in `seq` order per thread; see
+    /// Receives one event. Events arrive in emission order per thread; see
     /// [`Event::schedule_dependent`] for which events may interleave.
     fn record(&self, event: &Event);
 }
@@ -63,40 +62,6 @@ impl Sink for MemorySink {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(event.clone());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// JsonLinesSink
-// ---------------------------------------------------------------------------
-
-/// Streams every event as one JSON object per line to a writer.
-pub struct JsonLinesSink {
-    writer: Mutex<Box<dyn Write + Send>>,
-}
-
-impl JsonLinesSink {
-    /// Wraps `writer`; every recorded event becomes one line.
-    pub fn new(writer: Box<dyn Write + Send>) -> Self {
-        JsonLinesSink {
-            writer: Mutex::new(writer),
-        }
-    }
-
-    /// Flushes the underlying writer.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.writer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .flush()
-    }
-}
-
-impl Sink for JsonLinesSink {
-    fn record(&self, event: &Event) {
-        let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        // Log-sink principle: never panic the exploration over a full disk.
-        let _ = writeln!(w, "{}", event.to_json_line());
     }
 }
 
@@ -421,7 +386,6 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(i, kind)| Event {
-                seq: i as u64,
                 t_us: 10 * i as u64,
                 kind,
             })
@@ -480,31 +444,6 @@ mod tests {
         let begins = events.iter().filter(|e| ph(e) == "B").count();
         let ends = events.iter().filter(|e| ph(e) == "E").count();
         assert_eq!(begins, ends);
-    }
-
-    #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let sink = JsonLinesSink::new(Box::new(SharedBuf(buf.clone())));
-        for ev in sample_events() {
-            sink.record(&ev);
-        }
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), sample_events().len());
-        for line in lines {
-            crate::json::parse(line).unwrap_or_else(|e| panic!("bad line {line}: {e}"));
-        }
     }
 
     #[test]

@@ -1359,7 +1359,6 @@ mod tests {
 
     #[test]
     fn cache_check_validates_and_repairs() {
-        use memory_conex::conex::eval_cache::format_spill_entry;
         use memory_conex::conex::{CanonKey, EvalCache, Metrics};
 
         let dir = std::env::temp_dir();
@@ -1381,20 +1380,21 @@ mod tests {
         assert_eq!(cmd_cache_check(&s(&[path_s])).unwrap(), 0);
 
         // Corrupt one entry: reported and failed without --repair,
-        // dropped with it, then clean again.
-        let [key, cost, lat, energy, check] = format_spill_entry(
-            &CanonKey { hi: 3, lo: 4 },
-            &Metrics {
+        // dropped with it, then clean again. The spill carries f64s as
+        // hex bit patterns; flip a hex digit of the second entry's
+        // latency, which its checksum no longer matches.
+        cache.insert(
+            CanonKey { hi: 3, lo: 4 },
+            Metrics {
                 cost_gates: 20,
                 latency_cycles: 2.0,
                 energy_nj: 1.0,
             },
         );
-        let lat_bad = lat.replace(char::from(lat.as_bytes()[0]), "f");
-        let spill = cache.to_spill_json().replace(
-            "]}",
-            &format!(",[\"{key}\",\"{cost}\",\"{lat_bad}\",\"{energy}\",\"{check}\"]]}}"),
-        );
+        let lat = format!("\"{:016x}\"", 2.0f64.to_bits());
+        let spill = cache.to_spill_json();
+        assert_eq!(spill.matches(&lat).count(), 1, "{spill}");
+        let spill = spill.replace(&lat, &lat.replacen('4', "f", 1));
         std::fs::write(&path, spill).unwrap();
         let err = cmd_cache_check(&s(&[path_s])).unwrap_err();
         assert!(err.to_string().contains("--repair"), "{err}");

@@ -13,25 +13,26 @@
 //! restored cache ([`ConexExplorer::phase1_partial_with`]) — every
 //! evaluation is a cache hit, making replay cheap — and the recomputed
 //! frontier samples are cross-checked against the checkpointed ones.
-//! This keeps the file format to a handful of flat, checksummed fields
-//! instead of a deep serialization of the design space.
+//! This keeps the file format to a handful of flat fields under one
+//! digest instead of a deep serialization of the design space.
 //!
 //! ## File format
 //!
 //! Line 1 is a header carrying a digest of everything after it:
 //!
 //! ```json
-//! {"mce_checkpoint":1,"digest":"<32 hex>"}
+//! {"mce_checkpoint":2,"digest":"<32 hex>"}
 //! ```
 //!
-//! The rest is the body document. All `u64` values ride as decimal
-//! strings (JSON numbers are f64 — exactness over convenience) and f64
-//! values as hex bit patterns, the same discipline as the eval-cache
-//! spill; cache entries reuse the spill's five-field checksummed form.
-//! The digest is a two-lane FNV-1a over the body bytes, so truncation,
-//! bit flips or hand edits anywhere in the file are detected before any
-//! field is trusted. Writes go through [`mce_error::atomic_write`]: a
-//! crash *during* checkpointing leaves the previous checkpoint intact.
+//! The rest is the body: the [`Checkpoint`] itself through the
+//! workspace codec ([`mce_obs::json`]), the same dialect as run reports.
+//! Integers print exactly (a `u64` counter survives past 2^53) and floats
+//! in shortest round-trip form, so every value reads back bit-identical;
+//! cache keys ride as their 32-hex-digit strings. The digest is a
+//! two-lane FNV-1a over the body bytes, so truncation, bit flips or hand
+//! edits anywhere in the file are detected before any field is trusted.
+//! Writes go through [`mce_error::atomic_write`]: a crash *during*
+//! checkpointing leaves the previous checkpoint intact.
 //!
 //! Compatibility is enforced, not assumed: the body records digests of
 //! the workload and of the full configuration (with `threads` normalized
@@ -43,7 +44,6 @@
 
 use mce_apex::ApexConfig;
 use mce_conex::design_point::{CanonKey, Metrics};
-use mce_conex::eval_cache::{format_spill_entry, parse_spill_entry};
 use mce_conex::explore::Phase1State;
 use mce_conex::{CacheStats, ConexConfig, EvalCache, FrontierSnapshot};
 use mce_connlib::ConnectivityLibrary;
@@ -54,8 +54,9 @@ use std::path::Path;
 
 /// Version of the checkpoint schema; bumped on any layout change. A
 /// version mismatch is always a hard error — resuming across schema
-/// changes is not worth silently-wrong results.
-pub const CHECKPOINT_SCHEMA: u64 = 1;
+/// changes is not worth silently-wrong results. Version 2 moved the body
+/// onto the workspace codec.
+pub const CHECKPOINT_SCHEMA: u64 = 2;
 
 /// A point-in-time snapshot of a running exploration — see the module
 /// docs for what is (and deliberately is not) captured.
@@ -80,6 +81,12 @@ pub struct Checkpoint {
     /// Evaluation-cache entries in FIFO (insertion) order, so the
     /// restored cache's future evictions match the original's.
     pub entries: Vec<(CanonKey, Metrics)>,
+}
+
+mce_obs::json_codec! {
+    struct Checkpoint {
+        workload_digest, config_digest, archs_done, counters, gauges, cache_stats, frontier, entries
+    }
 }
 
 impl Checkpoint {
@@ -113,63 +120,7 @@ impl Checkpoint {
     /// Serializes to the on-disk form: digest header line plus body.
     /// Byte-stable — identical checkpoints serialize identically.
     pub fn to_json(&self) -> String {
-        let body = self.body_json();
-        format!(
-            "{{\"mce_checkpoint\":{CHECKPOINT_SCHEMA},\"digest\":\"{}\"}}\n{body}",
-            fnv128(body.as_bytes())
-        )
-    }
-
-    fn body_json(&self) -> String {
-        let named = |pairs: &[(String, u64)]| {
-            let items: Vec<String> = pairs
-                .iter()
-                .map(|(n, v)| format!("[{:?},\"{v}\"]", n))
-                .collect();
-            items.join(",")
-        };
-        let frontier: Vec<String> = self
-            .frontier
-            .iter()
-            .map(|s| {
-                format!(
-                    "[{},{},{},\"{:016x}\"]",
-                    s.archs_explored,
-                    s.estimated,
-                    s.frontier_size,
-                    s.hypervolume.to_bits()
-                )
-            })
-            .collect();
-        let entries: Vec<String> = self
-            .entries
-            .iter()
-            .map(|(k, m)| {
-                let [key, cost, lat, energy, check] = format_spill_entry(k, m);
-                format!("[\"{key}\",\"{cost}\",\"{lat}\",\"{energy}\",\"{check}\"]")
-            })
-            .collect();
-        let st = &self.cache_stats;
-        format!(
-            concat!(
-                "{{\"schema\":{},\"workload_digest\":\"{}\",\"config_digest\":\"{}\",",
-                "\"archs_done\":{},\"counters\":[{}],\"gauges\":[{}],",
-                "\"cache_stats\":[\"{}\",\"{}\",\"{}\",\"{}\"],",
-                "\"frontier\":[{}],\"entries\":[{}]}}"
-            ),
-            CHECKPOINT_SCHEMA,
-            self.workload_digest,
-            self.config_digest,
-            self.archs_done,
-            named(&self.counters),
-            named(&self.gauges),
-            st.hits,
-            st.misses,
-            st.inserts,
-            st.evictions,
-            frontier.join(","),
-            entries.join(",")
-        )
+        framed(&json::to_string(self))
     }
 
     /// Parses the on-disk form, verifying the header digest before
@@ -179,7 +130,9 @@ impl Checkpoint {
     ///
     /// Returns [`MceError::Checkpoint`] on a missing or malformed
     /// header, digest mismatch (truncation, bit flips), unsupported
-    /// schema, or any malformed body field.
+    /// schema, a body that does not decode, a negative or non-finite
+    /// cache-entry metric, or a non-finite frontier hypervolume (`1e999`
+    /// decodes as infinity).
     pub fn from_json(text: &str) -> Result<Self, MceError> {
         let bad = |why: &str| MceError::checkpoint(format!("{why} — discard the file and rerun"));
         let (header, body) = text
@@ -196,91 +149,16 @@ impl Checkpoint {
         if digest != fnv128(body.as_bytes()) {
             return Err(bad("body does not match its digest (corrupt or truncated)"));
         }
-        let doc = json::parse(body).map_err(|_| bad("unreadable body"))?;
-        if doc.get("schema").and_then(Value::as_u64) != Some(CHECKPOINT_SCHEMA) {
-            return Err(bad("body schema mismatch"));
+        let ck: Checkpoint =
+            json::from_str(body).map_err(|e| bad(&format!("unreadable body: {e}")))?;
+        let sane = |x: f64| x.is_finite() && x >= 0.0;
+        let metrics_sane = |m: &Metrics| sane(m.latency_cycles) && sane(m.energy_nj);
+        if !(ck.entries.iter().all(|(_, m)| metrics_sane(m))
+            && ck.frontier.iter().all(|s| s.hypervolume.is_finite()))
+        {
+            return Err(bad("non-finite or negative metrics in the body"));
         }
-        let hex_str = |v: &Value, what: &str| {
-            v.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| bad(&format!("bad {what}")))
-        };
-        let u64_str = |v: &Value, what: &str| {
-            v.as_str()
-                .and_then(|s| s.parse::<u64>().ok())
-                .ok_or_else(|| bad(&format!("bad {what}")))
-        };
-        let field = |what: &str| doc.get(what).ok_or_else(|| bad(&format!("missing {what}")));
-        let named = |what: &str| -> Result<Vec<(String, u64)>, MceError> {
-            field(what)?
-                .as_array()
-                .ok_or_else(|| bad(&format!("bad {what}")))?
-                .iter()
-                .map(|pair| {
-                    let pair = pair
-                        .as_array()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| bad(&format!("bad {what} pair")))?;
-                    Ok((hex_str(&pair[0], what)?, u64_str(&pair[1], what)?))
-                })
-                .collect()
-        };
-        let stats = field("cache_stats")?
-            .as_array()
-            .filter(|s| s.len() == 4)
-            .ok_or_else(|| bad("bad cache_stats"))?;
-        let frontier = field("frontier")?
-            .as_array()
-            .ok_or_else(|| bad("bad frontier"))?
-            .iter()
-            .map(|s| {
-                let s = s
-                    .as_array()
-                    .filter(|s| s.len() == 4)
-                    .ok_or_else(|| bad("bad frontier sample"))?;
-                let int = |v: &Value| {
-                    v.as_u64()
-                        .map(|n| n as usize)
-                        .ok_or_else(|| bad("bad frontier sample"))
-                };
-                let hv = s[3]
-                    .as_str()
-                    .and_then(|h| u64::from_str_radix(h, 16).ok())
-                    .map(f64::from_bits)
-                    .filter(|h| h.is_finite())
-                    .ok_or_else(|| bad("bad frontier hypervolume"))?;
-                Ok(FrontierSnapshot {
-                    archs_explored: int(&s[0])?,
-                    estimated: int(&s[1])?,
-                    frontier_size: int(&s[2])?,
-                    hypervolume: hv,
-                })
-            })
-            .collect::<Result<Vec<_>, MceError>>()?;
-        let entries = field("entries")?
-            .as_array()
-            .ok_or_else(|| bad("bad entries"))?
-            .iter()
-            .map(|e| parse_spill_entry(e).map_err(|why| bad(&format!("bad cache entry: {why}"))))
-            .collect::<Result<Vec<_>, MceError>>()?;
-        Ok(Checkpoint {
-            workload_digest: hex_str(field("workload_digest")?, "workload_digest")?,
-            config_digest: hex_str(field("config_digest")?, "config_digest")?,
-            archs_done: field("archs_done")?
-                .as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| bad("bad archs_done"))?,
-            counters: named("counters")?,
-            gauges: named("gauges")?,
-            cache_stats: CacheStats {
-                hits: u64_str(&stats[0], "cache_stats")?,
-                misses: u64_str(&stats[1], "cache_stats")?,
-                inserts: u64_str(&stats[2], "cache_stats")?,
-                evictions: u64_str(&stats[3], "cache_stats")?,
-            },
-            frontier,
-            entries,
-        })
+        Ok(ck)
     }
 
     /// Writes the checkpoint atomically: a crash mid-save leaves any
@@ -335,6 +213,15 @@ impl Checkpoint {
     }
 }
 
+/// The on-disk form of `body`: the header line carrying the schema and
+/// the body's digest, then the body.
+fn framed(body: &str) -> String {
+    format!(
+        "{{\"mce_checkpoint\":{CHECKPOINT_SCHEMA},\"digest\":\"{}\"}}\n{body}",
+        fnv128(body.as_bytes())
+    )
+}
+
 /// Digest of the session configuration a checkpoint is only valid for:
 /// both stage configs, the connectivity library and the cache capacity.
 /// `threads` is normalized to zero first — results are identical for any
@@ -364,6 +251,8 @@ mod tests {
             counters: vec![
                 ("conex.estimate_jobs".to_owned(), 123),
                 ("eval_cache.hits".to_owned(), u64::MAX),
+                // JSON escaping, not Rust's: `{:?}` writes `\u{1}`.
+                ("odd\u{1}\"name\\".to_owned(), 1),
             ],
             gauges: vec![("conex.frontier_size_max".to_owned(), 7)],
             cache_stats: CacheStats {
@@ -435,6 +324,43 @@ mod tests {
             };
             let err = Checkpoint::from_json(&mutated).unwrap_err();
             assert!(matches!(err, MceError::Checkpoint { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn schema_1_checkpoints_are_refused() {
+        // The last schema-1 layout: u64s as decimal strings, f64s as hex
+        // bit patterns, under a digest that matches its body.
+        let v1 = concat!(
+            "{\"mce_checkpoint\":1,\"digest\":\"3438aacf8d366d9cbbde68f6003dccff\"}\n",
+            "{\"schema\":1,\"workload_digest\":\"00112233445566778899aabbccddeeff\",",
+            "\"config_digest\":\"ffeeddccbbaa99887766554433221100\",\"archs_done\":0,",
+            "\"counters\":[],\"gauges\":[],\"cache_stats\":[\"0\",\"0\",\"0\",\"0\"],",
+            "\"frontier\":[],\"entries\":[]}"
+        );
+        let (_, body) = v1.split_once('\n').unwrap();
+        assert!(
+            v1.contains(&fnv128(body.as_bytes())),
+            "the digest is genuine"
+        );
+        let err = Checkpoint::from_json(v1).unwrap_err();
+        assert!(matches!(err, MceError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("supported schema"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_values_under_a_matching_digest_are_refused() {
+        let mut negative = sample();
+        negative.entries[0].1.latency_cycles = -1.5;
+        let hot = sample()
+            .to_json()
+            .replace("\"hypervolume\":0.375", "\"hypervolume\":1e999");
+        let (_, hot_body) = hot.split_once('\n').unwrap();
+        assert!(hot_body.contains("1e999"));
+        for text in [negative.to_json(), framed(hot_body)] {
+            let err = Checkpoint::from_json(&text).unwrap_err();
+            assert!(matches!(err, MceError::Checkpoint { .. }), "{err}");
+            assert!(err.to_string().contains("non-finite or negative"), "{err}");
         }
     }
 
