@@ -7,7 +7,7 @@ use mce_appmodel::{TraceBlocks, Workload};
 use mce_memlib::MemoryArchitecture;
 use mce_obs as obs;
 use mce_sim::par::try_par_map_named;
-use mce_sim::{simulate_blocks, Preset, SystemConfig};
+use mce_sim::{replay_group, Member, Preset, SystemConfig, MAX_GROUP};
 use std::fmt;
 
 /// Configuration of an APEX run.
@@ -158,17 +158,46 @@ impl ApexExplorer {
             let _s = obs::span("apex.evaluate");
             // Order-preserving fan-out: `points` is in candidate order for
             // any thread count, ahead of the stable sort below.
-            try_par_map_named("apex.evaluate", &candidates, self.threads, |arch| {
-                let _t = obs::time_scope("apex.candidate_eval_us");
-                let sys = SystemConfig::with_shared_bus(workload, arch.clone()).ok()?;
-                let stats = simulate_blocks(&sys, workload, blocks, self.config.trace_len);
-                Some(ApexPoint {
-                    cost_gates: arch.gate_cost(),
-                    miss_ratio: stats.miss_ratio(),
-                    avg_latency_cycles: stats.avg_latency_cycles,
-                    arch: arch.clone(),
-                })
-            })
+            // Each group of architectures replays in lockstep.
+            try_par_map_named(
+                "apex.evaluate",
+                &candidates,
+                self.threads,
+                MAX_GROUP,
+                |group: &[MemoryArchitecture]| {
+                    let _t = obs::time_scope_shared("apex.candidate_eval_us", group.len());
+                    let systems: Vec<Option<SystemConfig>> = group
+                        .iter()
+                        .map(|arch| SystemConfig::with_shared_bus(workload, arch.clone()).ok())
+                        .collect();
+                    let members: Vec<Member<'_>> =
+                        systems.iter().flatten().map(|sys| (sys, None)).collect();
+                    let stats = replay_group(
+                        &members,
+                        workload,
+                        blocks,
+                        self.config.trace_len,
+                        None,
+                        &|| false,
+                    )
+                    .expect("a never-tripping check cannot cancel");
+                    let mut stats = stats.into_iter();
+                    group
+                        .iter()
+                        .zip(&systems)
+                        .map(|(arch, sys)| {
+                            sys.as_ref()?;
+                            let stats = stats.next().expect("one result per member");
+                            Some(ApexPoint {
+                                cost_gates: arch.gate_cost(),
+                                miss_ratio: stats.miss_ratio(),
+                                avg_latency_cycles: stats.avg_latency_cycles,
+                                arch: arch.clone(),
+                            })
+                        })
+                        .collect()
+                },
+            )
             // A candidate whose simulation panics twice is a simulator
             // bug, not a degraded result: propagate it as the serial
             // loop did.

@@ -213,6 +213,15 @@ mce_obs::json_codec! {
     }
 }
 
+/// What one transfer costs a link, before queueing and arbitration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TransferCost {
+    /// Cycles the transfer holds a data-phase slot.
+    pub occupancy: u32,
+    /// Cycles from the transfer's start to its last byte's arrival.
+    pub latency: u32,
+}
+
 /// A connectivity component: a kind plus (possibly customized) parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnComponent {
@@ -252,20 +261,43 @@ impl ConnComponent {
     /// A pipelined component streams beats at one `cycles_per_beat` after
     /// the first; an unpipelined one pays the full beat time each beat.
     pub fn transfer_cycles(&self, bytes: u64, shared: bool) -> u32 {
+        let arb = if shared && bytes > 0 {
+            self.params.arbitration_cycles
+        } else {
+            0
+        };
+        arb + self.transfer_cost(bytes).latency
+    }
+
+    /// Occupancy and un-arbitrated latency of one transfer of `bytes`.
+    pub fn transfer_cost(&self, bytes: u64) -> TransferCost {
+        self.beat_cost(bytes, bytes.div_ceil(self.params.width_bytes as u64) as u32)
+    }
+
+    /// [`ConnComponent::transfer_cost`] for a transfer of `bytes` that
+    /// takes `beats` data beats — the one formula behind both the
+    /// dividing and the division-free (power-of-two width) beat counts.
+    pub(crate) fn beat_cost(&self, bytes: u64, beats: u32) -> TransferCost {
         if bytes == 0 {
-            return 0;
+            return TransferCost::default();
         }
         let p = &self.params;
-        let beats = bytes.div_ceil(p.width_bytes as u64) as u32;
-        let data = if p.pipelined {
-            // Address/data overlap: first beat pays the full latency, the
+        if p.pipelined {
+            // A pipelined bus holds one cycle per beat; address/data
+            // overlap makes the first beat pay the full latency and the
             // rest stream every cycle.
-            p.cycles_per_beat + beats.saturating_sub(1)
+            TransferCost {
+                occupancy: beats,
+                latency: p.cycles_per_beat + beats.saturating_sub(1),
+            }
         } else {
-            beats * p.cycles_per_beat
-        };
-        let arb = if shared { p.arbitration_cycles } else { 0 };
-        arb + data
+            // An unpipelined one holds the bus for the full beat time.
+            let cycles = beats * p.cycles_per_beat;
+            TransferCost {
+                occupancy: cycles,
+                latency: cycles,
+            }
+        }
     }
 
     /// Gate cost of one instance serving `ports` endpoints.

@@ -36,7 +36,7 @@ pub mod runtime;
 
 pub use arbiter::{Arbiter, ArbiterKind};
 pub use arch::{Channel, ChannelId, ConnArchError, ConnLink, ConnectivityArchitecture, LinkId};
-pub use component::{ConnComponent, ConnComponentKind, ConnParams};
+pub use component::{ConnComponent, ConnComponentKind, ConnParams, TransferCost};
 pub use library::ConnectivityLibrary;
 pub use reservation::ReservationTable;
 pub use runtime::{LinkState, TransferTiming};

@@ -9,9 +9,13 @@
 //! Fixed-priority links keep one busy-until cycle per data-phase slot,
 //! which gives the start times a [`ReservationTable`] would (see
 //! [`LinkState::transfer`]); round-robin and TDMA links keep the table.
+//!
+//! A transfer's beat count divides its size by the link width. Every
+//! built-in component is a power of two bytes wide, so [`LinkState::cost`]
+//! counts beats with a shift instead; other widths keep the division.
 
 use crate::arbiter::Arbiter;
-use crate::component::ConnComponent;
+use crate::component::{ConnComponent, TransferCost};
 use crate::reservation::ReservationTable;
 use std::fmt;
 
@@ -54,6 +58,8 @@ enum Occupancy {
 pub struct LinkState {
     component: ConnComponent,
     ports: u32,
+    /// log2 of the width when it is a power of two.
+    width_shift: Option<u32>,
     occupancy: Occupancy,
     arbiter: Arbiter,
     /// Ready time of the previous call, for the nondecreasing contract.
@@ -85,9 +91,11 @@ impl LinkState {
                 Occupancy::Table(ReservationTable::new(slots))
             }
         };
+        let width = component.params().width_bytes;
         LinkState {
             component,
             ports,
+            width_shift: width.is_power_of_two().then(|| width.trailing_zeros()),
             occupancy,
             arbiter,
             last_ready: 0,
@@ -129,6 +137,17 @@ impl LinkState {
             + self.bytes as f64 * self.component.params().energy_per_byte_nj
     }
 
+    /// Occupancy and un-arbitrated latency of a transfer of `bytes`:
+    /// [`ConnComponent::transfer_cost`], without a division when the
+    /// width is a power of two.
+    pub fn cost(&self, bytes: u64) -> TransferCost {
+        let beats = match self.width_shift {
+            Some(shift) => (bytes >> shift) + u64::from(bytes & ((1 << shift) - 1) != 0),
+            None => bytes.div_ceil(u64::from(self.component.params().width_bytes)),
+        };
+        self.component.beat_cost(bytes, beats as u32)
+    }
+
     /// Schedules a transfer of `bytes` requested by `master`, ready to
     /// start at `ready`. Returns when it starts and completes.
     ///
@@ -140,11 +159,24 @@ impl LinkState {
     /// `max(request, busy_until)` — what the reservation table's scan
     /// returns, in O(1) per slot.
     pub fn transfer(&mut self, ready: u64, bytes: u64, master: usize) -> TransferTiming {
+        self.transfer_at_cost(ready, bytes, self.cost(bytes), master)
+    }
+
+    /// [`LinkState::transfer`] with the transfer's [`LinkState::cost`]
+    /// already resolved, for callers that move the same size many times.
+    pub fn transfer_at_cost(
+        &mut self,
+        ready: u64,
+        bytes: u64,
+        cost: TransferCost,
+        master: usize,
+    ) -> TransferTiming {
         debug_assert!(
             ready >= self.last_ready,
             "link ready time went backwards: {ready} after {}",
             self.last_ready
         );
+        debug_assert_eq!(cost, self.cost(bytes), "cost resolved for another size");
         self.last_ready = ready;
         if bytes == 0 {
             return TransferTiming {
@@ -152,18 +184,9 @@ impl LinkState {
                 complete: ready,
             };
         }
-        let p = *self.component.params();
         let contended = self.ports > 1;
         let wait = self.arbiter.grant_delay(master, ready, contended) as u64;
-        let beats = bytes.div_ceil(p.width_bytes as u64) as u32;
-        // Occupancy: a pipelined bus streams one beat per cycle; an
-        // unpipelined one holds the bus for the full beat time.
-        let occupancy = if p.pipelined {
-            beats
-        } else {
-            beats * p.cycles_per_beat
-        };
-        let cycles = occupancy.max(1);
+        let cycles = cost.occupancy.max(1);
         let request = ready + wait;
         // Split-transaction components may start a transfer on any free
         // data-phase slot: take the earliest (lowest slot on ties).
@@ -191,10 +214,10 @@ impl LinkState {
         };
         // Completion adds the un-arbitrated transfer latency (arbitration
         // was already paid via the arbiter model).
-        let complete = start + self.component.transfer_cycles(bytes, false) as u64;
+        let complete = start + cost.latency as u64;
         self.transfers += 1;
         self.bytes += bytes;
-        self.busy_cycles += occupancy as u64;
+        self.busy_cycles += cost.occupancy as u64;
         TransferTiming { start, complete }
     }
 }

@@ -12,21 +12,20 @@
 //! 2. **Coalesced** — another candidate in the same batch has the same
 //!    key (enumeration at adjacent clustering levels re-derives
 //!    structurally identical pairings): simulated once, answered twice.
-//! 3. **Simulated** — block-compiled replay
-//!    ([`simulate_blocks`](mce_sim::replay::simulate_blocks) /
-//!    [`simulate_sampled_blocks`](mce_sim::replay::simulate_sampled_blocks))
-//!    over the
+//! 3. **Simulated** — block-compiled replay ([`replay_group`]) over the
 //!    engine's shared [`TraceBlocks`], compiled once per workload and
-//!    shared immutably across worker threads. When two or more of a
-//!    batch's simulations share a memory architecture, its cache, SRAM
-//!    and stream-buffer responses are recorded once into a
-//!    [`ModuleTape`] that those replays read instead of running the
-//!    models.
+//!    shared immutably across worker threads. The unique simulations
+//!    replay in lockstep groups of up to [`MAX_GROUP`], each access
+//!    decoded once for the whole group. When two or more of a batch's
+//!    simulations share a memory architecture, its cache, SRAM and
+//!    stream-buffer responses are recorded once into a [`ModuleTape`]
+//!    that those replays read instead of running the models.
 //!
 //! Determinism: cache probes, coalescing, tape recording and cache
 //! population all run serially on the calling thread; only the unique
 //! simulations fan out through [`try_par_map_named`], whose output is
-//! order-preserving.
+//! order-preserving, and a group member's result never depends on the
+//! other members.
 //! Results are therefore bit-identical with the cache on or off and for
 //! any thread count — the cache only removes redundant work, it never
 //! reorders floating-point accumulation within an evaluation.
@@ -42,10 +41,7 @@ use mce_error::MceError;
 use mce_memlib::MemoryArchitecture;
 use mce_obs as obs;
 use mce_sim::par::try_par_map_named;
-use mce_sim::{
-    simulate_blocks_cancellable, simulate_sampled_blocks_cancellable, ModuleTape, SamplingConfig,
-    SystemConfig,
-};
+use mce_sim::{replay_group, Member, ModuleTape, SamplingConfig, SystemConfig, MAX_GROUP};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -109,9 +105,6 @@ pub struct EvalEngine {
     cache: Option<Arc<EvalCache>>,
     bounds: Bounds,
 }
-
-/// A simulation job's cancellation check, polled per replay batch.
-type CancelCheck<'a> = dyn Fn() -> bool + Sync + 'a;
 
 /// Each slot paired with its job's metrics (`None` for non-job and
 /// timed-out slots), plus how the batch ended.
@@ -225,27 +218,6 @@ impl EvalEngine {
                 let key = eval_key(self.workload_key, mem_key, conn_key, trace_len, mode);
                 Some((key, sys))
             },
-            |sys, tape, cancelled| {
-                let _t = obs::time_scope("conex.estimate.item_us");
-                #[cfg(feature = "fault-injection")]
-                if mce_faultinject::on_eval_blocking(cancelled) {
-                    return None;
-                }
-                let stats = simulate_sampled_blocks_cancellable(
-                    sys,
-                    &self.workload,
-                    &self.blocks,
-                    trace_len,
-                    sampling,
-                    tape,
-                    cancelled,
-                )?;
-                Some(Metrics::new(
-                    sys.gate_cost(),
-                    stats.avg_latency_cycles,
-                    stats.avg_energy_nj,
-                ))
-            },
         )?;
         if status != BatchStatus::Complete {
             return Ok(BoundedBatch {
@@ -348,26 +320,6 @@ impl EvalEngine {
                 );
                 Some((key, sys.clone()))
             },
-            |sys, tape, cancelled| {
-                let _t = obs::time_scope("conex.simulate.item_us");
-                #[cfg(feature = "fault-injection")]
-                if mce_faultinject::on_eval_blocking(cancelled) {
-                    return None;
-                }
-                let stats = simulate_blocks_cancellable(
-                    sys,
-                    &self.workload,
-                    &self.blocks,
-                    trace_len,
-                    tape,
-                    cancelled,
-                )?;
-                Some(Metrics::new(
-                    sys.gate_cost(),
-                    stats.avg_latency_cycles,
-                    stats.avg_energy_nj,
-                ))
-            },
         )?;
         if status != BatchStatus::Complete {
             return Ok(BoundedBatch {
@@ -408,35 +360,39 @@ impl EvalEngine {
     /// The shared probe → record tapes → simulate → populate machinery.
     ///
     /// `prepare(i)` keys slot `i` (returning `None` for infeasible
-    /// pairings); `evaluate` runs the unique simulation jobs in parallel,
-    /// each replaying `replay` (trace length, sampling window) with its
-    /// architecture's tape if one was recorded, and returns `None` when
-    /// its cancellation check cut the simulation short. Returns each slot
-    /// paired with its job's metrics (`None` for non-job slots and for
-    /// timed-out jobs), plus the batch status.
+    /// pairings). The unique simulation jobs then replay `replay` (trace
+    /// length, sampling window) in parallel lockstep groups, each with
+    /// its architecture's tape if one was recorded; a job whose
+    /// cancellation check cut its replay short has no metrics. Returns
+    /// each slot paired with its job's metrics (`None` for non-job slots
+    /// and for timed-out jobs), plus the batch status.
     ///
     /// Bounds discipline:
     /// * the cancel token is checked once before the probe and inside
-    ///   every simulation (at block-batch boundaries via `evaluate`'s
-    ///   check); a tripped token discards the whole batch
+    ///   every replay group (at block-batch boundaries); a tripped token
+    ///   discards the whole batch
     ///   ([`BatchStatus::Cancelled`], nothing committed);
     /// * one logical budget unit is taken per feasible slot, serially in
     ///   probe order (hit, coalesced and job slots all count one) — the
     ///   canonical order makes consumption thread-count and cache
     ///   independent. Exhaustion discards the batch
     ///   ([`BatchStatus::BudgetExhausted`], nothing committed);
-    /// * each parallel job registers with the watchdog (when one is set);
-    ///   an expired lane makes `evaluate`'s check trip for that job only,
-    ///   which surfaces as `None` metrics — a timeout, not a cancel.
+    /// * with a watchdog set, every group holds one job, so the watchdog
+    ///   times each candidate exactly: its lane registers per group, and
+    ///   an expired lane makes that job's check trip, which surfaces as
+    ///   `None` metrics — a timeout, not a cancel.
+    ///
+    /// With fault injection compiled in, the evaluation hook runs once
+    /// per group member, in job order, before the group replays; a member
+    /// it reclaims (an injected hang) drops out as timed out, and one it
+    /// panics fails the group, which the parallel map retries serially.
     fn run_batch(
         &self,
         region: &'static str,
         len: usize,
         threads: usize,
-        replay: (usize, Option<SamplingConfig>),
+        (trace_len, window): (usize, Option<SamplingConfig>),
         prepare: impl Fn(usize) -> Option<(CanonKey, SystemConfig)>,
-        evaluate: impl Fn(&SystemConfig, Option<&ModuleTape>, &CancelCheck<'_>) -> Option<Metrics>
-            + Sync,
     ) -> Result<BatchOutput, MceError> {
         let bounds = &self.bounds;
         if bounds.token.is_cancelled() {
@@ -478,22 +434,70 @@ impl EvalEngine {
             Slot::Job(sys, _) => sys,
             _ => unreachable!("job owners are Job slots"),
         };
-        let (tapes, job_tape) =
-            self.record_tapes(jobs.iter().map(|&(_, owner)| job_system(owner)), replay);
+        let (tapes, job_tape) = self.record_tapes(
+            jobs.iter().map(|&(_, owner)| job_system(owner)),
+            (trace_len, window),
+        );
         let work: Vec<(usize, Option<usize>)> = jobs
             .iter()
             .zip(job_tape)
             .map(|(&(_, owner), tape)| (owner, tape))
             .collect();
+        let item_us = match region {
+            "conex.estimate" => "conex.estimate.item_us",
+            _ => "conex.simulate.item_us",
+        };
+        let max_group = if bounds.watchdog.is_some() {
+            1
+        } else {
+            MAX_GROUP
+        };
         // Parallel phase: only the unique misses simulate. A twice-failed
         // evaluation surfaces here as a clean error instead of unwinding
         // through the batch.
         let results: Vec<Option<Metrics>> =
-            try_par_map_named(region, &work, threads, |&(owner, tape)| {
+            try_par_map_named(region, &work, threads, max_group, |group| {
+                let _t = obs::time_scope_shared(item_us, group.len());
                 let lane = bounds.watchdog.as_ref().map(|w| w.watch());
                 let cancelled =
                     || bounds.token.is_cancelled() || lane.as_ref().is_some_and(|l| l.expired());
-                evaluate(job_system(owner), tape.map(|t| &tapes[t]), &cancelled)
+                #[cfg(feature = "fault-injection")]
+                let live: Vec<bool> = group
+                    .iter()
+                    .map(|_| !mce_faultinject::on_eval_blocking(&cancelled))
+                    .collect();
+                #[cfg(not(feature = "fault-injection"))]
+                let live = vec![true; group.len()];
+                let members: Vec<Member<'_>> = group
+                    .iter()
+                    .zip(&live)
+                    .filter(|&(_, &live)| live)
+                    .map(|(&(owner, tape), _)| (job_system(owner), tape.map(|t| &tapes[t])))
+                    .collect();
+                let Some(stats) = replay_group(
+                    &members,
+                    &self.workload,
+                    &self.blocks,
+                    trace_len,
+                    window,
+                    &cancelled,
+                ) else {
+                    return vec![None; group.len()];
+                };
+                let mut replayed = members.iter().zip(stats);
+                live.iter()
+                    .map(|&live| {
+                        if !live {
+                            return None;
+                        }
+                        let ((sys, _), stats) = replayed.next().expect("one result per member");
+                        Some(Metrics::new(
+                            sys.gate_cost(),
+                            stats.avg_latency_cycles,
+                            stats.avg_energy_nj,
+                        ))
+                    })
+                    .collect()
             })?;
         // A tripped token discards the whole batch: partially cancelled
         // results must never be committed, or resumed runs would diverge.

@@ -93,8 +93,8 @@ pub use recorder::{
     counter_add, counter_restore, counter_value, counters_snapshot, debug, emit, gauge_max,
     gauge_restore, gauge_value, gauges_snapshot, histogram_record, histogram_summary,
     histograms_snapshot, info, init_level_from_env, install, level_enabled, message, now_us,
-    progress, reset_counters, set_level, snapshot_counters, span, time_scope, tracing_enabled,
-    uninstall, worker_span, SpanGuard, TimeScope,
+    progress, reset_counters, set_level, snapshot_counters, span, time_scope, time_scope_shared,
+    tracing_enabled, uninstall, worker_span, SpanGuard, TimeScope,
 };
 pub use sink::{
     render_chrome_trace, ChromeTraceSink, MemorySink, MultiSink, NullSink, ProgressReporter, Sink,

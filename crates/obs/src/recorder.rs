@@ -292,12 +292,17 @@ pub fn histogram_record(name: &'static str, value: u64) {
 pub struct TimeScope {
     name: &'static str,
     start: Option<Instant>,
+    /// Items the measured work covered: each gets an equal share.
+    shares: u64,
 }
 
 impl Drop for TimeScope {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            histogram_record(self.name, start.elapsed().as_micros() as u64);
+            let share = start.elapsed().as_micros() as u64 / self.shares;
+            for _ in 0..self.shares {
+                histogram_record(self.name, share);
+            }
         }
     }
 }
@@ -306,12 +311,18 @@ impl Drop for TimeScope {
 /// tracing is disabled this never reads the clock — the cost is one
 /// relaxed atomic load.
 pub fn time_scope(name: &'static str) -> TimeScope {
-    if !tracing_enabled() {
-        return TimeScope { name, start: None };
-    }
+    time_scope_shared(name, 1)
+}
+
+/// [`time_scope`] for work done on `items` items at once (a lockstep
+/// replay group): on drop, each item records an equal share of the
+/// elapsed time, so the histogram still holds one sample per item. Zero
+/// items record nothing.
+pub fn time_scope_shared(name: &'static str, items: usize) -> TimeScope {
     TimeScope {
         name,
-        start: Some(Instant::now()),
+        start: (tracing_enabled() && items > 0).then(Instant::now),
+        shares: items as u64,
     }
 }
 

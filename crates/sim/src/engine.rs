@@ -14,7 +14,7 @@ use crate::stats::{ChannelStats, DsLatencyStats, ModuleStats, SimStats};
 use crate::system::SystemConfig;
 use crate::tape::{ModuleTape, TapeReader};
 use mce_appmodel::{DsId, MemAccess, Workload};
-use mce_connlib::{ChannelId, LinkId, LinkState};
+use mce_connlib::{ChannelId, LinkId, LinkState, TransferCost};
 use mce_memlib::energy::{dram_transaction_nj, module_access_nj, CPU_INTERFACE_NJ};
 use mce_memlib::{DramState, ModuleId, ModuleModel};
 use mce_obs as obs;
@@ -28,24 +28,41 @@ use mce_obs as obs;
 /// in linear time instead of degenerating.
 pub const BACKPRESSURE_CYCLES: u64 = 256;
 
-/// Where a channel's transfers go: the link carrying it and the channel's
+/// Where a transfer goes: the link carrying its channel and the channel's
 /// master index on that link (for arbitration).
 #[derive(Debug, Clone, Copy)]
-struct ChannelPlan {
+struct Route {
     link: usize,
     master: usize,
 }
 
-/// A module's routes and per-access energy, resolved once per candidate.
+/// A module's downstream route and per-access energy, resolved once per
+/// candidate.
 #[derive(Debug, Clone, Copy)]
 struct ModulePlan {
-    /// CPU↔module channel (None for modules that serve no data structure
-    /// and for the DRAM).
-    cpu_channel: Option<ChannelId>,
-    /// Module↔backing or module↔DRAM channel (None for scratchpads).
-    downstream: Option<ChannelId>,
+    /// Module↔backing or module↔DRAM route (None for scratchpads and the
+    /// DRAM).
+    downstream: Option<Route>,
     /// Next-level cache, for backed modules.
     backing: Option<ModuleId>,
+    access_nj: f64,
+}
+
+/// Everything an access to one data structure needs, resolved once per
+/// candidate: [`Simulator::step`] reads one of these and no other table to
+/// find its module, element size and CPU-side link.
+#[derive(Debug, Clone, Copy)]
+struct DsPlan {
+    /// Index of the serving module (the DRAM's for off-chip data).
+    module: usize,
+    /// False when the data structure is mapped directly to the DRAM.
+    on_chip: bool,
+    elem_bytes: u64,
+    /// The CPU↔module route, or CPU↔DRAM for off-chip data.
+    cpu: Route,
+    /// One element's cost on the `cpu` route's link.
+    cpu_cost: TransferCost,
+    /// The serving module's access energy (unused off-chip).
     access_nj: f64,
 }
 
@@ -53,9 +70,10 @@ struct ModulePlan {
 /// feed accesses in trace order with [`Simulator::step`], and read the
 /// result from [`Simulator::finish`].
 ///
-/// `new` compiles the system into flat per-channel, per-module and
-/// per-data-structure tables, so `step` does no endpoint search and no
-/// per-link scan.
+/// `new` compiles the system into flat per-module and per-data-structure
+/// plans, so `step` does no endpoint search, no per-link scan and — for
+/// the built-in components, whose widths are powers of two — no integer
+/// division.
 #[derive(Debug)]
 pub struct Simulator<'a> {
     sys: &'a SystemConfig,
@@ -69,13 +87,8 @@ pub struct Simulator<'a> {
     tape: TapeReader<'a>,
     links: Vec<LinkState>,
     dram: DramState,
-    channels: Vec<ChannelPlan>,
     module_plans: Vec<ModulePlan>,
-    /// Serving module of each data structure.
-    ds_module: Vec<ModuleId>,
-    ds_element_bytes: Vec<u64>,
-    dram_id: ModuleId,
-    cpu_dram_channel: Option<ChannelId>,
+    ds_plans: Vec<DsPlan>,
     /// Per-link monotonic ready floor, keeping reservation-table calls in
     /// nondecreasing order even when posted writes reorder ready times.
     link_floor: Vec<u64>,
@@ -134,7 +147,7 @@ impl<'a> Simulator<'a> {
             .collect();
         // Master index = position of the channel among its link's channels.
         let mut seen_per_link = vec![0usize; links.len()];
-        let channels = (0..conn.channels().len())
+        let routes: Vec<Route> = (0..conn.channels().len())
             .map(|i| {
                 let link = conn
                     .link_of(ChannelId::new(i))
@@ -142,20 +155,46 @@ impl<'a> Simulator<'a> {
                     .index();
                 let master = seen_per_link[link];
                 seen_per_link[link] += 1;
-                ChannelPlan { link, master }
+                Route { link, master }
             })
             .collect();
-        let module_plans = mem
+        let route = |ch: ChannelId| routes[ch.index()];
+        let module_plans: Vec<ModulePlan> = mem
             .modules()
             .iter()
             .enumerate()
             .map(|(i, m)| {
                 let id = ModuleId::new(i);
                 ModulePlan {
-                    cpu_channel: sys.cpu_channel(id),
-                    downstream: sys.downstream_channel(id),
+                    downstream: sys.downstream_channel(id).map(route),
                     backing: mem.backing_of(id),
                     access_nj: module_access_nj(m.kind()),
+                }
+            })
+            .collect();
+        let ds_plans = workload
+            .data_structures()
+            .iter()
+            .enumerate()
+            .map(|(i, ds)| {
+                let module = mem.serving_module(DsId::new(i));
+                let on_chip = module != dram_id;
+                let cpu = if on_chip {
+                    sys.cpu_channel(module)
+                        .expect("on-chip module has a CPU channel")
+                } else {
+                    sys.cpu_dram_channel()
+                        .expect("direct mapping implies a CPU<->DRAM channel")
+                };
+                let cpu = route(cpu);
+                let elem_bytes = ds.element_size();
+                DsPlan {
+                    module: module.index(),
+                    on_chip,
+                    elem_bytes,
+                    cpu,
+                    cpu_cost: links[cpu.link].cost(elem_bytes),
+                    access_nj: module_plans[module.index()].access_nj,
                 }
             })
             .collect();
@@ -168,18 +207,8 @@ impl<'a> Simulator<'a> {
             tape: tape.map(ModuleTape::reader).unwrap_or_default(),
             links,
             dram: DramState::new(mem.dram_config()),
-            channels,
             module_plans,
-            ds_module: (0..workload.len())
-                .map(|i| mem.serving_module(DsId::new(i)))
-                .collect(),
-            ds_element_bytes: workload
-                .data_structures()
-                .iter()
-                .map(|ds| ds.element_size())
-                .collect(),
-            dram_id,
-            cpu_dram_channel: sys.cpu_dram_channel(),
+            ds_plans,
             link_floor: vec![0; n_links],
             posted_horizon: 0,
             now: 0,
@@ -204,14 +233,28 @@ impl<'a> Simulator<'a> {
         self.now
     }
 
-    /// Schedules `bytes` on the link carrying `channel`, at the earliest
-    /// nondecreasing time ≥ `ready`. Returns the completion cycle.
-    fn link_transfer(&mut self, channel: ChannelId, ready: u64, bytes: u64) -> u64 {
-        let ChannelPlan { link, master } = self.channels[channel.index()];
-        let floor = &mut self.link_floor[link];
+    /// Schedules `bytes` on `route`'s link, at the earliest nondecreasing
+    /// time ≥ `ready`. Returns the completion cycle.
+    fn link_transfer(&mut self, route: Route, ready: u64, bytes: u64) -> u64 {
+        let cost = self.links[route.link].cost(bytes);
+        self.link_transfer_at_cost(route, ready, bytes, cost)
+    }
+
+    /// [`Simulator::link_transfer`] with the cost of `bytes` on the link
+    /// already resolved.
+    fn link_transfer_at_cost(
+        &mut self,
+        route: Route,
+        ready: u64,
+        bytes: u64,
+        cost: TransferCost,
+    ) -> u64 {
+        let floor = &mut self.link_floor[route.link];
         let ready = ready.max(*floor);
         *floor = ready;
-        let complete = self.links[link].transfer(ready, bytes, master).complete;
+        let complete = self.links[route.link]
+            .transfer_at_cost(ready, bytes, cost, route.master)
+            .complete;
         // A zero-byte transfer occupies nothing and moves no horizon.
         if bytes > 0 && complete > self.posted_horizon {
             self.posted_horizon = complete;
@@ -241,13 +284,13 @@ impl<'a> Simulator<'a> {
         ready: u64,
     ) -> u64 {
         let plan = self.module_plans[module.index()];
-        let ch = plan
+        let route = plan
             .downstream
             .expect("a missing module always has a downstream channel");
         match plan.backing {
             None => {
                 let dram_cycles = self.dram_transaction(addr, bytes);
-                let bus_done = self.link_transfer(ch, ready, bytes);
+                let bus_done = self.link_transfer(route, ready, bytes);
                 bus_done + dram_cycles as u64
             }
             Some(l2) => {
@@ -256,7 +299,7 @@ impl<'a> Simulator<'a> {
                     .as_mut()
                     .expect("backing module has a behavioural model")
                     .access(addr, mce_appmodel::AccessKind::Read, ready);
-                let link_done = self.link_transfer(ch, ready, bytes);
+                let link_done = self.link_transfer(route, ready, bytes);
                 let mut done = link_done + resp.service_cycles as u64;
                 if resp.demand_fill_bytes > 0 {
                     done = self.fetch_downstream(l2, addr, resp.demand_fill_bytes, done);
@@ -276,8 +319,8 @@ impl<'a> Simulator<'a> {
     /// accessed).
     fn background_downstream(&mut self, module: ModuleId, bytes: u64, ready: u64) {
         let plan = self.module_plans[module.index()];
-        if let Some(ch) = plan.downstream {
-            let _ = self.link_transfer(ch, ready, bytes);
+        if let Some(route) = plan.downstream {
+            let _ = self.link_transfer(route, ready, bytes);
             if plan.backing.is_none() {
                 self.energy_nj += dram_transaction_nj(bytes, false);
             }
@@ -302,32 +345,28 @@ impl<'a> Simulator<'a> {
         self.prev_tick = acc.tick;
         let issue = self.now;
 
-        let serving = self.ds_module[acc.ds.index()];
-        let elem = self.ds_element_bytes[acc.ds.index()];
+        let plan = self.ds_plans[acc.ds.index()];
+        let elem = plan.elem_bytes;
         self.energy_nj += CPU_INTERFACE_NJ;
 
-        let (done, on_chip) = if serving == self.dram_id {
+        let (done, on_chip) = if !plan.on_chip {
             // Direct CPU<->DRAM traffic over the off-chip bus.
-            let ch = self
-                .cpu_dram_channel
-                .expect("direct mapping implies a CPU<->DRAM channel");
-            let bus_done = self.link_transfer(ch, issue, elem);
+            let bus_done = self.link_transfer_at_cost(plan.cpu, issue, elem, plan.cpu_cost);
             let dram_cycles = self.dram_transaction(acc.addr, elem);
             (bus_done + dram_cycles as u64, false)
         } else {
-            let plan = self.module_plans[serving.index()];
             self.energy_nj += plan.access_nj;
-            let resp = match self.modules[serving.index()].as_mut() {
+            let resp = match self.modules[plan.module].as_mut() {
                 Some(model) => model.access(acc.addr, acc.kind, issue),
                 None => self.tape.next_response(),
             };
 
             // CPU <-> module element transfer.
-            let cpu_ch = plan.cpu_channel.expect("on-chip module has a CPU channel");
-            let cpu_done = self.link_transfer(cpu_ch, issue, elem);
+            let cpu_done = self.link_transfer_at_cost(plan.cpu, issue, elem, plan.cpu_cost);
             let served = cpu_done + resp.service_cycles as u64;
 
             let mut done = served;
+            let serving = ModuleId::new(plan.module);
             if resp.demand_fill_bytes > 0 {
                 done = self.fetch_downstream(serving, acc.addr, resp.demand_fill_bytes, served);
             }
@@ -340,9 +379,9 @@ impl<'a> Simulator<'a> {
         let latency = done.saturating_sub(issue);
         self.ds_accesses[acc.ds.index()] += 1;
         self.ds_latency[acc.ds.index()] += latency;
-        self.module_accesses[serving.index()] += 1;
+        self.module_accesses[plan.module] += 1;
         if on_chip {
-            self.module_hits[serving.index()] += 1;
+            self.module_hits[plan.module] += 1;
         }
         self.accesses += 1;
         if acc.kind.is_read() {

@@ -13,19 +13,24 @@
 //! Phase-I pruning.
 //!
 //! The explorer replays compiled [`TraceBlocks`](mce_appmodel::TraceBlocks)
-//! ([`replay`]): Phase I runs [`simulate_sampled_blocks_cancellable`] and
-//! Phase II [`simulate_blocks_cancellable`]. The per-access [`simulate`]
-//! and [`simulate_sampled`] generate the trace as they go; they are the
-//! reference paths that block replay is tested against.
+//! through one loop, [`replay_group`]: Phase I with a sampling window,
+//! Phase II and APEX without. It steps a group of up to [`MAX_GROUP`]
+//! systems in lockstep over the same trace — each access decoded once,
+//! then stepped on every member — so the members' independent timing
+//! chains overlap on the core, and every member's result stays
+//! bit-identical to its solo replay. [`simulate_blocks`] and
+//! [`simulate_sampled_blocks`] are groups of one. The per-access
+//! [`simulate`] and [`simulate_sampled`] generate the trace as they go;
+//! they are the reference paths that block replay is tested against.
 //!
 //! Every connectivity candidate of one memory architecture sees the same
 //! cache, SRAM and stream-buffer responses, since those models ignore
-//! timing; a [`ModuleTape`] records them once per architecture, and both
-//! block replays read them back instead of running the models — with
-//! bit-identical results.
+//! timing; a [`ModuleTape`] records them once per architecture, and every
+//! member replaying that architecture reads them back instead of running
+//! the models — with bit-identical results.
 //!
 //! [`par::try_par_map_named`] is the deterministic, order-preserving
-//! parallel map that APEX and ConEx fan their candidate replays out
+//! parallel map that APEX and ConEx fan their candidate groups out
 //! through.
 //!
 //! ## Example
@@ -57,10 +62,7 @@ pub mod tape;
 
 pub use engine::{simulate, simulate_trace, Simulator};
 pub use preset::Preset;
-pub use replay::{
-    simulate_blocks, simulate_blocks_cancellable, simulate_sampled_blocks,
-    simulate_sampled_blocks_cancellable,
-};
+pub use replay::{replay_group, simulate_blocks, simulate_sampled_blocks, Member, MAX_GROUP};
 pub use sampling::{simulate_sampled, SamplingConfig};
 pub use stats::{ChannelStats, ModuleStats, SimStats};
 pub use system::{ChannelEndpoint, SystemConfig, SystemError};

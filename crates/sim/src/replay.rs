@@ -1,11 +1,17 @@
-//! Block-compiled trace replay.
+//! Block-compiled trace replay, in lockstep groups.
 //!
-//! The counterparts of [`simulate`](crate::simulate) and
-//! [`simulate_sampled`](crate::simulate_sampled) that consume a
-//! pre-compiled [`TraceBlocks`] instead of running the trace generator.
-//! The access sequence fed to the [`Simulator`] is identical in both
-//! paths, so the returned [`SimStats`] are bit-identical — the blocks only
-//! remove the per-candidate cost of regenerating the trace.
+//! [`replay_group`] is the one loop the explorer replays candidates
+//! through. It consumes a pre-compiled [`TraceBlocks`] instead of running
+//! the trace generator, and it steps a *group* of systems over the same
+//! trace prefix and sampling window at once: each access is decoded once
+//! and then stepped on every member. Members share nothing mutable — each
+//! keeps its own [`Simulator`] and tape reader — so every member's
+//! [`SimStats`] are bit-identical to its solo replay, and to the
+//! per-access [`simulate`](crate::simulate) and
+//! [`simulate_sampled`](crate::simulate_sampled). What the group buys is
+//! overlap: one replay is a serial chain (issue time → link ready → start
+//! → completion → issue time), and the members' chains are independent,
+//! so an out-of-order core runs them side by side.
 //!
 //! Blocks compiled at a pipeline's longest trace length serve every
 //! shorter replay (`trace_len` is a prefix length), which is how the
@@ -20,7 +26,92 @@ use mce_appmodel::{TraceBlocks, Workload};
 use mce_obs as obs;
 use std::ops::Range;
 
-/// Fully simulates the first `trace_len` compiled accesses on `sys`.
+/// The most systems the explorer replays in one lockstep group. On the
+/// paper-preset `compress` exploration (one thread, 2-vCPU x86-64 VM)
+/// groups of 8 took 0.82× the time of groups of one, groups of 16 about
+/// the same as 8, and groups of 32 were slower again.
+pub const MAX_GROUP: usize = 8;
+
+/// One member of a replay group: a system, and the [`ModuleTape`]
+/// recorded for its memory architecture, if any.
+pub type Member<'a> = (&'a SystemConfig, Option<&'a ModuleTape>);
+
+/// Replays the first `trace_len` compiled accesses on every member of
+/// `members` in lockstep, returning each member's statistics in order.
+///
+/// `window` `None` steps every access (full simulation, Phase II);
+/// `Some` steps only the sampling window's on-windows and skips the rest
+/// (Phase-I estimation). A member's tape must have been recorded for the
+/// same architecture, `trace_len` and `window`; it changes no result,
+/// because its modules' responses are the ones their live models would
+/// give.
+///
+/// `cancelled` is polled once per compiled block batch, for the whole
+/// group — coarse enough to stay off the per-access hot path, fine enough
+/// that a tripped deadline or watchdog reclaims the group within one
+/// batch. When it trips, the partial simulations are discarded and
+/// `None` is returned.
+///
+/// # Panics
+///
+/// Panics if `trace_len` exceeds the compiled length, or if a tape was
+/// recorded for another memory architecture, trace length or window.
+pub fn replay_group(
+    members: &[Member<'_>],
+    workload: &Workload,
+    blocks: &TraceBlocks,
+    trace_len: usize,
+    window: Option<SamplingConfig>,
+    cancelled: &(dyn Fn() -> bool + Sync),
+) -> Option<Vec<SimStats>> {
+    if members.is_empty() {
+        return Some(Vec::new());
+    }
+    let _t = obs::time_scope_shared(
+        match window {
+            None => "sim.replay_us",
+            Some(_) => "sim.replay_sampled_us",
+        },
+        members.len(),
+    );
+    let mut walk = WindowWalk::new(window);
+    let mut sims: Vec<Simulator<'_>> = members
+        .iter()
+        .map(|&(sys, tape)| {
+            if let Some(tape) = tape {
+                tape.check(sys.mem(), trace_len, walk);
+            }
+            Simulator::with_tape(sys, workload, tape)
+        })
+        .collect();
+    for batch in blocks.batches(trace_len) {
+        if cancelled() {
+            return None;
+        }
+        walk.runs(batch, |on, run| {
+            if on {
+                for i in run {
+                    let acc = blocks.get(i);
+                    for sim in &mut sims {
+                        sim.step(&acc);
+                    }
+                }
+            } else {
+                // Compiled ticks never decrease, so one skip to the last
+                // access of the window's part in this batch advances time
+                // exactly as skipping each access would.
+                let last = blocks.get(run.end - 1);
+                for sim in &mut sims {
+                    sim.skip(&last);
+                }
+            }
+        });
+    }
+    Some(sims.into_iter().map(Simulator::finish).collect())
+}
+
+/// Fully simulates the first `trace_len` compiled accesses on `sys`: a
+/// [`replay_group`] of one, untaped and never cancelled.
 ///
 /// Bit-identical to [`simulate`](crate::simulate) with the same
 /// `trace_len`.
@@ -37,41 +128,11 @@ pub fn simulate_blocks(
     blocks: &TraceBlocks,
     trace_len: usize,
 ) -> SimStats {
-    simulate_blocks_cancellable(sys, workload, blocks, trace_len, None, &|| false)
-        .expect("a never-tripping check cannot cancel")
+    solo(sys, workload, blocks, trace_len, None)
 }
 
-/// [`simulate_blocks`] with a cooperative cancellation check, optionally
-/// reading module responses from a [`ModuleTape`].
-///
-/// `cancelled` is polled once per compiled block batch — coarse enough
-/// to stay off the per-access hot path, fine enough that a tripped
-/// deadline or watchdog reclaims the evaluation within one batch. When
-/// it trips, the partial simulation is discarded and `None` is returned.
-///
-/// [`simulate_blocks`] is this function with no tape and a check that
-/// never trips, so a bounded run that never hits its bounds matches an
-/// unbounded one bit for bit; full and sampled replay share one loop.
-/// A tape changes no result either: its modules' responses are the ones
-/// their live models would give.
-///
-/// # Panics
-///
-/// Panics if `trace_len` exceeds the compiled length, or if `tape` was
-/// recorded for another memory architecture, trace length or window.
-pub fn simulate_blocks_cancellable(
-    sys: &SystemConfig,
-    workload: &Workload,
-    blocks: &TraceBlocks,
-    trace_len: usize,
-    tape: Option<&ModuleTape>,
-    cancelled: &(dyn Fn() -> bool + Sync),
-) -> Option<SimStats> {
-    let _t = obs::time_scope("sim.replay_us");
-    replay(sys, workload, blocks, trace_len, None, tape, cancelled)
-}
-
-/// Time-sampled estimation over the first `trace_len` compiled accesses.
+/// Time-sampled estimation over the first `trace_len` compiled accesses:
+/// a [`replay_group`] of one, untaped and never cancelled.
 ///
 /// Bit-identical to [`simulate_sampled`](crate::simulate_sampled) with the
 /// same `trace_len` and `config`.
@@ -86,74 +147,22 @@ pub fn simulate_sampled_blocks(
     trace_len: usize,
     config: SamplingConfig,
 ) -> SimStats {
-    simulate_sampled_blocks_cancellable(sys, workload, blocks, trace_len, config, None, &|| false)
-        .expect("a never-tripping check cannot cancel")
+    solo(sys, workload, blocks, trace_len, Some(config))
 }
 
-/// [`simulate_sampled_blocks`] with a cooperative cancellation check,
-/// polled once per compiled block batch, and an optional [`ModuleTape`]
-/// recorded for the same `config` (see [`simulate_blocks_cancellable`]
-/// for the contract).
-///
-/// # Panics
-///
-/// Panics if `trace_len` exceeds the compiled length, or if `tape` was
-/// recorded for another memory architecture, trace length or window.
-pub fn simulate_sampled_blocks_cancellable(
-    sys: &SystemConfig,
-    workload: &Workload,
-    blocks: &TraceBlocks,
-    trace_len: usize,
-    config: SamplingConfig,
-    tape: Option<&ModuleTape>,
-    cancelled: &(dyn Fn() -> bool + Sync),
-) -> Option<SimStats> {
-    let _t = obs::time_scope("sim.replay_sampled_us");
-    replay(
-        sys,
-        workload,
-        blocks,
-        trace_len,
-        Some(config),
-        tape,
-        cancelled,
-    )
-}
-
-/// The one block replay loop: steps the accesses `window`'s on-windows
-/// cover (all of them for `None`) and skips the rest.
-fn replay(
+/// A group of one, untaped, whose check never trips.
+fn solo(
     sys: &SystemConfig,
     workload: &Workload,
     blocks: &TraceBlocks,
     trace_len: usize,
     window: Option<SamplingConfig>,
-    tape: Option<&ModuleTape>,
-    cancelled: &(dyn Fn() -> bool + Sync),
-) -> Option<SimStats> {
-    let mut walk = WindowWalk::new(window);
-    if let Some(tape) = tape {
-        tape.check(sys.mem(), trace_len, walk);
-    }
-    let mut sim = Simulator::with_tape(sys, workload, tape);
-    for batch in blocks.batches(trace_len) {
-        if cancelled() {
-            return None;
-        }
-        walk.runs(batch, |on, run| {
-            if on {
-                for i in run {
-                    sim.step(&blocks.get(i));
-                }
-            } else {
-                // Compiled ticks never decrease, so one skip to the last
-                // access of the window's part in this batch advances time
-                // exactly as skipping each access would.
-                sim.skip(&blocks.get(run.end - 1));
-            }
-        });
-    }
-    Some(sim.finish())
+) -> SimStats {
+    replay_group(&[(sys, None)], workload, blocks, trace_len, window, &|| {
+        false
+    })
+    .and_then(|mut stats| stats.pop())
+    .expect("a never-tripping check cannot cancel")
 }
 
 /// The on/off sampling-window walk, shared by block replay and
@@ -223,7 +232,7 @@ mod tests {
         SystemConfig::with_shared_bus(w, mem).unwrap()
     }
 
-    /// `replay` over `sys` with a tape recorded for it.
+    /// A group of one over `sys`, with a tape recorded for it.
     fn taped(
         sys: &SystemConfig,
         w: &Workload,
@@ -232,7 +241,10 @@ mod tests {
         window: Option<SamplingConfig>,
     ) -> SimStats {
         let tape = ModuleTape::record(sys.mem(), w, blocks, len, window).expect("cache is taped");
-        replay(sys, w, blocks, len, window, Some(&tape), &|| false).unwrap()
+        let mut stats =
+            replay_group(&[(sys, Some(&tape))], w, blocks, len, window, &|| false).unwrap();
+        assert_eq!(stats.len(), 1);
+        stats.pop().unwrap()
     }
 
     #[test]
@@ -318,55 +330,30 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_replay_with_clear_check_is_bit_identical() {
-        let w = benchmarks::vocoder();
-        let sys = system(&w, 4);
-        let blocks = TraceBlocks::compile(&w, N);
-        assert_eq!(
-            Some(simulate_blocks(&sys, &w, &blocks, N)),
-            simulate_blocks_cancellable(&sys, &w, &blocks, N, None, &|| false)
-        );
-        let cfg = SamplingConfig::paper();
-        assert_eq!(
-            Some(simulate_sampled_blocks(&sys, &w, &blocks, N, cfg)),
-            simulate_sampled_blocks_cancellable(&sys, &w, &blocks, N, cfg, None, &|| false)
-        );
-    }
-
-    #[test]
     fn tripped_check_discards_the_replay() {
         let w = benchmarks::vocoder();
         let sys = system(&w, 4);
         let blocks = TraceBlocks::compile(&w, N);
-        assert_eq!(
-            simulate_blocks_cancellable(&sys, &w, &blocks, N, None, &|| true),
-            None
-        );
+        let pair = [(&sys, None), (&sys, None)];
+        assert_eq!(replay_group(&pair, &w, &blocks, N, None, &|| true), None);
         // Tripping mid-replay bails out at the next batch boundary.
         let calls = std::sync::atomic::AtomicUsize::new(0);
         let after_two = || calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= 2;
-        assert_eq!(
-            simulate_blocks_cancellable(&sys, &w, &blocks, N, None, &after_two),
-            None
-        );
-        let cfg = SamplingConfig::paper();
-        assert_eq!(
-            simulate_sampled_blocks_cancellable(&sys, &w, &blocks, N, cfg, None, &|| true),
-            None
-        );
+        assert_eq!(replay_group(&pair, &w, &blocks, N, None, &after_two), None);
+        let cfg = Some(SamplingConfig::paper());
+        assert_eq!(replay_group(&pair, &w, &blocks, N, cfg, &|| true), None);
     }
 
     #[test]
     fn clear_check_is_polled_once_per_batch() {
         // The cancellation contract, by count rather than by timing: a
         // check that never trips is polled once per compiled batch —
-        // never per access — by both replay modes, including a replay
-        // that ends partway through a block.
+        // never per access, never per member — by both replay modes,
+        // including a replay that ends partway through a block.
         use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
         let w = benchmarks::vocoder();
         let sys = system(&w, 4);
         let blocks = TraceBlocks::compile(&w, N);
-        let cfg = SamplingConfig::paper();
         let polls = AtomicUsize::new(0);
         let count = || {
             polls.fetch_add(1, Relaxed);
@@ -374,15 +361,18 @@ mod tests {
         };
         for len in [N, 3 * BLOCK_LEN + 900] {
             let batches = blocks.batches(len).count();
-            polls.store(0, Relaxed);
-            assert!(simulate_blocks_cancellable(&sys, &w, &blocks, len, None, &count).is_some());
-            assert_eq!(polls.load(Relaxed), batches, "full replay of {len}");
-            polls.store(0, Relaxed);
-            assert!(
-                simulate_sampled_blocks_cancellable(&sys, &w, &blocks, len, cfg, None, &count)
-                    .is_some()
-            );
-            assert_eq!(polls.load(Relaxed), batches, "sampled replay of {len}");
+            for window in [None, Some(SamplingConfig::paper())] {
+                for members in [1, 3] {
+                    polls.store(0, Relaxed);
+                    let group_of = vec![(&sys, None); members];
+                    assert!(replay_group(&group_of, &w, &blocks, len, window, &count).is_some());
+                    assert_eq!(
+                        polls.load(Relaxed),
+                        batches,
+                        "{members} member(s), {window:?} over {len}"
+                    );
+                }
+            }
         }
     }
 
@@ -393,9 +383,8 @@ mod tests {
         let sys = system(&w, 4);
         let blocks = TraceBlocks::compile(&w, N);
         let tape = ModuleTape::record(sys.mem(), &w, &blocks, N, None).unwrap();
-        let cfg = SamplingConfig::paper();
-        let _ =
-            simulate_sampled_blocks_cancellable(&sys, &w, &blocks, N, cfg, Some(&tape), &|| false);
+        let cfg = Some(SamplingConfig::paper());
+        let _ = replay_group(&[(&sys, Some(&tape))], &w, &blocks, N, cfg, &|| false);
     }
 
     #[test]
@@ -404,7 +393,8 @@ mod tests {
         let w = benchmarks::vocoder();
         let blocks = TraceBlocks::compile(&w, N);
         let tape = ModuleTape::record(system(&w, 8).mem(), &w, &blocks, N, None).unwrap();
-        let _ = simulate_blocks_cancellable(&system(&w, 4), &w, &blocks, N, Some(&tape), &|| false);
+        let sys = system(&w, 4);
+        let _ = replay_group(&[(&sys, Some(&tape))], &w, &blocks, N, None, &|| false);
     }
 
     #[test]

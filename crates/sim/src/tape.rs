@@ -33,15 +33,18 @@ use mce_obs as obs;
 /// ```
 /// use mce_appmodel::{benchmarks, TraceBlocks};
 /// use mce_memlib::{CacheConfig, MemoryArchitecture};
-/// use mce_sim::{simulate_blocks, simulate_blocks_cancellable, ModuleTape, SystemConfig};
+/// use mce_sim::{replay_group, simulate_blocks, ModuleTape, SystemConfig};
 ///
 /// let w = benchmarks::vocoder();
 /// let blocks = TraceBlocks::compile(&w, 5_000);
 /// let mem = MemoryArchitecture::cache_only(&w, CacheConfig::kilobytes(4));
 /// let tape = ModuleTape::record(&mem, &w, &blocks, 5_000, None).expect("the cache is tapeable");
 /// let sys = SystemConfig::with_shared_bus(&w, mem).unwrap();
-/// let taped = simulate_blocks_cancellable(&sys, &w, &blocks, 5_000, Some(&tape), &|| false);
-/// assert_eq!(taped, Some(simulate_blocks(&sys, &w, &blocks, 5_000)));
+/// // Two replays of the architecture read one tape, each from the start.
+/// let members = [(&sys, Some(&tape)), (&sys, Some(&tape))];
+/// let taped = replay_group(&members, &w, &blocks, 5_000, None, &|| false).unwrap();
+/// let live = simulate_blocks(&sys, &w, &blocks, 5_000);
+/// assert_eq!(taped, [live.clone(), live]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ModuleTape {

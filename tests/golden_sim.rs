@@ -15,11 +15,14 @@
 //! The same fixtures, compiled with `TraceBlocks::from_accesses`, also
 //! pin the sampled block replay Phase I runs
 //! (`simulate_sampled_blocks` at the paper's 1:9 windows, and at 100:700
-//! windows that re-enter an on window three times per fixture).
+//! windows that re-enter an on window three times per fixture), and check
+//! that lockstep replay groups of these systems give every member its
+//! solo result.
 //!
 //! A simulator change that alters any simulated number fails here. If the
 //! change is intended, say so in the change log and re-pin.
 
+use memory_conex::appmodel::rng::Rng;
 use memory_conex::appmodel::{
     benchmarks, read_trace, DsId, MemAccess, TraceBlocks, Workload, BLOCK_LEN,
 };
@@ -33,10 +36,11 @@ use memory_conex::obs;
 use memory_conex::sim::system::{channel_endpoints, channels_for};
 use memory_conex::sim::tape::is_tapeable;
 use memory_conex::sim::{
-    simulate_blocks_cancellable, simulate_sampled_blocks, simulate_sampled_blocks_cancellable,
-    simulate_trace, ChannelEndpoint, ModuleTape, SamplingConfig, SimStats, SystemConfig,
+    replay_group, simulate_sampled_blocks, simulate_trace, ChannelEndpoint, ModuleTape,
+    SamplingConfig, SimStats, SystemConfig,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The recorder is process-global; the coverage test installs a sink to
@@ -495,13 +499,8 @@ fn taped_replay_matches_live_replay_on_every_golden_system() {
             assert_eq!(is_tapeable(mem, id), !live, "{name}: {}", module.name());
         }
         for (window, len) in cases {
-            let replay = |tape: Option<&ModuleTape>| match window {
-                None => simulate_blocks_cancellable(&sys, &w, &blocks, len, tape, &|| false),
-                Some(cfg) => {
-                    simulate_sampled_blocks_cancellable(&sys, &w, &blocks, len, cfg, tape, &|| {
-                        false
-                    })
-                }
+            let replay = |tape: Option<&ModuleTape>| {
+                replay_group(&[(&sys, tape)], &w, &blocks, len, window, &|| false)
             };
             let tape = ModuleTape::record(mem, &w, &blocks, len, window)
                 .expect("every golden system has a tapeable module serving data");
@@ -512,6 +511,108 @@ fn taped_replay_matches_live_replay_on_every_golden_system() {
                 "{name} {window:?} over {len}"
             );
         }
+    }
+}
+
+#[test]
+fn lockstep_groups_match_solo_replays() {
+    // Seeded random groups of 1–9 golden systems of one workload — every
+    // architecture of that workload, repeats allowed — each member taped
+    // or live at random. Every member's stats must equal its own solo
+    // replay; a member that shared a tape reader, or missed a skip, with
+    // another would not.
+    let _guard = lock();
+    let sampling = |on_accesses, off_ratio| {
+        Some(SamplingConfig {
+            on_accesses,
+            off_ratio,
+        })
+    };
+    let fixture_len = 3_000;
+    let cases = [
+        (None, fixture_len),
+        (Some(SamplingConfig::paper()), fixture_len),
+        (sampling(700, 3), fixture_len),
+        // The trace ends mid-off-window, partway through a block.
+        (sampling(700, 3), 2 * BLOCK_LEN + 500),
+        (sampling(37, 2), fixture_len),
+        (Some(REENTRY_WINDOW), fixture_len),
+        (sampling(500, 0), fixture_len),
+        (sampling(0, 4), fixture_len),
+    ];
+    let mut rng = Rng::seed_from_u64(0x6a0u64);
+    let all = systems();
+    for workload in ["compress", "li", "vocoder"] {
+        let of_workload: Vec<&(&str, Workload, SystemConfig)> = all
+            .iter()
+            .filter(|(_, w, _)| w.name() == workload)
+            .collect();
+        let w = &of_workload[0].1;
+        let blocks = blocks(w);
+        for (window, len) in cases {
+            let tapes: Vec<ModuleTape> = of_workload
+                .iter()
+                .map(|(_, _, sys)| {
+                    ModuleTape::record(sys.mem(), w, &blocks, len, window)
+                        .expect("every golden system has a tapeable module serving data")
+                })
+                .collect();
+            for _ in 0..4 {
+                let size = 1 + rng.next_up_to(8) as usize;
+                let members: Vec<(&SystemConfig, Option<&ModuleTape>)> = (0..size)
+                    .map(|_| {
+                        let pick = rng.next_up_to(of_workload.len() as u64 - 1) as usize;
+                        let tape = rng.next_bool().then_some(&tapes[pick]);
+                        (&of_workload[pick].2, tape)
+                    })
+                    .collect();
+                let names: Vec<&str> = members
+                    .iter()
+                    .map(|(sys, _)| {
+                        let i = of_workload.iter().position(|(_, _, s)| s == *sys).unwrap();
+                        of_workload[i].0
+                    })
+                    .collect();
+                let solo: Vec<SimStats> = members
+                    .iter()
+                    .map(|&member| {
+                        let mut stats =
+                            replay_group(&[member], w, &blocks, len, window, &|| false).unwrap();
+                        stats.pop().unwrap()
+                    })
+                    .collect();
+                let polls = AtomicUsize::new(0);
+                let count = || {
+                    polls.fetch_add(1, Relaxed);
+                    false
+                };
+                let grouped = replay_group(&members, w, &blocks, len, window, &count)
+                    .expect("a clear check never cancels");
+                assert_eq!(grouped.len(), size);
+                for (i, (got, want)) in grouped.iter().zip(&solo).enumerate() {
+                    assert!(
+                        got == want,
+                        "member {i} ({}) of {names:?}, {window:?} over {len}",
+                        names[i]
+                    );
+                }
+                assert_eq!(
+                    polls.load(Relaxed),
+                    blocks.batches(len).count(),
+                    "one poll per batch for the whole group"
+                );
+                // A check that trips after the first batch discards the
+                // whole group.
+                let tripped = AtomicUsize::new(0);
+                let trip = || tripped.fetch_add(1, Relaxed) >= 1;
+                assert_eq!(replay_group(&members, w, &blocks, len, window, &trip), None);
+            }
+        }
+        // A group whose members all dropped out replays nothing.
+        assert_eq!(
+            replay_group(&[], w, &blocks, fixture_len, None, &|| true),
+            Some(Vec::new())
+        );
     }
 }
 

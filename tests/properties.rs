@@ -408,3 +408,63 @@ proptest! {
         let _ = arch.validate(); // must not panic
     }
 }
+
+/// The link costs the simulator resolves without a division — one per
+/// (link, byte count) for each data structure's element, a shift for
+/// power-of-two widths otherwise — are exact: for every component kind,
+/// and for custom widths that are not powers of two, a transfer's
+/// occupancy is the beat formula's and its completion latency is
+/// `transfer_cycles`, over every size up to 1 KiB.
+#[test]
+fn division_free_link_costs_are_exact() {
+    use memory_conex::connlib::LinkState;
+    let mut components: Vec<ConnComponent> = ConnComponentKind::ON_CHIP
+        .into_iter()
+        .chain([ConnComponentKind::OffChipBus])
+        .map(ConnComponent::new)
+        .collect();
+    for width_bytes in [3, 6] {
+        for pipelined in [false, true] {
+            let mut params = ConnComponentKind::AmbaAsb.params();
+            params.width_bytes = width_bytes;
+            params.pipelined = pipelined;
+            params.cycles_per_beat = 3;
+            components.push(ConnComponent::with_params(
+                ConnComponentKind::AmbaAsb,
+                params,
+            ));
+        }
+    }
+    for c in components {
+        let p = c.params();
+        for ports in [1, 3] {
+            let link = LinkState::new(c, ports);
+            for bytes in 0..=1024u64 {
+                let beats = bytes.div_ceil(u64::from(p.width_bytes)) as u32;
+                let occupancy = if p.pipelined {
+                    beats
+                } else {
+                    beats * p.cycles_per_beat
+                };
+                let cost = link.cost(bytes);
+                assert_eq!(cost, c.transfer_cost(bytes), "{c} {bytes} B");
+                assert_eq!(cost.occupancy, occupancy, "{c} {bytes} B");
+                assert_eq!(
+                    cost.latency,
+                    c.transfer_cycles(bytes, false),
+                    "{c} {bytes} B"
+                );
+                // Scheduled on a fresh link, the transfer holds its slot
+                // for the occupancy and completes after the latency.
+                let mut fresh = LinkState::new(c, ports);
+                let t = fresh.transfer(0, bytes, 0);
+                assert_eq!(
+                    t.complete - t.start,
+                    u64::from(cost.latency),
+                    "{c} {bytes} B"
+                );
+                assert_eq!(fresh.busy_cycles(), u64::from(occupancy), "{c} {bytes} B");
+            }
+        }
+    }
+}
