@@ -138,8 +138,12 @@ fn main() -> ExitCode {
         Ok(code) => ExitCode::from(code),
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            // The usage text helps with a command line the CLI could not
+            // act on, not with a run that failed.
+            if is_argument_error(e.as_ref()) {
+                eprintln!();
+                eprintln!("{USAGE}");
+            }
             ExitCode::FAILURE
         }
     }
@@ -235,11 +239,40 @@ diff options:
 
 type CliError = Box<dyn std::error::Error>;
 
+/// A command line the CLI cannot act on: a missing command or operand,
+/// or a flag that needs another. Like [`MceError::InvalidArg`], it is
+/// reported with the usage text.
+#[derive(Debug)]
+struct UsageError(String);
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for UsageError {}
+
+/// A [`UsageError`] as a [`CliError`].
+fn usage(reason: impl Into<String>) -> CliError {
+    Box::new(UsageError(reason.into()))
+}
+
+/// True for errors in the command line itself, which `main` follows with
+/// the usage text.
+fn is_argument_error(e: &(dyn std::error::Error + 'static)) -> bool {
+    e.is::<UsageError>()
+        || matches!(
+            e.downcast_ref::<MceError>(),
+            Some(MceError::InvalidArg { .. })
+        )
+}
+
 /// Runs one command; `Ok` carries the process exit code (0 for every
 /// command except `cache-check`, which exits 2 to tell "clean" from
 /// "repaired", and `diff`, which exits 1 when the runs differ).
 fn run(args: &[String]) -> Result<u8, CliError> {
-    let cmd = args.first().ok_or("missing command")?;
+    let cmd = args.first().ok_or_else(|| usage("missing command"))?;
     match cmd.as_str() {
         "benchmarks" => cmd_benchmarks(&args[1..]).map(|()| 0),
         "template" => cmd_template(&args[1..]).map(|()| 0),
@@ -251,7 +284,7 @@ fn run(args: &[String]) -> Result<u8, CliError> {
         "export-metrics" => cmd_export_metrics(&args[1..]).map(|()| 0),
         "cache-check" => cmd_cache_check(&args[1..]),
         "diff" => cmd_diff(&args[1..]),
-        other => Err(format!("unknown command `{other}`").into()),
+        other => Err(usage(format!("unknown command `{other}`"))),
     }
 }
 
@@ -354,7 +387,9 @@ fn deadline_flag(args: &[String]) -> Result<Option<f64>, MceError> {
 }
 
 fn load_workload(args: &[String]) -> Result<Workload, CliError> {
-    let name = args.first().ok_or("missing <workload> argument")?;
+    let name = args
+        .first()
+        .ok_or_else(|| usage("missing <workload> argument"))?;
     match name.as_str() {
         "compress" => Ok(benchmarks::compress()),
         "li" => Ok(benchmarks::li()),
@@ -538,7 +573,10 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
          [--explain] [--progress]",
     )?;
     let w = load_workload(args)?;
-    let scale: Preset = flag_value(args, "--preset").unwrap_or("fast").parse()?;
+    let scale: Preset = flag_value(args, "--preset")
+        .unwrap_or("fast")
+        .parse()
+        .map_err(usage)?;
     let mut session = ExplorationSession::new(w.clone()).preset(scale);
     if let Some(t) = numeric_flag::<usize>(args, "--threads", 1, "--threads N (N >= 1)")? {
         session = session.threads(t);
@@ -550,10 +588,6 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     let checkpoint_file = flag_value(args, "--checkpoint");
     if let Some(path) = checkpoint_file {
         session = session.checkpoint_file(path);
-        let resuming = std::path::Path::new(path).exists();
-        if resuming {
-            eprintln!("resuming from checkpoint {path}");
-        }
     }
     if let Some(n) = numeric_flag::<usize>(
         args,
@@ -562,7 +596,7 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
         "--checkpoint-every N (N >= 1, requires --checkpoint FILE)",
     )? {
         if checkpoint_file.is_none() {
-            return Err("--checkpoint-every needs --checkpoint FILE".into());
+            return Err(usage("--checkpoint-every needs --checkpoint FILE"));
         }
         session = session.checkpoint_every(n);
     }
@@ -594,7 +628,7 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
         "--live-every MS (MS >= 10, requires --live-status FILE)",
     )? {
         if live_status.is_none() {
-            return Err("--live-every needs --live-status FILE".into());
+            return Err(usage("--live-every needs --live-status FILE"));
         }
         session = session.live_every(Duration::from_millis(ms));
     }
@@ -604,6 +638,12 @@ fn cmd_explore(args: &[String]) -> Result<(), CliError> {
     }
     if args.iter().any(|a| a == "--explain") {
         session = session.explain(true);
+    }
+    // Verify a checkpoint before announcing the resume: a corrupt or
+    // foreign one fails here, in one line, before any work starts. The
+    // run loads it again.
+    if let (Some(path), Some(_)) = (checkpoint_file, session.resume_checkpoint()?) {
+        eprintln!("resuming from checkpoint {path}");
     }
     // Ctrl-C and a process manager's SIGTERM both become a cooperative
     // stop at the next safe point instead of killing the process: the
@@ -749,7 +789,7 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
     let files = check_flags("report", args, "[--out FILE] [--html]")?;
     let html = args.iter().any(|a| a == "--html");
     if files.is_empty() {
-        return Err("report needs at least one run-report JSON file".into());
+        return Err(usage("report needs at least one run-report JSON file"));
     }
     let mut reports = Vec::new();
     for path in files {
@@ -821,7 +861,7 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
 
     let path = *check_flags("top", args, "[--interval MS] [--once]")?
         .first()
-        .ok_or("top needs a live-status or run-report file argument")?;
+        .ok_or_else(|| usage("top needs a live-status or run-report file argument"))?;
     let file = std::path::Path::new(path);
     if file.is_dir() {
         return Err(MceError::invalid_arg(
@@ -885,7 +925,7 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
 fn cmd_export_metrics(args: &[String]) -> Result<(), CliError> {
     let path = *check_flags("export-metrics", args, "[--out FILE]")?
         .first()
-        .ok_or("export-metrics needs a run-report JSON file")?;
+        .ok_or_else(|| usage("export-metrics needs a run-report JSON file"))?;
     let text = live::openmetrics_from_value(&load_report(path)?)?;
     match flag_value(args, "--out") {
         Some(out) => {
@@ -916,7 +956,7 @@ fn cmd_cache_check(args: &[String]) -> Result<u8, CliError> {
 
     let path = *check_flags("cache-check", args, "[--capacity N] [--repair]")?
         .first()
-        .ok_or("cache-check needs a spill file argument")?;
+        .ok_or_else(|| usage("cache-check needs a spill file argument"))?;
     let capacity = numeric_flag::<usize>(args, "--capacity", 1, "--capacity N (N >= 1)")?
         .unwrap_or(memory_conex::conex::eval_cache::DEFAULT_CAPACITY);
     let repair = args.iter().any(|a| a == "--repair");
@@ -963,7 +1003,7 @@ fn cmd_cache_check(args: &[String]) -> Result<u8, CliError> {
 fn cmd_diff(args: &[String]) -> Result<u8, CliError> {
     let (a, b) = match check_flags("diff", args, "[--html] [--out FILE]")?[..] {
         [a, b] => (a, b),
-        _ => return Err("diff needs exactly two run-report files".into()),
+        _ => return Err(usage("diff needs exactly two run-report files")),
     };
     let read = |path: &str| {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))

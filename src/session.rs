@@ -306,6 +306,30 @@ impl ExplorationSession {
         self
     }
 
+    /// The checkpoint [`run`](ExplorationSession::run) resumes from:
+    /// `None` without a
+    /// [`checkpoint_file`](ExplorationSession::checkpoint_file) or when
+    /// the file does not exist, otherwise the file's checkpoint, verified
+    /// and checked against this session's workload and configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`MceError`] if the checkpoint cannot be read, is
+    /// corrupt, or belongs to a different run ([`MceError::Checkpoint`]).
+    pub fn resume_checkpoint(&self) -> Result<Option<Checkpoint>, MceError> {
+        match &self.checkpoint_file {
+            Some(path) if path.exists() => {
+                let ck = Checkpoint::load(path)?;
+                ck.ensure_matches(
+                    &workload_digest(&self.workload).to_hex(),
+                    &config_digest(&self.apex, &self.conex, &self.library, self.cache_capacity),
+                )?;
+                Ok(Some(ck))
+            }
+            _ => Ok(None),
+        }
+    }
+
     /// Runs APEX then ConEx over the shared trace and cache, resuming
     /// from a [`checkpoint_file`](ExplorationSession::checkpoint_file)
     /// when one is present.
@@ -336,14 +360,7 @@ impl ExplorationSession {
         }
         let w_digest = workload_digest(&self.workload).to_hex();
         let c_digest = config_digest(&self.apex, &self.conex, &self.library, self.cache_capacity);
-        let resume = match &self.checkpoint_file {
-            Some(path) if path.exists() => {
-                let ck = Checkpoint::load(path)?;
-                ck.ensure_matches(&w_digest, &c_digest)?;
-                Some(ck)
-            }
-            _ => None,
-        };
+        let resume = self.resume_checkpoint()?;
         // The run's cache: restored from the checkpoint when resuming —
         // exact FIFO order and lifetime stats, so eviction behavior and
         // the report's cache section continue as if never interrupted.
